@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -89,6 +90,35 @@ class TestGoldenOutputs:
         _, first, _ = run(argv, capsys)
         _, second, _ = run(argv, capsys)
         assert first == second
+
+
+# sha256 of stdout, recorded once; never re-record these to absorb a change.
+STDOUT_DIGESTS = [
+    ("rate --schedule harmonic:0.25,0.5 --n 64 --registry sin_damped",
+     "644481cb37bec9501196d407b40e783fefc9459e9351ed4f17ecf0c8e9101fab"),
+    ("rate --schedule harmonic:0.3,0.7 --n 256 --fn exp(-t) --format json",
+     "5f78ac6ec9c2e4b4bb0168a011627c76667fdf3fcbbb609179bdec2f714f66ea"),
+    ("moments --n 40 --p 0.9 --q 0.6 --nu 2 --x 3.5",
+     "533d07f82d5e2e0867ac316ba545296b30ac36525c9a89f07cb24e4bfb983126"),
+    ("represent --n 8 --p 0.8 --q 0.55 --registry exp_neg --x 1.7",
+     "dce329ab76f000355d18de19e9c9454e6ef7b88b4be1cc615b2ec999ccd0965e"),
+    ("eval --n 12 --p 0.95 --q 0.7 --gamma 0.5 --beta 1.5 --fn t/(1+t) --x 2.5 --format csv",
+     "09aca2e89a02c21c9ad4fe63982cf5288227f71ee2418df564f6fefaf78fad4f"),
+    ("converge --schedule harmonic:0.25,0.5 --n-list 16,64,256,1024 --nu 2",
+     "a32c29d35c1f1b582e0b2ea432395e324d96783cd50a3d8fede445f7d3e9caf7"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    STDOUT_DIGESTS,
+    ids=["rate_csv", "rate_json", "moments", "represent", "eval_stancu", "converge_nu2"],
+)
+def test_stdout_digest(argv, digest, capsys):
+    code, out, err = run(argv.split(), capsys)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestSchemas:
