@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .operators import OperatorSpec, RealFunction, nodes, weights
+from .operators import _f_at_nodes, _weight_table, _weighted_sum
 from .pq_core import DomainError, PqParams, pq_integers
 
 
@@ -175,27 +176,53 @@ def _base_only(spec: OperatorSpec, what: str) -> None:
         raise ValueError(f"{what} is defined for the base variant only")
 
 
+class _ClosedForms:
+    """x-free terms of one spec's closed moments up to order nu (1 or 2).
+
+    p[n]/[n+1] always; p^2 q^2 [n][n-1]/[n+1]^2 and p^(n+1) [n]/[n+1]^2 only
+    for nu = 2, since [n+1]^2 can underflow to a zero divisor.
+    """
+
+    def __init__(self, spec: OperatorSpec, nu: int = 2) -> None:
+        n = spec.n
+        self.nu = nu
+        self.p, self.q = p, q = spec.params.p, spec.params.q
+        self.ints = ints = pq_integers(n + 1, spec.params)
+        self.first = p * ints[n] / ints[n + 1]
+        if nu == 2:
+            self.second = p * p * q * q * ints[n] * ints[n - 1] / ints[n + 1] ** 2
+            self.tail = p ** (n + 1) * ints[n] / ints[n + 1] ** 2
+
+    def moment(self, x: float) -> float:
+        u = x / (1.0 + x)
+        if self.nu == 1:
+            return self.first * u
+        return self.second * u * (x / (self.p + self.q * x)) + self.tail * u
+
+    def delta(self, x: float) -> float:
+        u = x / (1.0 + x)
+        ratio = self.second * (1.0 + x) / (self.p + self.q * x)
+        return u * u * (ratio - 2.0 * self.first + 1.0) + self.tail * u
+
+
+def _check_moment(spec: OperatorSpec, nu: int) -> None:
+    _base_only(spec, "moment_closed")
+    if nu not in (0, 1, 2):
+        raise ValueError(f"nu must be 0, 1 or 2, got {nu!r}")
+
+
 def moment_closed(spec: OperatorSpec, nu: int, x: float) -> float:
     """Closed form of the operator applied to (t/(1+t))^nu, nu in {0, 1, 2}.
 
     nu = 0 gives exactly 1 (partition of unity); nu = 1 gives
     p[n]/[n+1] x/(1+x); nu = 2 adds the two-term second-moment form.
     """
-    _base_only(spec, "moment_closed")
-    if nu not in (0, 1, 2):
-        raise ValueError(f"nu must be 0, 1 or 2, got {nu!r}")
+    _check_moment(spec, nu)
     if not math.isfinite(x) or x < 0:
         raise DomainError(f"x must be finite and >= 0, got {x!r}")
     if nu == 0:
         return 1.0
-    n = spec.n
-    p, q = spec.params.p, spec.params.q
-    ints = pq_integers(n + 1, spec.params)
-    u = x / (1.0 + x)
-    if nu == 1:
-        return p * ints[n] / ints[n + 1] * u
-    lead = p * p * q * q * ints[n] * ints[n - 1] / ints[n + 1] ** 2
-    return lead * u * (x / (p + q * x)) + p ** (n + 1) * ints[n] / ints[n + 1] ** 2 * u
+    return _ClosedForms(spec, nu).moment(x)
 
 
 def delta_n(spec: OperatorSpec, x: float) -> float:
@@ -207,14 +234,7 @@ def delta_n(spec: OperatorSpec, x: float) -> float:
     _base_only(spec, "delta_n")
     if not math.isfinite(x) or x < 0:
         raise DomainError(f"x must be finite and >= 0, got {x!r}")
-    n = spec.n
-    p, q = spec.params.p, spec.params.q
-    ints = pq_integers(n + 1, spec.params)
-    u = x / (1.0 + x)
-    second = p * p * q * q * ints[n] * ints[n - 1] / ints[n + 1] ** 2
-    first = p * ints[n] / ints[n + 1]
-    tail = p ** (n + 1) * ints[n] / ints[n + 1] ** 2
-    return u * u * (second * (1.0 + x) / (p + q * x) - 2.0 * first + 1.0) + tail * u
+    return _ClosedForms(spec).delta(x)
 
 
 def korovkin_discrepancy(spec: OperatorSpec, nu: int, grid: GridSpec) -> float:
@@ -224,18 +244,17 @@ def korovkin_discrepancy(spec: OperatorSpec, nu: int, grid: GridSpec) -> float:
     convergence statement; it saturates as the grid refines because the
     integrand factors through x/(1+x).
     """
-    best = 0.0
-    for x in grid.xs:
-        u = x / (1.0 + x)
-        gap = abs(moment_closed(spec, nu, x) - u ** nu)
-        if gap > best:
-            best = gap
-    return best
+    _check_moment(spec, nu)
+    if nu == 0:
+        return 0.0  # M_0 = 1 = u^0 at every x
+    forms = _ClosedForms(spec, nu)
+    return max(abs(forms.moment(x) - (x / (1.0 + x)) ** nu) for x in grid.xs)
 
 
 def sup_delta(spec: OperatorSpec, grid: GridSpec) -> float:
     """Max of delta_n over the grid."""
-    return max(delta_n(spec, x) for x in grid.xs)
+    _base_only(spec, "delta_n")
+    return max(map(_ClosedForms(spec).delta, grid.xs))
 
 
 def convergence_report(
@@ -328,22 +347,16 @@ def rate_bound_check(
     _base_only(spec, "rate_bound_check")
     u_max = grid.u_max
     h = u_max / (modulus_points - 1)
-    deltas = [math.sqrt(max(delta_n(spec, x), 0.0)) for x in grid.xs]
+    forms = _ClosedForms(spec)
+    deltas = [math.sqrt(max(forms.delta(x), 0.0)) for x in grid.xs]
     widths = [_window_width(d, h, modulus_points) if d > 0 else 0 for d in deltas]
     w_top = max(widths)
     g = _transformed_samples(f, u_max, modulus_points)
     table = _window_ranges(g, w_top)
-    node_table = nodes(spec)
-    fvals = [float(f(t)) for t in node_table.values]
-    for k, v in enumerate(fvals):
-        if not math.isfinite(v):
-            raise DomainError(f"function non-finite at node {k} (t={node_table.values[k]!r})")
+    fvals = _f_at_nodes(nodes(spec), f)
     out = []
     for x, w in zip(grid.xs, widths):
-        wt = weights(spec, x).weights
-        approx = 0.0
-        for v, wk in zip(fvals, wt):
-            approx += v * wk
+        approx = _weighted_sum(_weight_table(spec, x, forms.ints), fvals)
         lhs = abs(approx - float(f(x)))
         rhs = 2.0 * float(table[w])
         out.append(RatePoint(x=x, lhs=lhs, rhs=rhs, passed=lhs <= rhs + slack))

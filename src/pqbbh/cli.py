@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -68,6 +69,17 @@ def _emit(fmt: str | None, header: list[str], rows: list[list], meta: dict) -> s
     return buf.getvalue()
 
 
+def _finite_float(text: str) -> float:
+    """Type of every float flag: inf and nan are usage errors, like malformed numbers."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_format(parser: argparse.ArgumentParser, default: str | None = "csv") -> None:
     parser.add_argument("--format", choices=["csv", "json"], default=default)
 
@@ -78,8 +90,8 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 
 def _add_operator_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--p", type=float, required=True)
-    parser.add_argument("--q", type=float, required=True)
+    parser.add_argument("--p", type=_finite_float, required=True)
+    parser.add_argument("--q", type=_finite_float, required=True)
 
 
 def _add_function_args(parser: argparse.ArgumentParser) -> None:
@@ -97,17 +109,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate the operator at a point")
     _add_operator_args(p)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--gamma", type=_finite_float, default=None)
+    p.add_argument("--beta", type=_finite_float, default=None)
     _add_function_args(p)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
     _add_format(p, default=None)  # bare value unless a format is requested
     _add_output(p)
 
     p = sub.add_parser("moments", help="closed-form and brute-force moments side by side")
     _add_operator_args(p)
     p.add_argument("--nu", type=int, choices=[0, 1, 2], required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
     _add_format(p)
     _add_output(p)
 
@@ -115,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", required=True, help="harmonic:A,B")
     p.add_argument("--n-list", required=True, help="comma-separated degrees")
     p.add_argument("--nu", type=int, choices=[0, 1, 2], required=True)
-    p.add_argument("--x-max", type=float, default=50.0)
+    p.add_argument("--x-max", type=_finite_float, default=50.0)
     p.add_argument("--points", type=int, default=2001)
     _add_format(p)
     _add_output(p)
@@ -130,16 +142,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("represent", help="divided-difference representation check")
     _add_operator_args(p)
     _add_function_args(p)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
     _add_format(p)
     _add_output(p)
 
     p = sub.add_parser("stancu-bound", help="verbatim three-term bound for the shifted variant")
     _add_operator_args(p)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--m", type=float, required=True)
+    p.add_argument("--gamma", type=_finite_float, required=True)
+    p.add_argument("--beta", type=_finite_float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--m", type=_finite_float, required=True)
     _add_format(p)
     _add_output(p)
 

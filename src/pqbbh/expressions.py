@@ -187,13 +187,16 @@ def parse_expression(text: str) -> ExprAst:
     """Parse expression text into an AST.
 
     Raises:
-        ExpressionSyntaxError: on malformed input, with the byte offset and
-            the tokens that would have been accepted there.
+        ExpressionSyntaxError: on malformed or too deeply nested input, with
+            the byte offset and the tokens that would have been accepted there.
     """
     if not text.strip():
         raise ExpressionSyntaxError("empty expression", 0, ("NUMBER", "t", "(", "function name"))
     parser = _Parser(_tokenize(text))
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:
+        raise ExpressionSyntaxError("expression nested too deeply", parser.peek()[2]) from None
     kind, trailing, offset = parser.peek()
     if kind != "end":
         raise ExpressionSyntaxError(f"unexpected trailing {trailing!r}", offset)

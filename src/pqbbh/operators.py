@@ -86,6 +86,20 @@ class WeightTable:
     weights: tuple[float, ...]
 
 
+def _node_values(spec: OperatorSpec, gamma: float, beta: float) -> list[float]:
+    # The base nodes are the shifted ones at gamma = beta = 0, bit for bit.
+    n = spec.n
+    p, q = spec.params.p, spec.params.q
+    ints = pq_integers(n + 1, spec.params)
+    vals = []
+    for k in range(n + 1):
+        den = q ** k * ints[n - k + 1] + beta
+        if den == 0.0:
+            raise DomainError(f"node {k} overflows: q^{k} underflowed for q={q}")
+        vals.append((p ** (n - k + 1) * ints[k] + gamma) / den)
+    return vals
+
+
 def nodes(spec: OperatorSpec) -> NodeTable:
     """Base-variant nodes t_{n,k} = p^(n-k+1) [k] / ([n-k+1] q^k).
 
@@ -93,15 +107,8 @@ def nodes(spec: OperatorSpec) -> NodeTable:
     """
     if spec.stancu is not None:
         raise ValueError("nodes() serves the base variant; use stancu_nodes()")
-    n = spec.n
-    p, q = spec.params.p, spec.params.q
-    ints = pq_integers(n + 1, spec.params)
-    vals = []
-    for k in range(n + 1):
-        den = ints[n - k + 1] * q ** k
-        if den == 0.0:
-            raise DomainError(f"node {k} overflows: q^{k} underflowed for q={q}")
-        vals.append(p ** (n - k + 1) * ints[k] / den)
+    vals = _node_values(spec, 0.0, 0.0)
+    n, q = spec.n, spec.params.q
     for k in range(n):
         if not vals[k] < vals[k + 1]:
             raise ArithmeticError(f"node table not increasing at k={k} (n={n}, q={q})")
@@ -117,18 +124,8 @@ def stancu_nodes(spec: OperatorSpec) -> NodeTable:
     """
     if spec.stancu is None:
         raise ValueError("stancu_nodes() requires a spec with a StancuShift")
-    n = spec.n
-    p, q = spec.params.p, spec.params.q
-    gamma, beta = spec.stancu.gamma, spec.stancu.beta
-    ints = pq_integers(n + 1, spec.params)
-    vals = []
-    for k in range(n + 1):
-        den = q ** k * ints[n - k + 1] + beta
-        if den == 0.0:
-            raise DomainError(f"node {k} overflows: q^{k} underflowed for q={q}")
-        vals.append((p ** (n - k + 1) * ints[k] + gamma) / den)
-    negative = tuple(k for k, v in enumerate(vals) if v < 0)
-    return NodeTable(tuple(vals), negative)
+    vals = _node_values(spec, spec.stancu.gamma, spec.stancu.beta)
+    return NodeTable(tuple(vals), tuple(k for k, v in enumerate(vals) if v < 0))
 
 
 def weights(spec: OperatorSpec, x: float) -> WeightTable:
@@ -140,13 +137,17 @@ def weights(spec: OperatorSpec, x: float) -> WeightTable:
     is cross-checked against the rising product (the expansion identity
     behind the partition of unity) in log space.
     """
+    return _weight_table(spec, x, pq_integers(spec.n, spec.params))
+
+
+def _weight_table(spec: OperatorSpec, x: float, ints: list[float]) -> WeightTable:
+    # ints holds at least [0]..[n]; a longer table gives the same weights.
     if not math.isfinite(x) or x < 0:
         raise DomainError(f"evaluation point must be finite and >= 0, got {x!r}")
     n = spec.n
     p, q = spec.params.p, spec.params.q
     if x == 0.0:
         return WeightTable(0.0, (1.0,) + (0.0,) * n)
-    ints = pq_integers(n, spec.params)
     terms = [1.0]  # c_k x^k relative to c_0, rescaled as needed
     total = 1.0
     log_scale = 0.0  # log of everything divided out so far
@@ -174,13 +175,20 @@ def weights(spec: OperatorSpec, x: float) -> WeightTable:
     return WeightTable(float(x), w)
 
 
-def _apply(node_table: NodeTable, weight_table: WeightTable, f: RealFunction) -> float:
-    # Fixed ascending-k sequential sum keeps results bit-deterministic.
-    acc = 0.0
-    for k, (t, w) in enumerate(zip(node_table.values, weight_table.weights)):
+def _f_at_nodes(node_table: NodeTable, f: RealFunction) -> list[float]:
+    vals = []
+    for k, t in enumerate(node_table.values):
         v = f(t)
         if not math.isfinite(v):
             raise EvaluationError(f"function returned {v!r} at node {k} (t={t!r})")
+        vals.append(v)
+    return vals
+
+
+def _weighted_sum(weight_table: WeightTable, fvals: list[float]) -> float:
+    # Fixed ascending-k sequential sum keeps results bit-deterministic.
+    acc = 0.0
+    for w, v in zip(weight_table.weights, fvals):
         acc += v * w
     return acc
 
@@ -196,7 +204,7 @@ def evaluate(spec: OperatorSpec, f: RealFunction, x: float) -> float:
             p[n]/q^n, grows rapidly for small q; see NodeTable.max_node).
     """
     table = stancu_nodes(spec) if spec.stancu is not None else nodes(spec)
-    return _apply(table, weights(spec, x), f)
+    return _weighted_sum(weights(spec, x), _f_at_nodes(table, f))
 
 
 def evaluate_stancu(spec: OperatorSpec, f: RealFunction, x: float) -> float:
@@ -267,8 +275,8 @@ def representation_rhs(spec: OperatorSpec, f: RealFunction, x: float) -> float:
     for k, t in enumerate(table.values):
         if abs(pivot - t) < COLLISION_RTOL * (1.0 + abs(t)):
             raise DomainError(f"px/q = {pivot!r} collides with node {k} (t={t!r})")
-    w = weights(spec, x).weights
     ints = pq_integers(n + 1, spec.params)
+    w = _weight_table(spec, x, ints).weights
     acc = 0.0
     for k in range(n):
         gap = p ** (n - k) * ints[n + 1] / (ints[n - k] * ints[n - k + 1] * q ** (k + 1))

@@ -135,40 +135,34 @@ def pq_binomial(n: int, k: int, params: PqParams) -> float:
     )
 
 
+def _ell_factors(n: int, x: float, params: PqParams) -> list[float]:
+    """The factors p^s + q^s x, s = 0..n-1, of the rising product."""
+    _check_index(n)
+    if not math.isfinite(x) or x < 0:
+        raise DomainError(f"argument must be finite and >= 0, got {x!r}")
+    p, q = params.p, params.q
+    factors = []
+    ppow = 1.0
+    qpow = 1.0
+    for _ in range(n):
+        factors.append(ppow + qpow * x)
+        ppow *= p
+        qpow *= q
+    return factors
+
+
 def pochhammer_ell(n: int, x: float, params: PqParams) -> float:
     """Rising product prod_{s=0}^{n-1} (p^s + q^s x); 1 for n = 0.
 
     Strictly positive for x >= 0.  May underflow for large n with p < 1;
     use log_pochhammer_ell when only the magnitude is needed.
     """
-    _check_index(n)
-    if not math.isfinite(x) or x < 0:
-        raise DomainError(f"argument must be finite and >= 0, got {x!r}")
-    p, q = params.p, params.q
-    out = 1.0
-    ppow = 1.0
-    qpow = 1.0
-    for _ in range(n):
-        out *= ppow + qpow * x
-        ppow *= p
-        qpow *= q
-    return out
+    return math.prod(_ell_factors(n, x, params), start=1.0)
 
 
 def log_pochhammer_ell(n: int, x: float, params: PqParams) -> float:
     """log of pochhammer_ell, immune to under/overflow of the product."""
-    _check_index(n)
-    if not math.isfinite(x) or x < 0:
-        raise DomainError(f"argument must be finite and >= 0, got {x!r}")
-    p, q = params.p, params.q
-    logs = []
-    ppow = 1.0
-    qpow = 1.0
-    for _ in range(n):
-        logs.append(math.log(ppow + qpow * x))
-        ppow *= p
-        qpow *= q
-    return math.fsum(logs)
+    return math.fsum(map(math.log, _ell_factors(n, x, params)))
 
 
 def euler_coefficients(n: int, params: PqParams) -> list[float]:

@@ -5,6 +5,7 @@ import pytest
 
 from pqbbh import (
     DomainError,
+    EvaluationError,
     GridSpec,
     HarmonicSchedule,
     LipschitzClass,
@@ -21,6 +22,7 @@ from pqbbh import (
     lipschitz_constant_estimate,
     modulus_estimate,
     moment_closed,
+    nodes,
     param_schedule,
     rate_bound_check,
     stancu_bound,
@@ -240,6 +242,23 @@ class TestRateBound:
         pts = rate_bound_check(spec, REGISTRY["sin_damped"], grid)
         assert len(pts) == 2001
         assert all(pt.passed for pt in pts)
+
+    def test_non_finite_at_node_names_the_node(self):
+        # finite on the modulus grid (t <= 2), infinite at the nodes beyond 10
+        spec = OperatorSpec(8, PqParams(0.9, 0.5))
+        k = next(i for i, t in enumerate(nodes(spec).values) if t > 10.0)
+
+        def f(t):
+            return 1.0 / (1.0 + t) if t <= 10.0 else math.inf
+
+        with pytest.raises(EvaluationError, match=rf"at node {k} \(t="):
+            rate_bound_check(spec, f, GridSpec((0.0, 1.0, 2.0)))
+
+    def test_lhs_is_evaluate_minus_f(self):
+        spec = OperatorSpec(6, PqParams(0.9, 0.7))
+        f = REGISTRY["sin_damped"]
+        for pt in rate_bound_check(spec, f, GridSpec((0.0, 0.3, 1.0, 2.5, 7.0))):
+            assert pt.lhs == abs(evaluate(spec, f, pt.x) - f(pt.x))
 
 
 class TestPointSet:

@@ -236,6 +236,25 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_infinite_float_flag_is_two(self, capsys):
+        code, out, err = run(
+            ["stancu-bound", "--n", "2", "--p", "1", "--q", "1", "--gamma", "1",
+             "--beta", "0", "--alpha", "1", "--m", "inf", "--format", "json"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--m" in err
+
+    def test_nan_float_flag_is_two(self, capsys):
+        code, out, err = run(
+            ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "t", "--x", "nan"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--x" in err
+
     def test_missing_function_is_two(self, capsys):
         code, _, _ = run(["eval", "--n", "2", "--p", "1", "--q", "1", "--x", "1"], capsys)
         assert code == 2

@@ -119,6 +119,10 @@ class TestSyntaxErrors:
             parse_expression("1 + $")
         assert err.value.offset == 4
 
+    def test_too_deeply_nested(self):
+        with pytest.raises(ExpressionSyntaxError, match="nested too deeply"):
+            parse_expression("(" * 2000 + "t" + ")" * 2000)
+
 
 class TestDomainErrors:
     def test_log_names_node_and_t(self):
