@@ -9,13 +9,14 @@ Lipschitz-type and shifted-variant bounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .operators import OperatorSpec, RealFunction, nodes, weights
-from .operators import _f_at_nodes, _weight_table, _weighted_sum
+from .operators import _sample, _weight_table, _weighted_sum
 from .pq_core import DomainError, PqParams, pq_integers
 
 
@@ -176,11 +177,27 @@ def _base_only(spec: OperatorSpec, what: str) -> None:
         raise ValueError(f"{what} is defined for the base variant only")
 
 
+def _divisor(spec: OperatorSpec, ints: list[float], nu: int) -> float:
+    """[n+1]^nu, the divisor of the order-nu closed forms; DomainError once it is subnormal.
+
+    [n+1] shrinks like p^n, and quotients over a subnormal divisor have lost
+    their digits long before the divisor reaches zero.
+    """
+    den = ints[spec.n + 1] ** nu
+    if den < sys.float_info.min:
+        p, q = spec.params.p, spec.params.q
+        raise DomainError(
+            f"[n+1]^{nu} = {den!r} underflows below the smallest normal double "
+            f"at n={spec.n}, p={p}, q={q}"
+        )
+    return den
+
+
 class _ClosedForms:
     """x-free terms of one spec's closed moments up to order nu (1 or 2).
 
     p[n]/[n+1] always; p^2 q^2 [n][n-1]/[n+1]^2 and p^(n+1) [n]/[n+1]^2 only
-    for nu = 2, since [n+1]^2 can underflow to a zero divisor.
+    for nu = 2, since [n+1]^2 underflows long before [n+1] does.
     """
 
     def __init__(self, spec: OperatorSpec, nu: int = 2) -> None:
@@ -188,10 +205,11 @@ class _ClosedForms:
         self.nu = nu
         self.p, self.q = p, q = spec.params.p, spec.params.q
         self.ints = ints = pq_integers(n + 1, spec.params)
+        den = _divisor(spec, ints, nu)
         self.first = p * ints[n] / ints[n + 1]
         if nu == 2:
-            self.second = p * p * q * q * ints[n] * ints[n - 1] / ints[n + 1] ** 2
-            self.tail = p ** (n + 1) * ints[n] / ints[n + 1] ** 2
+            self.second = p * p * q * q * ints[n] * ints[n - 1] / den
+            self.tail = p ** (n + 1) * ints[n] / den
 
     def moment(self, x: float) -> float:
         u = x / (1.0 + x)
@@ -216,6 +234,9 @@ def moment_closed(spec: OperatorSpec, nu: int, x: float) -> float:
 
     nu = 0 gives exactly 1 (partition of unity); nu = 1 gives
     p[n]/[n+1] x/(1+x); nu = 2 adds the two-term second-moment form.
+
+    Raises:
+        DomainError: if [n+1]^nu underflows (small p, large n).
     """
     _check_moment(spec, nu)
     if not math.isfinite(x) or x < 0:
@@ -230,6 +251,9 @@ def delta_n(spec: OperatorSpec, x: float) -> float:
 
     Equals M2(x) - 2u M1(x) + u^2 with u = x/(1+x) and M_nu the closed
     moments; nonnegative up to roundoff (order 1e-16 dips are possible).
+
+    Raises:
+        DomainError: if [n+1]^2 underflows (small p, large n).
     """
     _base_only(spec, "delta_n")
     if not math.isfinite(x) or x < 0:
@@ -283,14 +307,8 @@ def _transformed_samples(f: RealFunction, u_max: float, m: int) -> np.ndarray:
     """f sampled along t = u/(1-u) for m uniform u in [0, u_max]."""
     if not 0.0 < u_max < 1.0:
         raise DomainError(f"transformed grid end must lie in (0, 1), got {u_max!r}")
-    us = np.linspace(0.0, u_max, m)
-    out = np.empty(m)
-    for i, u in enumerate(us.tolist()):
-        v = float(f(u / (1.0 - u)))
-        if not math.isfinite(v):
-            raise DomainError(f"function non-finite at t={u / (1.0 - u)!r}")
-        out[i] = v
-    return out
+    us = np.linspace(0.0, u_max, m).tolist()
+    return np.array(_sample(f, [u / (1.0 - u) for u in us], "modulus grid point"))
 
 
 def _window_ranges(g: np.ndarray, w_max: int) -> np.ndarray:
@@ -305,12 +323,16 @@ def _window_ranges(g: np.ndarray, w_max: int) -> np.ndarray:
     return out
 
 
+# Samples of the transformed grid behind every modulus estimate.
+_MODULUS_POINTS = 8001
+
+
 def _window_width(delta: float, h: float, m: int) -> int:
     return min(int(math.floor(delta / h + 1e-12)), m - 1)
 
 
 def modulus_estimate(
-    f: RealFunction, delta: float, grid: GridSpec, points: int = 8001
+    f: RealFunction, delta: float, grid: GridSpec, points: int = _MODULUS_POINTS
 ) -> float:
     """Grid estimate of the modulus of continuity in the metric |t/(1+t) - x/(1+x)|.
 
@@ -337,7 +359,6 @@ def rate_bound_check(
     f: RealFunction,
     grid: GridSpec,
     slack: float = 1e-6,
-    modulus_points: int = 8001,
 ) -> list[RatePoint]:
     """Check |L_n f - f(x)| <= 2 omega(f; sqrt(delta_n(x))) + slack per grid point.
 
@@ -346,18 +367,19 @@ def rate_bound_check(
     """
     _base_only(spec, "rate_bound_check")
     u_max = grid.u_max
-    h = u_max / (modulus_points - 1)
+    h = u_max / (_MODULUS_POINTS - 1)
     forms = _ClosedForms(spec)
     deltas = [math.sqrt(max(forms.delta(x), 0.0)) for x in grid.xs]
-    widths = [_window_width(d, h, modulus_points) if d > 0 else 0 for d in deltas]
+    widths = [_window_width(d, h, _MODULUS_POINTS) if d > 0 else 0 for d in deltas]
     w_top = max(widths)
-    g = _transformed_samples(f, u_max, modulus_points)
+    g = _transformed_samples(f, u_max, _MODULUS_POINTS)
     table = _window_ranges(g, w_top)
-    fvals = _f_at_nodes(nodes(spec), f)
+    fvals = _sample(f, nodes(spec).values, "node")
+    fxs = _sample(f, grid.xs, "grid point")
     out = []
-    for x, w in zip(grid.xs, widths):
+    for x, fx, w in zip(grid.xs, fxs, widths):
         approx = _weighted_sum(_weight_table(spec, x, forms.ints), fvals)
-        lhs = abs(approx - float(f(x)))
+        lhs = abs(approx - fx)
         rhs = 2.0 * float(table[w])
         out.append(RatePoint(x=x, lhs=lhs, rhs=rhs, passed=lhs <= rhs + slack))
     return out
@@ -404,12 +426,7 @@ def lipschitz_constant_estimate(
         raise ValueError("need at least 2 grid points")
     xs = np.asarray(grid.xs)
     us = xs / (1.0 + xs)
-    fv = np.empty(len(xs))
-    for i, x in enumerate(xs.tolist()):
-        v = float(f(x))
-        if not math.isfinite(v):
-            raise DomainError(f"function non-finite at x={x!r}")
-        fv[i] = v
+    fv = np.array(_sample(f, xs.tolist(), "grid point"))
     best = 0.0
     for i in range(len(xs) - 1):
         du = np.abs(us[i + 1 :] - us[i])
@@ -444,8 +461,8 @@ def stancu_bound_report(
     """Verbatim three-term bound 3M max{...} for the shifted-node variant.
 
     Raises:
-        DomainError: if c_n + gamma is nonpositive, or gamma < 0 makes the
-            first term's fractional power undefined.
+        DomainError: if [n+1]^2 underflows, c_n + gamma is nonpositive, or
+            gamma < 0 makes the first term's fractional power undefined.
     """
     if spec.stancu is None:
         raise ValueError("stancu_bound requires a spec with a StancuShift")
@@ -457,6 +474,7 @@ def stancu_bound_report(
     p, q = spec.params.p, spec.params.q
     gamma, beta = spec.stancu.gamma, spec.stancu.beta
     ints = pq_integers(n + 1, spec.params)
+    den2 = _divisor(spec, ints, 2)
     c_n = ints[n + 1] + beta
     den = c_n + gamma
     if den <= 0:
@@ -473,7 +491,7 @@ def stancu_bound_report(
     else:
         term1 = (ints[n] / den) ** alpha * (gamma / ints[n]) ** alpha
     term2 = abs(1.0 - ints[n + 1] / den) ** alpha * (p * ints[n] / ints[n + 1]) ** alpha
-    term3 = 1.0 - 2.0 * p * ints[n] / ints[n + 1] + q * ints[n] * ints[n - 1] / ints[n + 1] ** 2
+    term3 = 1.0 - 2.0 * p * ints[n] / ints[n + 1] + q * ints[n] * ints[n - 1] / den2
     max_term = max(term1, term2, term3)
     return StancuBoundReport(
         terms=(term1, term2, term3),

@@ -10,7 +10,10 @@ Grammar (EBNF):
     IDENT  := "exp" | "log" | "sin" | "cos" | "sqrt" | "abs"
 
 "^" is right associative and binds tighter than unary minus; NUMBER is a
-decimal literal with an optional exponent.
+decimal literal with an optional exponent.  A parsed tree may be at most
+MAX_DEPTH nodes deep (a sum of k terms is k deep), so that evaluating and
+printing it, which recurse once per level, stay far inside Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sqrt": math.sqrt,
     "abs": abs,
 }
+
+
+MAX_DEPTH = 200
 
 
 class ExpressionError(ValueError):
@@ -200,7 +206,28 @@ def parse_expression(text: str) -> ExprAst:
     kind, trailing, offset = parser.peek()
     if kind != "end":
         raise ExpressionSyntaxError(f"unexpected trailing {trailing!r}", offset)
+    depth = _depth(node)
+    if depth > MAX_DEPTH:
+        raise ExpressionSyntaxError(
+            f"expression nested too deeply ({depth} levels, at most {MAX_DEPTH})", 0
+        )
     return node
+
+
+def _depth(ast: ExprAst) -> int:
+    """Number of nodes on the longest root-to-leaf path, found without recursion."""
+    deepest = 0
+    stack = [(ast, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, Binary):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        elif isinstance(node, Negate):
+            stack.append((node.operand, depth + 1))
+        elif isinstance(node, Call):
+            stack.append((node.arg, depth + 1))
+    return deepest
 
 
 def eval_expression(ast: ExprAst, t: float) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .pq_core import DomainError, PqParams, log_pochhammer_ell, pq_integers
 
@@ -26,7 +26,7 @@ _RESCALE_AT = 1e100
 
 
 class EvaluationError(DomainError):
-    """A function returned a non-finite value at an operator node."""
+    """A function returned a non-finite value at one of its sample points."""
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,15 @@ def _node_values(spec: OperatorSpec, gamma: float, beta: float) -> list[float]:
     ints = pq_integers(n + 1, spec.params)
     vals = []
     for k in range(n + 1):
-        den = q ** k * ints[n - k + 1] + beta
-        if den == 0.0:
-            raise DomainError(f"node {k} overflows: q^{k} underflowed for q={q}")
-        vals.append((p ** (n - k + 1) * ints[k] + gamma) / den)
+        m = n - k + 1
+        den = q ** k * ints[m] + beta
+        v = (p ** m * ints[k] + gamma) / den if den else math.inf
+        if not math.isfinite(v):
+            raise DomainError(
+                f"node {k} overflows: its denominator q^{k} [{m}] = "
+                f"{q ** k!r} * {ints[m]!r} is {den!r} (p={p}, q={q})"
+            )
+        vals.append(v)
     return vals
 
 
@@ -175,12 +180,13 @@ def _weight_table(spec: OperatorSpec, x: float, ints: list[float]) -> WeightTabl
     return WeightTable(float(x), w)
 
 
-def _f_at_nodes(node_table: NodeTable, f: RealFunction) -> list[float]:
+def _sample(f: RealFunction, ts: Iterable[float], what: str) -> list[float]:
+    """f(t) as a float for each t in order: the one place a user function is called."""
     vals = []
-    for k, t in enumerate(node_table.values):
-        v = f(t)
+    for i, t in enumerate(ts):
+        v = float(f(t))
         if not math.isfinite(v):
-            raise EvaluationError(f"function returned {v!r} at node {k} (t={t!r})")
+            raise EvaluationError(f"function returned {v!r} at {what} {i} (t={t!r})")
         vals.append(v)
     return vals
 
@@ -204,7 +210,7 @@ def evaluate(spec: OperatorSpec, f: RealFunction, x: float) -> float:
             p[n]/q^n, grows rapidly for small q; see NodeTable.max_node).
     """
     table = stancu_nodes(spec) if spec.stancu is not None else nodes(spec)
-    return _weighted_sum(weights(spec, x), _f_at_nodes(table, f))
+    return _weighted_sum(weights(spec, x), _sample(f, table.values, "node"))
 
 
 def evaluate_stancu(spec: OperatorSpec, f: RealFunction, x: float) -> float:
@@ -214,12 +220,12 @@ def evaluate_stancu(spec: OperatorSpec, f: RealFunction, x: float) -> float:
     return evaluate(spec, f, x)
 
 
-def _dd1(a: float, b: float, f: RealFunction) -> float:
-    return (f(b) - f(a)) / (b - a)
+def _dd1(a: float, b: float, fa: float, fb: float) -> float:
+    return (fb - fa) / (b - a)
 
 
-def _dd2(a: float, b: float, c: float, f: RealFunction) -> float:
-    return (_dd1(b, c, f) - _dd1(a, b, f)) / (c - a)
+def _dd2(a: float, b: float, c: float, fa: float, fb: float, fc: float) -> float:
+    return (_dd1(b, c, fb, fc) - _dd1(a, b, fa, fb)) / (c - a)
 
 
 def divided_difference(points: Sequence[float], f: RealFunction) -> float:
@@ -236,9 +242,10 @@ def divided_difference(points: Sequence[float], f: RealFunction) -> float:
         for j in range(i + 1, len(pts)):
             if abs(pts[i] - pts[j]) < COLLISION_RTOL * (1.0 + abs(pts[j])):
                 raise DomainError(f"abscissae {pts[i]!r} and {pts[j]!r} nearly coincide")
+    fs = _sample(f, pts, "point")
     if len(pts) == 2:
-        return _dd1(pts[0], pts[1], f)
-    return _dd2(pts[0], pts[1], pts[2], f)
+        return _dd1(*pts, *fs)
+    return _dd2(*pts, *fs)
 
 
 def representation_rhs(spec: OperatorSpec, f: RealFunction, x: float) -> float:
@@ -277,9 +284,12 @@ def representation_rhs(spec: OperatorSpec, f: RealFunction, x: float) -> float:
             raise DomainError(f"px/q = {pivot!r} collides with node {k} (t={t!r})")
     ints = pq_integers(n + 1, spec.params)
     w = _weight_table(spec, x, ints).weights
+    t = table.values
+    (fp,) = _sample(f, (pivot,), "pivot")
+    ft = _sample(f, t, "node")
     acc = 0.0
     for k in range(n):
         gap = p ** (n - k) * ints[n + 1] / (ints[n - k] * ints[n - k + 1] * q ** (k + 1))
-        acc += _dd2(pivot, table.values[k], table.values[k + 1], f) * gap * w[k]
-    acc -= _dd1(pivot, table.values[n], f) * w[n]
+        acc += _dd2(pivot, t[k], t[k + 1], fp, ft[k], ft[k + 1]) * gap * w[k]
+    acc -= _dd1(pivot, t[n], fp, ft[n]) * w[n]
     return (p * x / q) * acc

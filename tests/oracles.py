@@ -95,3 +95,23 @@ def classical_bbh_evaluate(f, n: int, x: float) -> float:
         f(k / (n - k + 1)) * math.comb(n, k) * x ** k for k in range(n + 1)
     )
     return acc / (1.0 + x) ** n
+
+
+def q_bbh_moment(nu: int, n: int, q: float, x: float) -> float:
+    """Closed moments of the one-parameter operator on (t/(1+t))^nu, nu in {1, 2}.
+
+    [n]/[n+1] u and q^2 [n][n-1]/[n+1]^2 u x/(1+qx) + [n]/[n+1]^2 u with
+    u = x/(1+x) and the q-integers taken from their quotient form, so the
+    moments stay cheap and in range for any degree.
+    """
+
+    def qint(m: int) -> float:
+        return float(m) if q == 1.0 else (1.0 - q ** m) / (1.0 - q)
+
+    u = x / (1.0 + x)
+    if nu == 1:
+        return qint(n) / qint(n + 1) * u
+    return (
+        q * q * qint(n) * qint(n - 1) / qint(n + 1) ** 2 * u * x / (1.0 + q * x)
+        + qint(n) / qint(n + 1) ** 2 * u
+    )

@@ -213,6 +213,13 @@ class TestModulus:
         with pytest.raises(ValueError):
             modulus_estimate(bbh_metric, 0.0, GridSpec.default())
 
+    def test_non_finite_value_raises(self):
+        def f(t):
+            return math.nan if t > 1.0 else t
+
+        with pytest.raises(EvaluationError, match="at modulus grid point"):
+            modulus_estimate(f, 0.1, GridSpec.default())
+
 
 class TestRateBound:
     def test_constant_is_flat(self):
@@ -259,6 +266,17 @@ class TestRateBound:
         f = REGISTRY["sin_damped"]
         for pt in rate_bound_check(spec, f, GridSpec((0.0, 0.3, 1.0, 2.5, 7.0))):
             assert pt.lhs == abs(evaluate(spec, f, pt.x) - f(pt.x))
+
+    def test_non_finite_at_grid_point_names_the_grid_point(self):
+        # NaN only at x = 1.3, which is neither a node nor on the modulus grid
+        spec = OperatorSpec(8, PqParams(0.9, 0.5))
+        assert 1.3 not in nodes(spec).values
+
+        def f(t):
+            return math.nan if t == 1.3 else 1.0 / (1.0 + t)
+
+        with pytest.raises(EvaluationError, match=r"at grid point 2 \(t=1\.3\)"):
+            rate_bound_check(spec, f, GridSpec((0.0, 1.0, 1.3, 2.0)))
 
 
 class TestPointSet:
@@ -321,6 +339,13 @@ class TestLipschitz:
         assert got < 2.0
         assert got == pytest.approx(2.0 * grid.u_max, abs=1e-3)
 
+    def test_constant_estimate_non_finite_value_raises(self):
+        def f(t):
+            return math.nan if t == 2.0 else t
+
+        with pytest.raises(EvaluationError, match=r"at grid point 2 \(t=2\.0\)"):
+            lipschitz_constant_estimate(f, 1.0, GridSpec((0.0, 1.0, 2.0, 3.0)))
+
 
 class TestStancuBound:
     def test_frozen_value(self):
@@ -360,3 +385,48 @@ class TestStancuBound:
     def test_requires_shift(self):
         with pytest.raises(ValueError):
             stancu_bound(OperatorSpec(2, CLASSICAL), 1.0, 1.0)
+
+
+class TestUnderflowingDivisor:
+    """[n+1] shrinks like p^n; once [n+1]^2 leaves the normal doubles the
+    second-order closed forms have no correct digits left and must raise."""
+
+    SPEC = OperatorSpec(610, PqParams(0.541, 0.499))
+
+    def test_second_moment_raises(self):
+        with pytest.raises(DomainError, match=r"\[n\+1\]\^2 = .* underflows"):
+            moment_closed(self.SPEC, 2, 1.0)
+
+    def test_delta_raises(self):
+        # returned -0.25 before the check
+        with pytest.raises(DomainError, match="underflows"):
+            delta_n(self.SPEC, 1.0)
+
+    def test_first_moment_still_served(self):
+        got = moment_closed(self.SPEC, 1, 1.0)
+        assert got == pytest.approx(evaluate(self.SPEC, bbh_metric, 1.0), abs=1e-12)
+
+    def test_first_moment_raises_once_its_divisor_underflows(self):
+        with pytest.raises(DomainError, match=r"\[n\+1\]\^1 = .* underflows"):
+            moment_closed(OperatorSpec(1250, PqParams(0.541, 0.499)), 1, 1.0)
+
+    @pytest.mark.parametrize("n", [600, 604, 608])
+    def test_second_moment_no_longer_drifts(self, n):
+        # read 0.33278 at n = 600 and 0.4043 at n = 604; ZeroDivisionError from 608
+        with pytest.raises(DomainError, match="underflows"):
+            moment_closed(OperatorSpec(n, PqParams(0.54, 0.27)), 2, 1.0)
+
+    def test_second_moment_exact_while_divisor_is_normal(self):
+        spec = OperatorSpec(575, PqParams(0.54, 0.27))
+        assert moment_closed(spec, 2, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+    def test_stancu_bound_raises(self):
+        spec = OperatorSpec(610, PqParams(0.541, 0.499), StancuShift(0.5, 0.5))
+        with pytest.raises(DomainError, match="underflows"):
+            stancu_bound_report(spec, 1.0, 0.5)
+
+    def test_stancu_bound_unchanged_below_the_threshold(self):
+        spec = OperatorSpec(570, PqParams(0.541, 0.499), StancuShift(0.5, 0.5))
+        rep = stancu_bound_report(spec, 1.0, 0.5)
+        assert rep.terms[2] == pytest.approx(2.15143787574, rel=1e-11)
+        assert rep.bound == pytest.approx(6.45431362722, rel=1e-11)

@@ -255,6 +255,44 @@ class TestExitCodes:
         assert out == ""
         assert "--x" in err
 
+    def test_long_flat_sum_is_two(self, capsys):
+        code, out, err = run(
+            ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "+".join(["t"] * 5000),
+             "--x", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--nu", "2", "--x", "1"],
+            ["stancu-bound", "--gamma", "0.5", "--beta", "0.5", "--alpha", "0.5", "--m", "1"],
+        ],
+    )
+    def test_underflowing_closed_form_is_three(self, argv, capsys):
+        # printed closed 0 and bound 6 (true: 0.26 and 6.45) before the check
+        code, out, err = run(
+            argv[:1] + ["--n", "610", "--p", "0.541", "--q", "0.499"] + argv[1:], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert "[n+1]^2 = 5e-324 underflows" in err
+
+    def test_overflowing_node_is_three(self, capsys):
+        # the last node 1/q is beyond the doubles
+        code, out, err = run(
+            ["eval", "--n", "1", "--p", "1", "--q", "5e-324", "--registry", "sin_damped",
+             "--x", "1"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert "node 1 overflows" in err
+
     def test_missing_function_is_two(self, capsys):
         code, _, _ = run(["eval", "--n", "2", "--p", "1", "--q", "1", "--x", "1"], capsys)
         assert code == 2

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from pqbbh.expressions import (
+    MAX_DEPTH,
     Binary,
     Call,
     ExpressionDomainError,
@@ -122,6 +123,20 @@ class TestSyntaxErrors:
     def test_too_deeply_nested(self):
         with pytest.raises(ExpressionSyntaxError, match="nested too deeply"):
             parse_expression("(" * 2000 + "t" + ")" * 2000)
+
+    def test_long_flat_sum_is_bounded(self):
+        # parses iteratively, but evaluating and printing recurse once per term
+        with pytest.raises(ExpressionSyntaxError, match=r"nested too deeply \(5000 levels"):
+            parse_expression("+".join(["t"] * 5000))
+
+    def test_long_power_tower_is_bounded(self):
+        with pytest.raises(ExpressionSyntaxError, match="nested too deeply"):
+            parse_expression("^".join(["1"] * (MAX_DEPTH + 1)))
+
+    def test_sum_at_the_bound_evaluates_and_prints(self):
+        ast = parse_expression("+".join(["t"] * MAX_DEPTH))
+        assert eval_expression(ast, 0.5) == MAX_DEPTH * 0.5
+        assert parse_expression(format_expression(ast)) == ast
 
 
 class TestDomainErrors:

@@ -80,6 +80,15 @@ class TestNodes:
         with pytest.raises(ValueError):
             nodes(OperatorSpec(2, MIXED, StancuShift(1.0)))
 
+    def test_overflow_names_the_underflowed_factor(self):
+        # q^1 is fine; [1300] sits at the smallest subnormal
+        with pytest.raises(DomainError, match=r"q\^1 \[1300\] = 0\.499 \* 5e-324 is 0\.0"):
+            nodes(OperatorSpec(1300, PqParams(0.541, 0.499)))
+
+    def test_infinite_node_rejected(self):
+        with pytest.raises(DomainError, match="node 1 overflows"):
+            nodes(OperatorSpec(1, PqParams(1.0, 5e-324)))
+
 
 class TestStancuNodes:
     def test_zero_shift_collapses_to_base(self):
@@ -275,6 +284,20 @@ class TestDividedDifference:
         with pytest.raises(DomainError):
             divided_difference([1.0, 1.0 + 1e-12], lambda t: t)
 
+    def test_samples_each_point_once(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t * t
+
+        assert divided_difference([0.0, 1.0, 2.0], f) == 1.0
+        assert calls == [0.0, 1.0, 2.0]
+
+    def test_non_finite_value_names_the_point(self):
+        with pytest.raises(EvaluationError, match=r"at point 1 \(t=2\.0\)"):
+            divided_difference([1.0, 2.0], lambda t: math.inf if t == 2.0 else t)
+
 
 class TestRepresentation:
     def test_hand_case(self):
@@ -328,3 +351,21 @@ class TestRepresentation:
     def test_rejects_stancu_spec(self):
         with pytest.raises(ValueError):
             representation_rhs(OperatorSpec(2, MIXED, StancuShift(1.0)), lambda t: t, 2.0)
+
+    def test_samples_pivot_and_nodes_once(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return math.exp(-t)
+
+        spec = OperatorSpec(8, MIXED)
+        representation_rhs(spec, f, 1.7)
+        assert calls == [MIXED.p * 1.7 / MIXED.q, *nodes(spec).values]
+
+    def test_non_finite_at_pivot_is_named(self):
+        pivot = MIXED.p * 1.7 / MIXED.q
+        with pytest.raises(EvaluationError, match="at pivot 0"):
+            representation_rhs(
+                OperatorSpec(8, MIXED), lambda t: math.nan if t == pivot else t, 1.7
+            )
