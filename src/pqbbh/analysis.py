@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import OperatorSpec, RealFunction, nodes, weights
-from .operators import _sample, _weight_table, _weighted_sum
+from .operators import OperatorSpec, RealFunction, weights
+from .operators import _Kernel, _sample, _weighted_sum
 from .pq_core import DomainError, PqParams, pq_integers
 
 
@@ -204,7 +204,7 @@ class _ClosedForms:
         n = spec.n
         self.nu = nu
         self.p, self.q = p, q = spec.params.p, spec.params.q
-        self.ints = ints = pq_integers(n + 1, spec.params)
+        ints = pq_integers(n + 1, spec.params)
         den = _divisor(spec, ints, nu)
         self.first = p * ints[n] / ints[n + 1]
         if nu == 2:
@@ -374,11 +374,12 @@ def rate_bound_check(
     w_top = max(widths)
     g = _transformed_samples(f, u_max, _MODULUS_POINTS)
     table = _window_ranges(g, w_top)
-    fvals = _sample(f, nodes(spec).values, "node")
+    kernel = _Kernel(spec)
+    fvals = np.array(_sample(f, kernel.nodes().values, "node"))
     fxs = _sample(f, grid.xs, "grid point")
     out = []
     for x, fx, w in zip(grid.xs, fxs, widths):
-        approx = _weighted_sum(_weight_table(spec, x, forms.ints), fvals)
+        approx = _weighted_sum(kernel.row(x), fvals)
         lhs = abs(approx - fx)
         rhs = 2.0 * float(table[w])
         out.append(RatePoint(x=x, lhs=lhs, rhs=rhs, passed=lhs <= rhs + slack))

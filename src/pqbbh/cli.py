@@ -26,7 +26,7 @@ from .analysis import (
 )
 from .expressions import ExpressionSyntaxError, as_function, parse_expression
 from .functions import registry_function
-from .operators import OperatorSpec, StancuShift, evaluate, representation_rhs
+from .operators import OperatorSpec, StancuShift, _representation, evaluate
 from .pq_core import DomainError, PqParams
 
 EXIT_OK = 0
@@ -266,9 +266,7 @@ def _cmd_rate(args) -> str:
 def _cmd_represent(args) -> str:
     spec = _build_spec(args)
     f, fname = _resolve_function(args)
-    pivot = args.p * args.x / args.q
-    lhs = evaluate(spec, f, args.x) - f(pivot)
-    rhs = representation_rhs(spec, f, args.x)
+    lhs, rhs = _representation(spec, f, args.x)
     meta = {
         "command": "represent", "n": args.n, "p": args.p, "q": args.q,
         "fn": fname, "x": args.x, "format": args.format, "output": args.output,

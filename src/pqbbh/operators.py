@@ -8,10 +8,13 @@ divided-difference representation of L_n f - f(px/q).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .pq_core import DomainError, PqParams, log_pochhammer_ell, pq_integers
+import numpy as np
+
+from .pq_core import DomainError, PqParams, pq_integers
 
 RealFunction = Callable[[float], float]
 
@@ -86,23 +89,119 @@ class WeightTable:
     weights: tuple[float, ...]
 
 
-def _node_values(spec: OperatorSpec, gamma: float, beta: float) -> list[float]:
-    # The base nodes are the shifted ones at gamma = beta = 0, bit for bit.
-    n = spec.n
-    p, q = spec.params.p, spec.params.q
-    ints = pq_integers(n + 1, spec.params)
-    vals = []
-    for k in range(n + 1):
-        m = n - k + 1
-        den = q ** k * ints[m] + beta
-        v = (p ** m * ints[k] + gamma) / den if den else math.inf
-        if not math.isfinite(v):
-            raise DomainError(
-                f"node {k} overflows: its denominator q^{k} [{m}] = "
-                f"{q ** k!r} * {ints[m]!r} is {den!r} (p={p}, q={q})"
+class _Kernel:
+    """x-free tables of one spec, built once and read by every node and weight row.
+
+    ints holds [0]..[n+1] and ppow, qpow hold p^j, q^j for j = 0..n+1, taken
+    with Python ``**`` (numpy's power differs from it in the last bit).  num
+    and den are the x-free halves of the weight ratio
+    q^k [n-k] x / (p^(n-1-k) [k+1]), k = 0..n-1.
+    """
+
+    def __init__(self, spec: OperatorSpec) -> None:
+        self.spec = spec
+        n = spec.n
+        self.p, self.q = p, q = spec.params.p, spec.params.q
+        self.ints = ints = pq_integers(n + 1, spec.params)
+        self.ppow = ppow = [p ** j for j in range(n + 2)]
+        self.qpow = qpow = [q ** j for j in range(n + 2)]
+        self.num = np.array([qpow[k] * ints[n - k] for k in range(n)])
+        self.den = np.array([ppow[n - 1 - k] * ints[k + 1] for k in range(n)])
+        # p^s and q^s, s = 0..n-1: the factors p^s + q^s x of the rising product
+        self.ell_p, self.ell_q = np.array(ppow[:n]), np.array(qpow[:n])
+        self.log_c0 = 0.5 * n * (n - 1) * math.log(p)
+
+    def nodes(self) -> NodeTable:
+        """The spec's nodes: base ones checked increasing, shifted ones with negatives listed."""
+        # The base nodes are the shifted ones at gamma = beta = 0, bit for bit.
+        shift = self.spec.stancu
+        gamma, beta = (shift.gamma, shift.beta) if shift is not None else (0.0, 0.0)
+        n, p, q = self.spec.n, self.p, self.q
+        ints, ppow, qpow = self.ints, self.ppow, self.qpow
+        vals = []
+        for k in range(n + 1):
+            m = n - k + 1
+            den = qpow[k] * ints[m] + beta
+            v = (ppow[m] * ints[k] + gamma) / den if den else math.inf
+            if not math.isfinite(v):
+                raise DomainError(
+                    f"node {k} overflows: its denominator q^{k} [{m}] = "
+                    f"{qpow[k]!r} * {ints[m]!r} is {den!r} (p={p}, q={q})"
+                )
+            vals.append(v)
+        if shift is not None:
+            return NodeTable(tuple(vals), tuple(k for k, v in enumerate(vals) if v < 0))
+        for k in range(n):
+            if not vals[k] < vals[k + 1]:
+                raise ArithmeticError(f"node table not increasing at k={k} (n={n}, q={q})")
+        return NodeTable(tuple(vals))
+
+    def row(self, x: float) -> np.ndarray:
+        """Weights w_0..w_n at x, bit for bit those of the sequential ratio recurrence.
+
+        term_{k+1} = term_k r_k with r_k = num_k x / den_k, as one cumprod per
+        segment: a segment starts at a term equal to 1.0 and ends at the first
+        term above _RESCALE_AT (all earlier terms are divided by it and the
+        next segment starts) or not finite (an error).  The running total is
+        a cumsum seeded with the total so far, so every product and sum is
+        taken in the loop's order.
+        """
+        if not math.isfinite(x) or x < 0:
+            raise DomainError(f"evaluation point must be finite and >= 0, got {x!r}")
+        n = self.spec.n
+        w = np.zeros(n + 1)
+        w[0] = 1.0
+        if x == 0.0:
+            return w
+        # cumprod runs on past a rescale point and may overflow there
+        with np.errstate(all="ignore"):
+            ratios = self.num * x / self.den
+            total = 1.0
+            log_scale = 0.0  # log of everything divided out so far
+            s = 0  # w[s] == 1.0 starts the current segment
+            while s < n:
+                seg = ratios[s:].cumprod()
+                stops = ~(seg <= _RESCALE_AT)
+                stop = int(stops.argmax())
+                if not stops[stop]:
+                    stop = seg.size
+                w[s + 1 : s + 1 + stop] = seg[:stop]
+                if stop:
+                    seg[0] += total
+                    total = float(seg[:stop].cumsum()[-1])
+                if stop == seg.size:
+                    break
+                k = s + stop
+                t = float(seg[stop])
+                if self.den[k] == 0.0:
+                    raise DomainError(
+                        f"degree {n} too large for p={self.p}: term ratio overflows"
+                    )
+                if not math.isfinite(t):
+                    raise DomainError(f"weight term {k + 1} overflows for n={n}, x={x}")
+                w[: k + 1] /= t
+                total /= t
+                log_scale += math.log(t)
+                w[k + 1] = 1.0
+                total += 1.0
+                s = k + 1
+            log_ell = float(np.log(self.ell_p + self.ell_q * x).sum())
+        w /= total
+        log_sum = math.log(total) + log_scale + self.log_c0
+        if abs(log_sum - log_ell) > 1e-8:
+            raise ArithmeticError(self._drift_message(x))
+        return w
+
+    def _drift_message(self, x: float) -> str:
+        msg = f"weight normalizer drifted from the rising product at n={self.spec.n}, x={x}"
+        tiny = np.flatnonzero(self.den < sys.float_info.min)
+        if tiny.size:
+            k = int(tiny[0])
+            msg += (
+                f": ratio denominator p^{self.spec.n - 1 - k} [{k + 1}] = "
+                f"{float(self.den[k])!r} is subnormal at k={k} (p={self.p}, q={self.q})"
             )
-        vals.append(v)
-    return vals
+        return msg
 
 
 def nodes(spec: OperatorSpec) -> NodeTable:
@@ -112,12 +211,7 @@ def nodes(spec: OperatorSpec) -> NodeTable:
     """
     if spec.stancu is not None:
         raise ValueError("nodes() serves the base variant; use stancu_nodes()")
-    vals = _node_values(spec, 0.0, 0.0)
-    n, q = spec.n, spec.params.q
-    for k in range(n):
-        if not vals[k] < vals[k + 1]:
-            raise ArithmeticError(f"node table not increasing at k={k} (n={n}, q={q})")
-    return NodeTable(tuple(vals))
+    return _Kernel(spec).nodes()
 
 
 def stancu_nodes(spec: OperatorSpec) -> NodeTable:
@@ -129,55 +223,30 @@ def stancu_nodes(spec: OperatorSpec) -> NodeTable:
     """
     if spec.stancu is None:
         raise ValueError("stancu_nodes() requires a spec with a StancuShift")
-    vals = _node_values(spec, spec.stancu.gamma, spec.stancu.beta)
-    return NodeTable(tuple(vals), tuple(k for k, v in enumerate(vals) if v < 0))
+    return _Kernel(spec).nodes()
 
 
 def weights(spec: OperatorSpec, x: float) -> WeightTable:
     """Kernel weights w_k(x) = c_k x^k / ell_n(x), nonnegative and summing to 1.
 
-    Terms are built by the ratio recurrence
-    term_{k+1}/term_k = q^k [n-k] x / (p^(n-k-1) [k+1]), rescaled before
-    they can overflow, and normalized by the running sum.  The normalizer
-    is cross-checked against the rising product (the expansion identity
-    behind the partition of unity) in log space.
+    Terms follow the ratio recurrence
+    term_{k+1}/term_k = q^k [n-k] x / (p^(n-k-1) [k+1]) from term_0 = 1,
+    taken in ascending k with every term divided out once one exceeds 1e100,
+    and are normalized by their sequential sum; the result is the same
+    double for double as that scalar loop.  At x = 0 all mass sits on k = 0.
+    For x > 0 the normalizer is cross-checked in log space against the
+    rising product ell_n(x) (the expansion identity behind the partition of
+    unity).
+
+    Raises:
+        DomainError: if x is negative or not finite, a ratio denominator is
+            zero, or a term overflows.
+        ArithmeticError: if the normalizer drifts from the rising product by
+            more than 1e-8 in log space; the message names the first
+            subnormal ratio denominator, the usual cause.
     """
-    return _weight_table(spec, x, pq_integers(spec.n, spec.params))
-
-
-def _weight_table(spec: OperatorSpec, x: float, ints: list[float]) -> WeightTable:
-    # ints holds at least [0]..[n]; a longer table gives the same weights.
-    if not math.isfinite(x) or x < 0:
-        raise DomainError(f"evaluation point must be finite and >= 0, got {x!r}")
-    n = spec.n
-    p, q = spec.params.p, spec.params.q
-    if x == 0.0:
-        return WeightTable(0.0, (1.0,) + (0.0,) * n)
-    terms = [1.0]  # c_k x^k relative to c_0, rescaled as needed
-    total = 1.0
-    log_scale = 0.0  # log of everything divided out so far
-    for k in range(n):
-        den = p ** (n - 1 - k) * ints[k + 1]
-        if den == 0.0:
-            raise DomainError(f"degree {n} too large for p={p}: term ratio overflows")
-        t = terms[k] * (q ** k * ints[n - k] * x / den)
-        if not math.isfinite(t):
-            raise DomainError(f"weight term {k + 1} overflows for n={n}, x={x}")
-        if t > _RESCALE_AT:
-            terms = [v / t for v in terms]
-            total /= t
-            log_scale += math.log(t)
-            t = 1.0
-        terms.append(t)
-        total += t
-    w = tuple(t / total for t in terms)
-    log_c0 = 0.5 * n * (n - 1) * math.log(p)
-    log_sum = math.log(total) + log_scale + log_c0
-    if abs(log_sum - log_pochhammer_ell(n, x, spec.params)) > 1e-8:
-        raise ArithmeticError(
-            f"weight normalizer drifted from the rising product at n={n}, x={x}"
-        )
-    return WeightTable(float(x), w)
+    row = _Kernel(spec).row(x)
+    return WeightTable(float(x) if x else 0.0, tuple(row.tolist()))
 
 
 def _sample(f: RealFunction, ts: Iterable[float], what: str) -> list[float]:
@@ -191,12 +260,10 @@ def _sample(f: RealFunction, ts: Iterable[float], what: str) -> list[float]:
     return vals
 
 
-def _weighted_sum(weight_table: WeightTable, fvals: list[float]) -> float:
-    # Fixed ascending-k sequential sum keeps results bit-deterministic.
-    acc = 0.0
-    for w, v in zip(weight_table.weights, fvals):
-        acc += v * w
-    return acc
+def _weighted_sum(w: np.ndarray, fvals: Sequence[float] | np.ndarray) -> float:
+    # Sequential ascending-k sum: cumsum adds in the loop's order (np.sum
+    # would not), and 0.0 + gives the sign of zero an accumulator from 0.0 gives.
+    return float(0.0 + np.cumsum(np.asarray(fvals) * w)[-1])
 
 
 def evaluate(spec: OperatorSpec, f: RealFunction, x: float) -> float:
@@ -209,8 +276,9 @@ def evaluate(spec: OperatorSpec, f: RealFunction, x: float) -> float:
         EvaluationError: if f is non-finite at any node (the largest node,
             p[n]/q^n, grows rapidly for small q; see NodeTable.max_node).
     """
-    table = stancu_nodes(spec) if spec.stancu is not None else nodes(spec)
-    return _weighted_sum(weights(spec, x), _sample(f, table.values, "node"))
+    kernel = _Kernel(spec)
+    table = kernel.nodes()
+    return _weighted_sum(kernel.row(x), _sample(f, table.values, "node"))
 
 
 def evaluate_stancu(spec: OperatorSpec, f: RealFunction, x: float) -> float:
@@ -273,23 +341,61 @@ def representation_rhs(spec: OperatorSpec, f: RealFunction, x: float) -> float:
     """
     if spec.stancu is not None:
         raise ValueError("representation_rhs() serves the base variant only")
+    _require_positive(x)
+    kernel = _Kernel(spec)
+    t = kernel.nodes().values
+    pivot = _pivot(kernel, t, x)
+    w = kernel.row(x)
+    (fp,) = _sample(f, (pivot,), "pivot")
+    return _rhs(kernel, pivot, t, w, fp, _sample(f, t, "node"))
+
+
+def _representation(spec: OperatorSpec, f: RealFunction, x: float) -> tuple[float, float]:
+    """(evaluate(spec, f, x) - f(px/q), representation_rhs(spec, f, x)), base variant.
+
+    One kernel and one sample of f per point serve both sides.  Errors come
+    in the order of evaluate followed by representation_rhs.
+    """
+    kernel = _Kernel(spec)
+    t = kernel.nodes().values
+    w = kernel.row(x)
+    ft = _sample(f, t, "node")
+    approx = _weighted_sum(w, ft)
+    _require_positive(x)
+    pivot = _pivot(kernel, t, x)
+    (fp,) = _sample(f, (pivot,), "pivot")
+    return approx - fp, _rhs(kernel, pivot, t, w, fp, ft)
+
+
+def _require_positive(x: float) -> None:
     if not math.isfinite(x) or x <= 0:
         raise DomainError(f"requires x > 0, got {x!r}")
-    n = spec.n
-    p, q = spec.params.p, spec.params.q
-    pivot = p * x / q
-    table = nodes(spec)
-    for k, t in enumerate(table.values):
-        if abs(pivot - t) < COLLISION_RTOL * (1.0 + abs(t)):
-            raise DomainError(f"px/q = {pivot!r} collides with node {k} (t={t!r})")
-    ints = pq_integers(n + 1, spec.params)
-    w = _weight_table(spec, x, ints).weights
-    t = table.values
-    (fp,) = _sample(f, (pivot,), "pivot")
-    ft = _sample(f, t, "node")
+
+
+def _pivot(kernel: _Kernel, t: Sequence[float], x: float) -> float:
+    """px/q, refused where it collides with a node."""
+    pivot = kernel.p * x / kernel.q
+    for k, tk in enumerate(t):
+        if abs(pivot - tk) < COLLISION_RTOL * (1.0 + abs(tk)):
+            raise DomainError(f"px/q = {pivot!r} collides with node {k} (t={tk!r})")
+    return pivot
+
+
+def _rhs(
+    kernel: _Kernel,
+    pivot: float,
+    t: Sequence[float],
+    w: np.ndarray,
+    fp: float,
+    ft: list[float],
+) -> float:
+    """(px/q) (sum_k dd2_k gap_k w_k - dd1 w_n) from the nodes t and the samples of f."""
+    n = kernel.spec.n
+    ints, ppow, qpow = kernel.ints, kernel.ppow, kernel.qpow
+    w = w.tolist()
     acc = 0.0
     for k in range(n):
-        gap = p ** (n - k) * ints[n + 1] / (ints[n - k] * ints[n - k + 1] * q ** (k + 1))
+        gap = ppow[n - k] * ints[n + 1] / (ints[n - k] * ints[n - k + 1] * qpow[k + 1])
         acc += _dd2(pivot, t[k], t[k + 1], fp, ft[k], ft[k + 1]) * gap * w[k]
     acc -= _dd1(pivot, t[n], fp, ft[n]) * w[n]
-    return (p * x / q) * acc
+    return pivot * acc

@@ -2,10 +2,14 @@
 
 Everything here is deliberately built from first principles (geometric sums,
 Pascal recurrences, polynomial convolution, plain binomials) so it shares no
-code path with the implementation under test.
+code path with the implementation under test.  The exception is
+``sequential_weights``: a frozen copy of the scalar kernel loop, kept so the
+vectorized kernel can be held to it bit for bit.
 """
 
 import math
+
+from pqbbh import DomainError
 
 
 def geometric_integer(n: int, p: float, q: float) -> float:
@@ -115,3 +119,68 @@ def q_bbh_moment(nu: int, n: int, q: float, x: float) -> float:
         q * q * qint(n) * qint(n - 1) / qint(n + 1) ** 2 * u * x / (1.0 + q * x)
         + qint(n) / qint(n + 1) ** 2 * u
     )
+
+
+def sequential_weights(n: int, p: float, q: float, x: float) -> tuple[float, ...]:
+    """Kernel weights w_0..w_n at x by the scalar ratio recurrence, errors included.
+
+    The loop the operator kernel ran before it was vectorized, copied with its
+    integer table ([i] = p [i-1] + q^(i-1), or i p^(i-1) on the diagonal) and
+    its normalizer check against the rising product built by repeated
+    multiplication.  Products and sums are taken one by one in ascending k.
+    """
+    if not math.isfinite(x) or x < 0:
+        raise DomainError(f"evaluation point must be finite and >= 0, got {x!r}")
+    if x == 0.0:
+        return (1.0,) + (0.0,) * n
+    ints = [0.0] * (n + 1)
+    if p == q:
+        for i in range(1, n + 1):
+            ints[i] = i * p ** (i - 1)
+    else:
+        acc = 0.0
+        qpow = 1.0
+        for i in range(1, n + 1):
+            acc = p * acc + qpow
+            qpow *= q
+            ints[i] = acc
+    terms = [1.0]  # c_k x^k relative to c_0, rescaled as needed
+    total = 1.0
+    log_scale = 0.0  # log of everything divided out so far
+    for k in range(n):
+        den = p ** (n - 1 - k) * ints[k + 1]
+        if den == 0.0:
+            raise DomainError(f"degree {n} too large for p={p}: term ratio overflows")
+        t = terms[k] * (q ** k * ints[n - k] * x / den)
+        if not math.isfinite(t):
+            raise DomainError(f"weight term {k + 1} overflows for n={n}, x={x}")
+        if t > 1e100:
+            terms = [v / t for v in terms]
+            total /= t
+            log_scale += math.log(t)
+            t = 1.0
+        terms.append(t)
+        total += t
+    w = tuple(t / total for t in terms)
+    log_c0 = 0.5 * n * (n - 1) * math.log(p)
+    log_sum = math.log(total) + log_scale + log_c0
+    factors = []
+    ppow = 1.0
+    qpow = 1.0
+    for _ in range(n):
+        factors.append(ppow + qpow * x)
+        ppow *= p
+        qpow *= q
+    if abs(log_sum - math.fsum(map(math.log, factors))) > 1e-8:
+        raise ArithmeticError(
+            f"weight normalizer drifted from the rising product at n={n}, x={x}"
+        )
+    return w
+
+
+def sequential_sum(weights, fvals) -> float:
+    """sum_k f_k w_k accumulated from 0.0 in ascending k."""
+    acc = 0.0
+    for w, v in zip(weights, fvals):
+        acc += v * w
+    return acc

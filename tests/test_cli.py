@@ -2,10 +2,13 @@ import csv
 import hashlib
 import io
 import json
+import warnings
 
 import pytest
 
+import pqbbh.cli
 from pqbbh.cli import main
+from pqbbh.functions import registry_function
 
 GOLDEN_EVAL = "0.333333333333\n"
 
@@ -119,6 +122,35 @@ def test_stdout_digest(argv, digest, capsys):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_represent_samples_each_point_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(name):
+        f = registry_function(name)
+        return lambda t: calls.append(t) or f(t)
+
+    monkeypatch.setattr(pqbbh.cli, "registry_function", counting)
+    argv, digest = STDOUT_DIGESTS[3]
+    code, out, _ = run(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert len(calls) == len(set(calls)) == 10  # the pivot and the 9 nodes
+
+
+def test_rate_keeps_stderr_empty(capsys):
+    # the grid reaches x = 50, where each row's cumprod overflows past a rescale
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(
+            ["rate", "--schedule", "harmonic:0.25,0.5", "--n", "1024", "--registry",
+             "sin_damped", "--format", "json"],
+            capsys,
+        )
+    assert code == 0
+    assert err == ""
+    assert [str(w.message) for w in caught] == []  # outside pytest these go to stderr
 
 
 class TestSchemas:
@@ -292,6 +324,17 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "node 1 overflows" in err
+
+    def test_normalizer_drift_names_the_subnormal_factor(self, capsys):
+        code, out, err = run(
+            ["eval", "--n", "1110", "--p", "0.518", "--q", "0.513", "--registry", "exp_neg",
+             "--x", "21.9"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert "ratio denominator p^1109 [1] = " in err
+        assert "is subnormal at k=0 (p=0.518, q=0.513)" in err
 
     def test_missing_function_is_two(self, capsys):
         code, _, _ = run(["eval", "--n", "2", "--p", "1", "--q", "1", "--x", "1"], capsys)

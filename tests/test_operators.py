@@ -157,6 +157,24 @@ class TestWeights:
         with pytest.raises(DomainError):
             weights(OperatorSpec(2, MIXED), -1.0)
 
+    def test_zero_ratio_denominator_raises(self):
+        # p^999 underflows to 0
+        with pytest.raises(DomainError, match="degree 1000 too large for p=0.3"):
+            weights(OperatorSpec(1000, PqParams(0.3, 0.2)), 1.0)
+
+    def test_term_overflow_raises(self):
+        with pytest.raises(DomainError, match="weight term 1 overflows for n=2"):
+            weights(OperatorSpec(2, MIXED), 1.7e308)
+
+    def test_drift_names_the_subnormal_denominator(self):
+        # p^1109 [1] = 0.518^1109 is already subnormal at k = 0
+        with pytest.raises(
+            ArithmeticError,
+            match=r"drifted from the rising product at n=1110, x=21\.9: ratio denominator "
+            r"p\^1109 \[1\] = .+ is subnormal at k=0 \(p=0\.518, q=0\.513\)",
+        ):
+            weights(OperatorSpec(1110, PqParams(0.518, 0.513)), 21.9)
+
 
 class TestEvaluate:
     def test_constant_reproduced(self):
@@ -169,6 +187,15 @@ class TestEvaluate:
     def test_frozen_example(self):
         got = evaluate(OperatorSpec(2, CLASSICAL), lambda t: t / (1 + t), 1.0)
         assert got == pytest.approx(1.0 / 3.0, abs=1e-14)
+
+    def test_invalid_point_raised_before_f_is_sampled(self):
+        with pytest.raises(DomainError, match="evaluation point must be finite and >= 0"):
+            evaluate(OperatorSpec(4, MIXED), lambda t: math.nan, -1.0)
+
+    def test_zero_sum_is_positive_zero(self):
+        # as from an accumulator that starts at 0.0
+        got = evaluate(OperatorSpec(6, MIXED), lambda t: -0.0, 2.0)
+        assert math.copysign(1.0, got) == 1.0
 
     def test_origin_returns_f0(self):
         assert evaluate(OperatorSpec(5, MIXED), lambda t: math.cos(t), 0.0) == 1.0

@@ -16,15 +16,27 @@ from hypothesis import strategies as st
 
 from pqbbh import (
     DomainError,
+    GridSpec,
     OperatorSpec,
     PqParams,
+    StancuShift,
     delta_n,
     evaluate,
     moment_closed,
+    nodes,
+    rate_bound_check,
+    stancu_nodes,
+    weights,
 )
 from pqbbh.cli import main
 from pqbbh.functions import REGISTRY
-from oracles import brute_operator, q_bbh_evaluate, q_bbh_moment
+from oracles import (
+    brute_operator,
+    q_bbh_evaluate,
+    q_bbh_moment,
+    sequential_sum,
+    sequential_weights,
+)
 
 NORMAL_MIN = sys.float_info.min
 
@@ -109,6 +121,119 @@ def test_closed_moment_oracle_matches_the_brute_q_operator():
         for nu in (1, 2):
             brute = q_bbh_evaluate(lambda t: (t / (1.0 + t)) ** nu, n, r, x)
             assert close(q_bbh_moment(nu, n, r, x), brute, 1e-13)
+
+
+# -- the kernel against its scalar loop, bit for bit --------------------------
+
+# p and r = q/p over the whole box, and near 1 where long rows rescale many times
+box_p = st.one_of(unit, st.floats(0.95, 1.0))
+box_r = st.one_of(unit, st.floats(0.9, 1.0))
+kernel_points = st.one_of(st.just(0.0), st.floats(0.0, 60.0))
+DRIFT_SUFFIX = ": ratio denominator"
+
+
+def outcome(compute):
+    """(value, None) or (None, the DomainError or ArithmeticError raised)."""
+    try:
+        return compute(), None
+    except (ValueError, ArithmeticError) as exc:
+        return None, exc
+
+
+def assert_same_outcome(got, want):
+    """Same doubles by float.hex, or the same error type and message.
+
+    A drift error may name its cause after the loop's message.
+    """
+    (value, error), (want_value, want_error) = got, want
+    if want_error is None:
+        assert error is None, error
+        assert [float(v).hex() for v in value] == [v.hex() for v in want_value]
+        return
+    assert type(error) is type(want_error)
+    message, want_message = str(error), str(want_error)
+    if "drifted" in want_message:
+        assert message == want_message or message.startswith(want_message + DRIFT_SUFFIX)
+    else:
+        assert message == want_message
+
+
+def old_evaluate(spec, f, x):
+    """evaluate's order (nodes, weights at x, f at the nodes) on the scalar loop."""
+    table = stancu_nodes(spec) if spec.stancu is not None else nodes(spec)
+    w = sequential_weights(spec.n, spec.params.p, spec.params.q, x)
+    return sequential_sum(w, [float(f(t)) for t in table.values])
+
+
+KERNEL_EXAMPLES = (
+    (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024, 50.0),  # rescales in every segment
+    (1110, 0.518, 0.513, 21.9),  # drift: p^1109 [1] is subnormal
+    (1000, 0.3, 0.2, 1.0),  # zero ratio denominator
+    (2, 0.9, 0.5, 1.7e308),  # term overflow
+    (3, 0.9, 0.5, -1.0),  # invalid point
+    (5, 0.7, 0.7, 3.0),  # diagonal q = p
+)
+
+
+def with_kernel_examples(test):
+    for n, p, q, x in KERNEL_EXAMPLES:
+        test = example(n=n, p=p, r=q / p, x=x)(test)
+    return test
+
+
+@property_settings(120)
+@given(n=st.integers(1, 1500), p=box_p, r=box_r, x=kernel_points)
+@with_kernel_examples
+def test_weights_match_the_sequential_loop(n, p, r, x):
+    q = p * r
+    if q == 0.0:
+        return
+    spec = OperatorSpec(n, PqParams(p, q))
+    assert_same_outcome(
+        outcome(lambda: weights(spec, x).weights),
+        outcome(lambda: sequential_weights(n, p, q, x)),
+    )
+
+
+@property_settings(80)
+@given(
+    n=st.integers(1, 1500),
+    p=box_p,
+    r=box_r,
+    x=kernel_points,
+    name=registry,
+    shift=st.none() | st.builds(StancuShift, st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+)
+@example(n=1110, p=0.518, r=0.513 / 0.518, x=21.9, name="exp_neg", shift=None)
+def test_evaluate_matches_the_sequential_reduction(n, p, r, x, name, shift):
+    q = p * r
+    if q == 0.0:
+        return
+    spec = OperatorSpec(n, PqParams(p, q), shift)
+    f = REGISTRY[name]
+    assert_same_outcome(
+        outcome(lambda: (evaluate(spec, f, x),)),
+        outcome(lambda: (old_evaluate(spec, f, x),)),
+    )
+
+
+@property_settings(12)
+@given(
+    n=st.integers(50, 400),
+    p=st.floats(0.9, 1.0),
+    r=st.floats(0.5, 1.0),
+    xs=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=6),
+    name=registry,
+)
+def test_rate_lhs_matches_the_sequential_reduction(n, p, r, xs, name):
+    spec = OperatorSpec(n, PqParams(p, p * r))
+    f = REGISTRY[name]
+    grid = GridSpec(tuple(sorted(xs)) + (60.0,))  # a fixed end keeps the modulus window small
+    fvals = [f(t) for t in nodes(spec).values]
+    for point in rate_bound_check(spec, f, grid):
+        w = sequential_weights(n, spec.params.p, spec.params.q, point.x)
+        want = abs(sequential_sum(w, fvals) - f(point.x))
+        assert point.lhs.hex() == want.hex()
 
 
 # -- CLI contract ------------------------------------------------------------
