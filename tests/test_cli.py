@@ -109,13 +109,27 @@ STDOUT_DIGESTS = [
      "09aca2e89a02c21c9ad4fe63982cf5288227f71ee2418df564f6fefaf78fad4f"),
     ("converge --schedule harmonic:0.25,0.5 --n-list 16,64,256,1024 --nu 2",
      "a32c29d35c1f1b582e0b2ea432395e324d96783cd50a3d8fede445f7d3e9caf7"),
+    # JSON "meta" echoes: eval takes gamma/beta from the spec (beta reads 0.0),
+    # converge echoes the parsed degree list
+    ("eval --n 12 --p 0.95 --q 0.7 --gamma 0.5 --registry exp_neg --x 2.5 --format json",
+     "3fd9c0dab3dc18753011779756153006f517d5b4c6dd7f69595347673cd80f88"),
+    ("moments --n 40 --p 0.9 --q 0.6 --nu 1 --x 3.5 --format json",
+     "a42838223bec4c158309c49cfafa87c94473eed3101b670be7692d47d1cd9d18"),
+    ("converge --schedule harmonic:0.25,0.5 --n-list 16,,64 --nu 1 --points 101 --format json",
+     "339bb4e1ca7db421d2a9f1de9208edc1a0c4a5117b84f501e66437caf69f82ba"),
+    ("represent --n 8 --p 0.8 --q 0.55 --registry exp_neg --x 1.7 --format json",
+     "7e3e9089c23e4c6a7595baa690fa987f17598881346978604fad7c0914121899"),
+    ("stancu-bound --n 10 --p 0.9 --q 0.7 --gamma 0.5 --beta 1.0 --alpha 0.5 --m 2.0 "
+     "--format json",
+     "77feedf4dcc86b7458358e2c9f9238095b3e1f847176c9786644300fbce0bf46"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,digest",
     STDOUT_DIGESTS,
-    ids=["rate_csv", "rate_json", "moments", "represent", "eval_stancu", "converge_nu2"],
+    ids=["rate_csv", "rate_json", "moments", "represent", "eval_stancu", "converge_nu2",
+         "eval_json", "moments_json", "converge_json", "represent_json", "stancu_bound_json"],
 )
 def test_stdout_digest(argv, digest, capsys):
     code, out, err = run(argv.split(), capsys)
