@@ -197,14 +197,16 @@ class _ClosedForms:
     """x-free terms of one spec's closed moments up to order nu (1 or 2).
 
     p[n]/[n+1] always; p^2 q^2 [n][n-1]/[n+1]^2 and p^(n+1) [n]/[n+1]^2 only
-    for nu = 2, since [n+1]^2 underflows long before [n+1] does.
+    for nu = 2, since [n+1]^2 underflows long before [n+1] does.  ints is
+    [0]..[n+1], built here unless a caller already holds the table.
     """
 
-    def __init__(self, spec: OperatorSpec, nu: int = 2) -> None:
+    def __init__(self, spec: OperatorSpec, nu: int = 2, ints: list[float] | None = None) -> None:
         n = spec.n
         self.nu = nu
         self.p, self.q = p, q = spec.params.p, spec.params.q
-        ints = pq_integers(n + 1, spec.params)
+        if ints is None:
+            ints = pq_integers(n + 1, spec.params)
         den = _divisor(spec, ints, nu)
         self.first = p * ints[n] / ints[n + 1]
         if nu == 2:
@@ -368,13 +370,13 @@ def rate_bound_check(
     _base_only(spec, "rate_bound_check")
     u_max = grid.u_max
     h = u_max / (_MODULUS_POINTS - 1)
-    forms = _ClosedForms(spec)
+    kernel = _Kernel(spec)
+    forms = _ClosedForms(spec, ints=kernel.ints)
     deltas = [math.sqrt(max(forms.delta(x), 0.0)) for x in grid.xs]
     widths = [_window_width(d, h, _MODULUS_POINTS) if d > 0 else 0 for d in deltas]
     w_top = max(widths)
     g = _transformed_samples(f, u_max, _MODULUS_POINTS)
     table = _window_ranges(g, w_top)
-    kernel = _Kernel(spec)
     fvals = np.array(_sample(f, kernel.nodes().values, "node"))
     fxs = _sample(f, grid.xs, "grid point")
     out = []

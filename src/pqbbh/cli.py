@@ -57,8 +57,11 @@ def _json_cell(value):
     return float(_fmt(value))
 
 
-def _emit(fmt: str | None, header: list[str], rows: list[list], meta: dict) -> str:
-    if fmt == "json":
+def _emit(args, header: list[str], rows: list[list], **overrides) -> str:
+    if args.format == "json":
+        # "meta" echoes every flag in declaration order, --fn/--registry as "fn"
+        meta = {k: v for k, v in vars(args).items() if k != "registry"}
+        meta.update(overrides)
         payload = {"meta": meta, "rows": [[_json_cell(c) for c in row] for row in rows]}
         return json.dumps(payload) + "\n"
     buf = io.StringIO()
@@ -204,14 +207,9 @@ def _cmd_eval(args) -> str:
         return _fmt(value) + "\n"
     gamma = spec.stancu.gamma if spec.stancu else None
     beta = spec.stancu.beta if spec.stancu else None
-    meta = {
-        "command": "eval", "n": args.n, "p": args.p, "q": args.q,
-        "gamma": gamma, "beta": beta, "fn": fname, "x": args.x,
-        "format": args.format, "output": args.output,
-    }
     header = ["n", "p", "q", "gamma", "beta", "fn", "x", "value"]
     rows = [[args.n, args.p, args.q, gamma, beta, fname, args.x, value]]
-    return _emit(args.format, header, rows, meta)
+    return _emit(args, header, rows, fn=fname, gamma=gamma, beta=beta)
 
 
 def _cmd_moments(args) -> str:
@@ -222,13 +220,9 @@ def _cmd_moments(args) -> str:
         return (t / (1.0 + t)) ** args.nu
 
     brute = evaluate(spec, metric_power, args.x)
-    meta = {
-        "command": "moments", "n": args.n, "p": args.p, "q": args.q,
-        "nu": args.nu, "x": args.x, "format": args.format, "output": args.output,
-    }
     header = ["n", "p", "q", "nu", "x", "closed", "brute_force", "abs_diff"]
     rows = [[args.n, args.p, args.q, args.nu, args.x, closed, brute, abs(closed - brute)]]
-    return _emit(args.format, header, rows, meta)
+    return _emit(args, header, rows)
 
 
 def _cmd_converge(args) -> str:
@@ -236,17 +230,12 @@ def _cmd_converge(args) -> str:
     n_list = _parse_int_list(args.n_list)
     grid = GridSpec.default(args.x_max, args.points)
     report = convergence_report(schedule, n_list, grid)
-    meta = {
-        "command": "converge", "schedule": args.schedule, "n_list": n_list,
-        "nu": args.nu, "x_max": args.x_max, "points": args.points,
-        "format": args.format, "output": args.output,
-    }
     header = ["n", "p", "q", "nu", "discrepancy", "sup_delta"]
     rows = []
     for row in report.rows:
         disc = (row.disc0, row.disc1, row.disc2)[args.nu]
         rows.append([row.n, row.p, row.q, args.nu, disc, row.sup_delta])
-    return _emit(args.format, header, rows, meta)
+    return _emit(args, header, rows, n_list=n_list)
 
 
 def _cmd_rate(args) -> str:
@@ -254,42 +243,29 @@ def _cmd_rate(args) -> str:
     spec = OperatorSpec(args.n, schedule.params_for(args.n))
     f, fname = _resolve_function(args)
     points = rate_bound_check(spec, f, GridSpec.default())
-    meta = {
-        "command": "rate", "schedule": args.schedule, "n": args.n, "fn": fname,
-        "format": args.format, "output": args.output,
-    }
     header = ["x", "lhs", "rhs", "pass"]
     rows = [[pt.x, pt.lhs, pt.rhs, pt.passed] for pt in points]
-    return _emit(args.format, header, rows, meta)
+    return _emit(args, header, rows, fn=fname)
 
 
 def _cmd_represent(args) -> str:
     spec = _build_spec(args)
     f, fname = _resolve_function(args)
     lhs, rhs = _representation(spec, f, args.x)
-    meta = {
-        "command": "represent", "n": args.n, "p": args.p, "q": args.q,
-        "fn": fname, "x": args.x, "format": args.format, "output": args.output,
-    }
     header = ["n", "p", "q", "fn", "x", "lhs", "rhs", "abs_diff"]
     rows = [[args.n, args.p, args.q, fname, args.x, lhs, rhs, abs(lhs - rhs)]]
-    return _emit(args.format, header, rows, meta)
+    return _emit(args, header, rows, fn=fname)
 
 
 def _cmd_stancu_bound(args) -> str:
-    spec = OperatorSpec(args.n, PqParams(args.p, args.q), StancuShift(args.gamma, args.beta))
+    spec = _build_spec(args)
     report = stancu_bound_report(spec, args.m, args.alpha)
-    meta = {
-        "command": "stancu-bound", "n": args.n, "p": args.p, "q": args.q,
-        "gamma": args.gamma, "beta": args.beta, "alpha": args.alpha, "m": args.m,
-        "format": args.format, "output": args.output,
-    }
     header = ["n", "p", "q", "gamma", "beta", "alpha", "m",
               "term1", "term2", "term3", "max_term", "bound", "degenerate"]
     t1, t2, t3 = report.terms
     rows = [[args.n, args.p, args.q, args.gamma, args.beta, args.alpha, args.m,
              t1, t2, t3, report.max_term, report.bound, report.degenerate]]
-    return _emit(args.format, header, rows, meta)
+    return _emit(args, header, rows)
 
 
 _COMMANDS = {

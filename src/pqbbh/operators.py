@@ -193,15 +193,20 @@ class _Kernel:
         return w
 
     def _drift_message(self, x: float) -> str:
-        msg = f"weight normalizer drifted from the rising product at n={self.spec.n}, x={x}"
-        tiny = np.flatnonzero(self.den < sys.float_info.min)
-        if tiny.size:
-            k = int(tiny[0])
-            msg += (
-                f": ratio denominator p^{self.spec.n - 1 - k} [{k + 1}] = "
-                f"{float(self.den[k])!r} is subnormal at k={k} (p={self.p}, q={self.q})"
-            )
-        return msg
+        """Names the first subnormal ratio denominator, else the first subnormal numerator."""
+        n = self.spec.n
+        msg = f"weight normalizer drifted from the rising product at n={n}, x={x}"
+        tiny_den = np.flatnonzero(self.den < sys.float_info.min)
+        tiny_num = np.flatnonzero(self.num < sys.float_info.min)
+        if tiny_den.size:
+            k = int(tiny_den[0])
+            cause = f"denominator p^{n - 1 - k} [{k + 1}] = {float(self.den[k])!r}"
+        elif tiny_num.size:
+            k = int(tiny_num[0])
+            cause = f"numerator q^{k} [{n - k}] = {float(self.num[k])!r}"
+        else:
+            return msg
+        return f"{msg}: ratio {cause} is subnormal at k={k} (p={self.p}, q={self.q})"
 
 
 def nodes(spec: OperatorSpec) -> NodeTable:
@@ -339,37 +344,26 @@ def representation_rhs(spec: OperatorSpec, f: RealFunction, x: float) -> float:
         DomainError: if x <= 0, or px/q collides with a node within the
             relative tolerance 1e-9 (named in the message).
     """
-    if spec.stancu is not None:
-        raise ValueError("representation_rhs() serves the base variant only")
-    _require_positive(x)
-    kernel = _Kernel(spec)
-    t = kernel.nodes().values
-    pivot = _pivot(kernel, t, x)
-    w = kernel.row(x)
-    (fp,) = _sample(f, (pivot,), "pivot")
-    return _rhs(kernel, pivot, t, w, fp, _sample(f, t, "node"))
+    return _representation(spec, f, x)[1]
 
 
 def _representation(spec: OperatorSpec, f: RealFunction, x: float) -> tuple[float, float]:
     """(evaluate(spec, f, x) - f(px/q), representation_rhs(spec, f, x)), base variant.
 
-    One kernel and one sample of f per point serve both sides.  Errors come
-    in the order of evaluate followed by representation_rhs.
+    One kernel and one sample of f per point serve both sides.  Every check
+    on spec and x comes before f is first called, at the pivot.
     """
-    kernel = _Kernel(spec)
-    t = kernel.nodes().values
-    w = kernel.row(x)
-    ft = _sample(f, t, "node")
-    approx = _weighted_sum(w, ft)
-    _require_positive(x)
-    pivot = _pivot(kernel, t, x)
-    (fp,) = _sample(f, (pivot,), "pivot")
-    return approx - fp, _rhs(kernel, pivot, t, w, fp, ft)
-
-
-def _require_positive(x: float) -> None:
+    if spec.stancu is not None:
+        raise ValueError("representation_rhs() serves the base variant only")
     if not math.isfinite(x) or x <= 0:
         raise DomainError(f"requires x > 0, got {x!r}")
+    kernel = _Kernel(spec)
+    t = kernel.nodes().values
+    pivot = _pivot(kernel, t, x)
+    w = kernel.row(x)
+    (fp,) = _sample(f, (pivot,), "pivot")
+    ft = _sample(f, t, "node")
+    return _weighted_sum(w, ft) - fp, _rhs(kernel, pivot, t, w, fp, ft)
 
 
 def _pivot(kernel: _Kernel, t: Sequence[float], x: float) -> float:

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import pqbbh.analysis
+import pqbbh.operators
 from pqbbh import (
     DomainError,
     EvaluationError,
@@ -24,6 +26,7 @@ from pqbbh import (
     moment_closed,
     nodes,
     param_schedule,
+    pq_integers,
     rate_bound_check,
     stancu_bound,
     stancu_bound_report,
@@ -278,6 +281,20 @@ class TestRateBound:
         with pytest.raises(EvaluationError, match=r"at grid point 2 \(t=1\.3\)"):
             rate_bound_check(spec, f, GridSpec((0.0, 1.0, 1.3, 2.0)))
 
+    def test_builds_the_integer_table_once(self, monkeypatch):
+        # the closed forms read the kernel's [0]..[n+1]
+        calls = []
+
+        def counting(n, params):
+            calls.append(n)
+            return pq_integers(n, params)
+
+        monkeypatch.setattr(pqbbh.analysis, "pq_integers", counting)
+        monkeypatch.setattr(pqbbh.operators, "pq_integers", counting)
+        spec = OperatorSpec(16, PqParams(0.95, 0.9))
+        rate_bound_check(spec, REGISTRY["sin_damped"], GridSpec((0.0, 1.0, 2.0)))
+        assert calls == [17]
+
 
 class TestPointSet:
     def test_membership_distance(self):
@@ -419,6 +436,12 @@ class TestUnderflowingDivisor:
     def test_second_moment_exact_while_divisor_is_normal(self):
         spec = OperatorSpec(575, PqParams(0.54, 0.27))
         assert moment_closed(spec, 2, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+    def test_rate_raises_before_sampling_f(self):
+        calls = []
+        with pytest.raises(DomainError, match=r"\[n\+1\]\^2 = .* underflows"):
+            rate_bound_check(self.SPEC, lambda t: calls.append(t) or 0.0, GridSpec((1.0,)))
+        assert calls == []
 
     def test_stancu_bound_raises(self):
         spec = OperatorSpec(610, PqParams(0.541, 0.499), StancuShift(0.5, 0.5))

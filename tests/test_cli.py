@@ -350,6 +350,20 @@ class TestExitCodes:
         assert "ratio denominator p^1109 [1] = " in err
         assert "is subnormal at k=0 (p=0.518, q=0.513)" in err
 
+    @pytest.mark.parametrize("x", ["0", "-1"])
+    def test_represent_needs_positive_x_before_calling_f(self, x, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pqbbh.cli, "registry_function", lambda name: calls.append)
+        code, out, err = run(
+            ["represent", "--n", "8", "--p", "0.8", "--q", "0.55", "--registry", "exp_neg",
+             "--x", x],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert f"requires x > 0, got {float(x)!r}" in err
+        assert calls == []
+
     def test_missing_function_is_two(self, capsys):
         code, _, _ = run(["eval", "--n", "2", "--p", "1", "--q", "1", "--x", "1"], capsys)
         assert code == 2

@@ -175,6 +175,17 @@ class TestWeights:
         ):
             weights(OperatorSpec(1110, PqParams(0.518, 0.513)), 21.9)
 
+    def test_drift_names_the_subnormal_numerator(self):
+        # every p^(n-1-k) [k+1] is normal; q^24 [1274] is the first subnormal q^k [n-k]
+        # (q^23 [1275] = 2.2e-308 is still normal)
+        with pytest.raises(
+            ArithmeticError,
+            match=r"drifted from the rising product at n=1298, x=1\.99e\+26: ratio numerator "
+            r"q\^24 \[1274\] = 6\.869432807773663e-309 is subnormal at k=24 "
+            r"\(p=0\.5912, q=0\.1823\)",
+        ):
+            weights(OperatorSpec(1298, PqParams(0.5912, 0.1823)), 1.99e26)
+
 
 class TestEvaluate:
     def test_constant_reproduced(self):
