@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -104,6 +105,7 @@ def _add_function_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the command line on every call."""
     parser = argparse.ArgumentParser(
         prog="pqbbh",
         description="Two-parameter Bleimann-Butzer-Hahn operators and convergence tables.",
@@ -159,6 +161,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
 
     return parser
+
+
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser every main call shares, built on the first call, not at import.
+
+    Parsing keeps no state on it: each parse_args starts a fresh namespace.
+    """
+    return build_parser()
 
 
 def _build_spec(args) -> OperatorSpec:
@@ -289,9 +300,8 @@ def _write(path: str, text: str) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints its own diagnostics
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:

@@ -10,16 +10,18 @@ Grammar (EBNF):
     IDENT  := "exp" | "log" | "sin" | "cos" | "sqrt" | "abs"
 
 "^" is right associative and binds tighter than unary minus; NUMBER is a
-decimal literal with an optional exponent.  A parsed tree may be at most
-MAX_DEPTH nodes deep (a sum of k terms is k deep), so that evaluating and
-printing it, which recurse once per level, stay far inside Python's
-recursion limit.
+decimal literal with an optional exponent that must round to a finite
+double.  A parsed tree may be at most MAX_DEPTH nodes deep (a sum of k terms
+is k deep), so that compiling, evaluating and printing it, which recurse
+once per level, stay far inside Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+from math import isfinite
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -168,7 +170,11 @@ class _Parser:
     def atom(self) -> ExprAst:
         kind, text, offset = self.take()
         if kind == "num":
-            return Number(float(text))
+            value = float(text)
+            if not isfinite(value):
+                # inf would print as an identifier and fail only when evaluated
+                raise ExpressionSyntaxError(f"number {text!r} is out of range", offset)
+            return Number(value)
         if kind == "ident":
             if text == "t":
                 return Variable()
@@ -193,8 +199,9 @@ def parse_expression(text: str) -> ExprAst:
     """Parse expression text into an AST.
 
     Raises:
-        ExpressionSyntaxError: on malformed or too deeply nested input, with
-            the byte offset and the tokens that would have been accepted there.
+        ExpressionSyntaxError: on malformed or too deeply nested input, or a
+            number beyond the doubles, with the byte offset and the tokens
+            that would have been accepted there.
     """
     if not text.strip():
         raise ExpressionSyntaxError("empty expression", 0, ("NUMBER", "t", "(", "function name"))
@@ -232,51 +239,89 @@ def _depth(ast: ExprAst) -> int:
 
 def eval_expression(ast: ExprAst, t: float) -> float:
     """Evaluate the AST at t, raising where the arithmetic leaves the reals."""
-    if not math.isfinite(t):
-        raise ExpressionDomainError(f"t must be finite, got {t!r}")
-    return _eval(ast, t)
+    return as_function(ast)(t)
 
 
 def _fail(node: ExprAst, t: float, why: str) -> "ExpressionDomainError":
     return ExpressionDomainError(f"{why} in '{format_expression(node)}' at t={t!r}")
 
 
-def _eval(node: ExprAst, t: float) -> float:
+def _compile(node: ExprAst) -> Callable[[float], float]:
+    """One closure per node: its children first, left before right, then its own checks.
+
+    t reaches every closure as given, so error messages show it as the caller
+    passed it; a variable reads float(t), so all arithmetic is on Python floats.
+    """
     if isinstance(node, Number):
-        return node.value
+        value = node.value
+        return lambda t: value
     if isinstance(node, Variable):
-        return float(t)
+        return float
     if isinstance(node, Negate):
-        return -_eval(node.operand, t)
+        operand = _compile(node.operand)
+        return lambda t: -operand(t)
     if isinstance(node, Call):
-        arg = _eval(node.arg, t)
+        return _compile_call(node)
+    return _compile_binary(node)
+
+
+def _compile_call(node: Call) -> Callable[[float], float]:
+    arg_of, func, name = _compile(node.arg), FUNCTIONS[node.func], node.func
+
+    def call(t):
+        arg = arg_of(t)
         try:
-            value = float(FUNCTIONS[node.func](arg))
+            value = float(func(arg))
         except (ValueError, OverflowError):
-            raise _fail(node, t, f"{node.func} of {arg!r} is undefined") from None
-        if not math.isfinite(value):
+            raise _fail(node, t, f"{name} of {arg!r} is undefined") from None
+        if not isfinite(value):
             raise _fail(node, t, "non-finite result")
         return value
-    lhs = _eval(node.left, t)
-    rhs = _eval(node.right, t)
-    if node.op == "+":
-        value = lhs + rhs
-    elif node.op == "-":
-        value = lhs - rhs
-    elif node.op == "*":
-        value = lhs * rhs
-    elif node.op == "/":
-        if rhs == 0.0:
-            raise _fail(node, t, "division by zero")
-        value = lhs / rhs
-    else:
+
+    return call
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _compile_binary(node: Binary) -> Callable[[float], float]:
+    left, right = _compile(node.left), _compile(node.right)
+    if node.op == "/":
+
+        def divide(t):
+            lhs = left(t)
+            rhs = right(t)
+            if rhs == 0.0:
+                raise _fail(node, t, "division by zero")
+            value = lhs / rhs
+            if not isfinite(value):
+                raise _fail(node, t, "non-finite result")
+            return value
+
+        return divide
+    if node.op in _ARITHMETIC:
+        combine = _ARITHMETIC[node.op]
+
+        def arithmetic(t):
+            value = combine(left(t), right(t))
+            if not isfinite(value):
+                raise _fail(node, t, "non-finite result")
+            return value
+
+        return arithmetic
+
+    def power(t):
+        lhs = left(t)
+        rhs = right(t)
         try:
             value = math.pow(lhs, rhs)
         except (ValueError, OverflowError):
             raise _fail(node, t, f"{lhs!r} ^ {rhs!r} is undefined") from None
-    if not math.isfinite(value):
-        raise _fail(node, t, "non-finite result")
-    return value
+        if not isfinite(value):
+            raise _fail(node, t, "non-finite result")
+        return value
+
+    return power
 
 
 # Printer precedence levels; a child is parenthesized when its level is too
@@ -335,5 +380,18 @@ def format_expression(ast: ExprAst) -> str:
 
 
 def as_function(ast: ExprAst) -> Callable[[float], float]:
-    """Wrap an AST as a plain callable of t."""
-    return lambda t: eval_expression(ast, t)
+    """Compile the AST once into a plain callable of t.
+
+    The callable takes the tree walk's float operations in its order, with
+    its checks and messages: t must be finite, every intermediate value must
+    be finite, a divisor must not be zero, and a function or power that
+    leaves the reals names its node.
+    """
+    body = _compile(ast)
+
+    def f(t):
+        if not isfinite(t):
+            raise ExpressionDomainError(f"t must be finite, got {t!r}")
+        return body(t)
+
+    return f

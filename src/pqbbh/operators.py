@@ -95,7 +95,9 @@ class _Kernel:
     ints holds [0]..[n+1] and ppow, qpow hold p^j, q^j for j = 0..n+1, taken
     with Python ``**`` (numpy's power differs from it in the last bit).  num
     and den are the x-free halves of the weight ratio
-    q^k [n-k] x / (p^(n-1-k) [k+1]), k = 0..n-1.
+    q^k [n-k] x / (p^(n-1-k) [k+1]), k = 0..n-1.  The array tables are
+    products, sums and quotients of those lists taken element-wise, which
+    round each entry as the same Python operation does.
     """
 
     def __init__(self, spec: OperatorSpec) -> None:
@@ -105,36 +107,43 @@ class _Kernel:
         self.ints = ints = pq_integers(n + 1, spec.params)
         self.ppow = ppow = [p ** j for j in range(n + 2)]
         self.qpow = qpow = [q ** j for j in range(n + 2)]
-        self.num = np.array([qpow[k] * ints[n - k] for k in range(n)])
-        self.den = np.array([ppow[n - 1 - k] * ints[k + 1] for k in range(n)])
+        self._ints, self._ppow, self._qpow = ia, pa, qa = (
+            np.array(ints), np.array(ppow), np.array(qpow))
+        self.num = qa[:n] * ia[n:0:-1]
+        self.den = pa[n - 1::-1] * ia[1:n + 1]
         # p^s and q^s, s = 0..n-1: the factors p^s + q^s x of the rising product
-        self.ell_p, self.ell_q = np.array(ppow[:n]), np.array(qpow[:n])
+        self.ell_p, self.ell_q = pa[:n], qa[:n]
         self.log_c0 = 0.5 * n * (n - 1) * math.log(p)
 
     def nodes(self) -> NodeTable:
-        """The spec's nodes: base ones checked increasing, shifted ones with negatives listed."""
-        # The base nodes are the shifted ones at gamma = beta = 0, bit for bit.
+        """The spec's nodes: base ones checked increasing, shifted ones with negatives listed.
+
+        Node k is (p^m [k] + gamma) / (q^k [m] + beta) with m = n-k+1; the
+        base nodes are the shifted ones at gamma = beta = 0, bit for bit.
+        """
         shift = self.spec.stancu
         gamma, beta = (shift.gamma, shift.beta) if shift is not None else (0.0, 0.0)
-        n, p, q = self.spec.n, self.p, self.q
-        ints, ppow, qpow = self.ints, self.ppow, self.qpow
-        vals = []
-        for k in range(n + 1):
+        n = self.spec.n
+        ia, pa, qa = self._ints, self._ppow, self._qpow
+        with np.errstate(all="ignore"):  # a zero denominator makes a non-finite node
+            den = qa[:n + 1] * ia[n + 1:0:-1] + beta
+            vals = (pa[n + 1:0:-1] * ia[:n + 1] + gamma) / den
+        if not np.isfinite(vals).all():
+            k = int(np.flatnonzero(~np.isfinite(vals))[0])
             m = n - k + 1
-            den = qpow[k] * ints[m] + beta
-            v = (ppow[m] * ints[k] + gamma) / den if den else math.inf
-            if not math.isfinite(v):
-                raise DomainError(
-                    f"node {k} overflows: its denominator q^{k} [{m}] = "
-                    f"{qpow[k]!r} * {ints[m]!r} is {den!r} (p={p}, q={q})"
-                )
-            vals.append(v)
+            raise DomainError(
+                f"node {k} overflows: its denominator q^{k} [{m}] = "
+                f"{self.qpow[k]!r} * {self.ints[m]!r} is {float(den[k])!r} "
+                f"(p={self.p}, q={self.q})"
+            )
+        values = tuple(vals.tolist())
         if shift is not None:
-            return NodeTable(tuple(vals), tuple(k for k, v in enumerate(vals) if v < 0))
-        for k in range(n):
-            if not vals[k] < vals[k + 1]:
-                raise ArithmeticError(f"node table not increasing at k={k} (n={n}, q={q})")
-        return NodeTable(tuple(vals))
+            return NodeTable(values, tuple(np.flatnonzero(vals < 0).tolist()))
+        increasing = vals[:-1] < vals[1:]
+        if not increasing.all():
+            k = int(increasing.argmin())
+            raise ArithmeticError(f"node table not increasing at k={k} (n={n}, q={self.q})")
+        return NodeTable(values)
 
     def row(self, x: float) -> np.ndarray:
         """Weights w_0..w_n at x, bit for bit those of the sequential ratio recurrence.

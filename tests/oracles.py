@@ -2,14 +2,24 @@
 
 Everything here is deliberately built from first principles (geometric sums,
 Pascal recurrences, polynomial convolution, plain binomials) so it shares no
-code path with the implementation under test.  The exception is
-``sequential_weights``: a frozen copy of the scalar kernel loop, kept so the
-vectorized kernel can be held to it bit for bit.
+code path with the implementation under test.  The exceptions are frozen
+copies of code that was replaced by a faster form, kept so the new form can
+be held to it bit for bit: ``sequential_weights`` and ``sequential_nodes``
+(the scalar kernel loops) and ``walk_expression`` (the expression tree walk).
 """
 
 import math
 
 from pqbbh import DomainError
+from pqbbh.expressions import (
+    FUNCTIONS,
+    Call,
+    ExpressionDomainError,
+    Negate,
+    Number,
+    Variable,
+    format_expression,
+)
 
 
 def geometric_integer(n: int, p: float, q: float) -> float:
@@ -121,18 +131,8 @@ def q_bbh_moment(nu: int, n: int, q: float, x: float) -> float:
     )
 
 
-def sequential_weights(n: int, p: float, q: float, x: float) -> tuple[float, ...]:
-    """Kernel weights w_0..w_n at x by the scalar ratio recurrence, errors included.
-
-    The loop the operator kernel ran before it was vectorized, copied with its
-    integer table ([i] = p [i-1] + q^(i-1), or i p^(i-1) on the diagonal) and
-    its normalizer check against the rising product built by repeated
-    multiplication.  Products and sums are taken one by one in ascending k.
-    """
-    if not math.isfinite(x) or x < 0:
-        raise DomainError(f"evaluation point must be finite and >= 0, got {x!r}")
-    if x == 0.0:
-        return (1.0,) + (0.0,) * n
+def sequential_integers(n: int, p: float, q: float) -> list[float]:
+    """[0]..[n] by [i] = p [i-1] + q^(i-1), or i p^(i-1) on the diagonal q = p."""
     ints = [0.0] * (n + 1)
     if p == q:
         for i in range(1, n + 1):
@@ -144,6 +144,51 @@ def sequential_weights(n: int, p: float, q: float, x: float) -> tuple[float, ...
             acc = p * acc + qpow
             qpow *= q
             ints[i] = acc
+    return ints
+
+
+def sequential_nodes(n: int, p: float, q: float, shift=None):
+    """(node values, indices of negative nodes) by the scalar node loop, errors included.
+
+    The loop the operator kernel ran before its tables became array
+    operations.  ``shift`` is (gamma, beta) for the shifted variant, whose
+    nodes are not checked increasing; None selects the base variant.
+    """
+    gamma, beta = shift if shift is not None else (0.0, 0.0)
+    ints = sequential_integers(n + 1, p, q)
+    ppow = [p ** j for j in range(n + 2)]
+    qpow = [q ** j for j in range(n + 2)]
+    vals = []
+    for k in range(n + 1):
+        m = n - k + 1
+        den = qpow[k] * ints[m] + beta
+        v = (ppow[m] * ints[k] + gamma) / den if den else math.inf
+        if not math.isfinite(v):
+            raise DomainError(
+                f"node {k} overflows: its denominator q^{k} [{m}] = "
+                f"{qpow[k]!r} * {ints[m]!r} is {den!r} (p={p}, q={q})"
+            )
+        vals.append(v)
+    if shift is not None:
+        return tuple(vals), tuple(k for k, v in enumerate(vals) if v < 0)
+    for k in range(n):
+        if not vals[k] < vals[k + 1]:
+            raise ArithmeticError(f"node table not increasing at k={k} (n={n}, q={q})")
+    return tuple(vals), ()
+
+
+def sequential_weights(n: int, p: float, q: float, x: float) -> tuple[float, ...]:
+    """Kernel weights w_0..w_n at x by the scalar ratio recurrence, errors included.
+
+    The loop the operator kernel ran before it was vectorized, copied with its
+    integer table (``sequential_integers``) and its normalizer check against
+    the rising product built by repeated multiplication.  Products and sums are taken one by one in ascending k.
+    """
+    if not math.isfinite(x) or x < 0:
+        raise DomainError(f"evaluation point must be finite and >= 0, got {x!r}")
+    if x == 0.0:
+        return (1.0,) + (0.0,) * n
+    ints = sequential_integers(n, p, q)
     terms = [1.0]  # c_k x^k relative to c_0, rescaled as needed
     total = 1.0
     log_scale = 0.0  # log of everything divided out so far
@@ -184,3 +229,56 @@ def sequential_sum(weights, fvals) -> float:
     for w, v in zip(weights, fvals):
         acc += v * w
     return acc
+
+
+def walk_expression(ast, t: float) -> float:
+    """The expression at t by the recursive tree walk, errors included.
+
+    The evaluator expressions were interpreted with before they were
+    compiled to closures, with its check that t is finite in front.
+    """
+    if not math.isfinite(t):
+        raise ExpressionDomainError(f"t must be finite, got {t!r}")
+    return _walk(ast, t)
+
+
+def _walk_fail(node, t, why):
+    return ExpressionDomainError(f"{why} in '{format_expression(node)}' at t={t!r}")
+
+
+def _walk(node, t):
+    if isinstance(node, Number):
+        return node.value
+    if isinstance(node, Variable):
+        return float(t)
+    if isinstance(node, Negate):
+        return -_walk(node.operand, t)
+    if isinstance(node, Call):
+        arg = _walk(node.arg, t)
+        try:
+            value = float(FUNCTIONS[node.func](arg))
+        except (ValueError, OverflowError):
+            raise _walk_fail(node, t, f"{node.func} of {arg!r} is undefined") from None
+        if not math.isfinite(value):
+            raise _walk_fail(node, t, "non-finite result")
+        return value
+    lhs = _walk(node.left, t)
+    rhs = _walk(node.right, t)
+    if node.op == "+":
+        value = lhs + rhs
+    elif node.op == "-":
+        value = lhs - rhs
+    elif node.op == "*":
+        value = lhs * rhs
+    elif node.op == "/":
+        if rhs == 0.0:
+            raise _walk_fail(node, t, "division by zero")
+        value = lhs / rhs
+    else:
+        try:
+            value = math.pow(lhs, rhs)
+        except (ValueError, OverflowError):
+            raise _walk_fail(node, t, f"{lhs!r} ^ {rhs!r} is undefined") from None
+    if not math.isfinite(value):
+        raise _walk_fail(node, t, "non-finite result")
+    return value

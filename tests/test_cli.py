@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 import pqbbh.cli
-from pqbbh.cli import main
+from pqbbh.cli import build_parser, main
 from pqbbh.functions import registry_function
 
 GOLDEN_EVAL = "0.333333333333\n"
@@ -301,6 +301,16 @@ class TestExitCodes:
         assert out == ""
         assert "--x" in err
 
+    def test_literal_beyond_the_doubles_is_two(self, capsys):
+        # was exit 3, "function returned inf at node 0", once f was sampled
+        code, out, err = run(
+            ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "1e400", "--x", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "pqbbh: number '1e400' is out of range at offset 0\n"
+
     def test_long_flat_sum_is_two(self, capsys):
         code, out, err = run(
             ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "+".join(["t"] * 5000),
@@ -385,6 +395,45 @@ class TestExitCodes:
         )
         assert code == 4
         assert "cannot write" in err
+
+
+class TestParserReuse:
+    PLAIN = ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "t/(1+t)", "--x", "1"]
+    CALLS = [
+        ["--help"],
+        ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "t", "--registry", "one_",
+         "--x", "1"],
+        ["eval", "--n", "2", "--p", "1", "--fn", "t", "--x", "1"],
+        ["eval", "--n", "12", "--p", "0.95", "--q", "0.7", "--gamma", "0.5", "--beta", "1.5",
+         "--fn", "t/(1+t)", "--x", "2.5", "--format", "json"],
+        ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "t", "--registry", "one_",
+         "--x", "1"],
+        PLAIN,
+        PLAIN + ["--format", "json"],
+    ]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_main_reuses_one_parser(self):
+        assert pqbbh.cli._main_parser() is pqbbh.cli._main_parser()
+
+    def test_reused_parser_keeps_no_state(self, capsys, monkeypatch):
+        reused = [run(argv, capsys) for argv in self.CALLS]
+        monkeypatch.setattr(pqbbh.cli, "_main_parser", build_parser)
+        fresh = [run(argv, capsys) for argv in self.CALLS]
+        assert reused == fresh  # exit codes, stdout and stderr, byte for byte
+        assert [code for code, _, _ in reused] == [0, 2, 2, 0, 2, 0, 0]
+        assert reused[0][1].startswith("usage: pqbbh")
+        assert "not allowed with argument --fn" in reused[1][2]
+        assert reused[4] == reused[1]
+        assert "the following arguments are required: --q" in reused[2][2]
+        stancu_meta = json.loads(reused[3][1])["meta"]
+        assert (stancu_meta["gamma"], stancu_meta["beta"]) == (0.5, 1.5)
+        assert reused[5] == (0, GOLDEN_EVAL, "")
+        meta = json.loads(reused[6][1])["meta"]
+        assert meta["gamma"] is None and meta["beta"] is None
+        assert reused[6] == (0, GOLDEN_EVAL_JSON, "")
 
 
 class TestOutputFile:

@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pqbbh.expressions import (
+    FUNCTIONS,
     MAX_DEPTH,
     Binary,
     Call,
@@ -17,6 +20,7 @@ from pqbbh.expressions import (
     format_expression,
     parse_expression,
 )
+from oracles import walk_expression
 
 
 def ev(text, t=0.0):
@@ -120,6 +124,20 @@ class TestSyntaxErrors:
             parse_expression("1 + $")
         assert err.value.offset == 4
 
+    @pytest.mark.parametrize(
+        "text,literal,offset", [("1e400*t", "1e400", 0), ("t+2e308", "2e308", 2)]
+    )
+    def test_literal_beyond_the_doubles(self, text, literal, offset):
+        # it would print as "inf", which does not parse again
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_expression(text)
+        assert str(err.value) == f"number {literal!r} is out of range at offset {offset}"
+        assert err.value.offset == offset
+
+    def test_largest_double_literal_parses(self):
+        ast = parse_expression("1.7976931348623157e308*t")
+        assert parse_expression(format_expression(ast)) == ast
+
     def test_too_deeply_nested(self):
         with pytest.raises(ExpressionSyntaxError, match="nested too deeply"):
             parse_expression("(" * 2000 + "t" + ")" * 2000)
@@ -206,3 +224,58 @@ class TestRoundTrip:
     def test_as_function(self):
         f = as_function(parse_expression("t^2+1"))
         assert f(3.0) == 10.0
+
+
+# -- compiled closures against the tree walk, bit for bit ---------------------
+
+literals = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, -1.0, -8.0, 710.0, 1e308, 5e-324]),
+    st.floats(),
+)
+
+
+def expression_trees(depth):
+    """ASTs at most ``depth`` + 1 levels deep over every operator and function."""
+    leaf = st.one_of(st.builds(Number, literals), st.just(Variable()))
+    if depth == 0:
+        return leaf
+    child = expression_trees(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Negate, child),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), child),
+        st.builds(Binary, st.sampled_from(["+", "-", "*", "/", "^"]), child, child),
+    )
+
+
+def outcome(f, t):
+    """("value", hex of the double) or (error type, message)."""
+    try:
+        value = f(t)
+    except Exception as exc:  # noqa: BLE001 -- any error must match the walk's
+        return type(exc), str(exc)
+    return "value", type(value), float.hex(value)
+
+
+THIRD = Binary("/", Number(1.0), Number(3.0))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    ast=expression_trees(7),
+    t=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -8.0, 1000.0]), st.floats()),
+)
+@example(ast=Call("log", Negate(Variable())), t=1.0)
+@example(ast=Call("sqrt", Binary("-", Variable(), Number(1.0))), t=0.0)
+@example(ast=Binary("/", Number(1.0), Binary("-", Variable(), Variable())), t=2.0)
+@example(ast=Binary("^", Number(-8.0), THIRD), t=0.0)
+@example(ast=Binary("^", Variable(), THIRD), t=-8.0)
+@example(ast=Call("exp", Variable()), t=1000.0)
+@example(ast=Binary("*", Variable(), Number(1e308)), t=10.0)
+@example(ast=Variable(), t=math.inf)
+@example(ast=Variable(), t=-math.inf)
+@example(ast=Variable(), t=math.nan)
+def test_compiled_expressions_match_the_tree_walk(ast, t):
+    want = outcome(lambda t: walk_expression(ast, t), t)
+    assert outcome(as_function(ast), t) == want
+    assert outcome(lambda t: eval_expression(ast, t), t) == want

@@ -30,10 +30,12 @@ from pqbbh import (
 )
 from pqbbh.cli import main
 from pqbbh.functions import REGISTRY
+from pqbbh.operators import _Kernel
 from oracles import (
     brute_operator,
     q_bbh_evaluate,
     q_bbh_moment,
+    sequential_nodes,
     sequential_sum,
     sequential_weights,
 )
@@ -193,6 +195,49 @@ def test_weights_match_the_sequential_loop(n, p, r, x):
         outcome(lambda: weights(spec, x).weights),
         outcome(lambda: sequential_weights(n, p, q, x)),
     )
+
+
+NODE_EXAMPLES = (
+    (1, 1.0, 5e-324, None),  # the last node overflows
+    (1300, 0.541, 0.499, None),  # the denominator q [1300] underflows to 0
+    (1152, 0.5239484487080236, 0.5239484487080236, None),  # not increasing
+    (3, 0.9, 0.5, (-0.5, 0.0)),  # negative shifted nodes
+    (2, 1.0, 1e-200, (-1.0, 0.0)),  # 0/0 at the last shifted node
+)
+
+
+def with_node_examples(test):
+    for n, p, q, shift in NODE_EXAMPLES:
+        test = example(n=n, p=p, r=q / p, shift=shift)(test)
+    return test
+
+
+@property_settings(150)
+@given(
+    n=st.integers(1, 1500),
+    p=box_p,
+    r=box_r,
+    shift=st.none() | st.tuples(st.floats(-3.0, 3.0), st.just(0.0) | st.floats(0.0, 3.0)),
+)
+@with_node_examples
+def test_nodes_match_the_sequential_loop(n, p, r, shift):
+    q = p * r
+    if q == 0.0:
+        return
+    spec = OperatorSpec(n, PqParams(p, q), None if shift is None else StancuShift(*shift))
+
+    def build():
+        table = _Kernel(spec).nodes()
+        return table.values, table.negative
+
+    (got, error), (want, want_error) = outcome(build), outcome(
+        lambda: sequential_nodes(n, p, q, shift))
+    if want_error is None:
+        assert error is None, error
+        assert [v.hex() for v in got[0]] == [v.hex() for v in want[0]]
+        assert got[1] == want[1]
+    else:
+        assert (type(error), str(error)) == (type(want_error), str(want_error))
 
 
 @property_settings(80)
