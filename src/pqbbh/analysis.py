@@ -177,41 +177,35 @@ def _base_only(spec: OperatorSpec, what: str) -> None:
         raise ValueError(f"{what} is defined for the base variant only")
 
 
-def _divisor(spec: OperatorSpec, ints: list[float], nu: int) -> float:
-    """[n+1]^nu, the divisor of the order-nu closed forms; DomainError once it is subnormal.
-
-    [n+1] shrinks like p^n, and quotients over a subnormal divisor have lost
-    their digits long before the divisor reaches zero.
-    """
-    den = ints[spec.n + 1] ** nu
-    if den < sys.float_info.min:
-        p, q = spec.params.p, spec.params.q
-        raise DomainError(
-            f"[n+1]^{nu} = {den!r} underflows below the smallest normal double "
-            f"at n={spec.n}, p={p}, q={q}"
-        )
-    return den
-
-
 class _ClosedForms:
-    """x-free terms of one spec's closed moments up to order nu (1 or 2).
+    """x-free quantities of one spec's closed forms up to order nu (1 or 2).
 
-    p[n]/[n+1] always; p^2 q^2 [n][n-1]/[n+1]^2 and p^(n+1) [n]/[n+1]^2 only
-    for nu = 2, since [n+1]^2 underflows long before [n+1] does.  ints is
-    [0]..[n+1], built here unless a caller already holds the table.
+    ints is [0]..[n+1] (built here unless the caller holds it) and den is
+    [n+1]^nu; DomainError once den is subnormal, as [n+1] shrinks like p^n
+    and quotients over it have lost their digits.  delta_n is the sum of two
+    nonnegative terms, exact by [n+1] = p[n] + q^n and (p-q)[n-1] = p^(n-1) - q^(n-1):
+
+        (u q^n/[n+1])^2 + u p^2 [n] (p^n + q^n x) / ([n+1]^2 (p + qx)(1 + x))
     """
 
     def __init__(self, spec: OperatorSpec, nu: int = 2, ints: list[float] | None = None) -> None:
         n = spec.n
         self.nu = nu
         self.p, self.q = p, q = spec.params.p, spec.params.q
-        if ints is None:
-            ints = pq_integers(n + 1, spec.params)
-        den = _divisor(spec, ints, nu)
+        self.ints = ints = pq_integers(n + 1, spec.params) if ints is None else ints
+        self.den = den = ints[n + 1] ** nu
+        if den < sys.float_info.min:
+            raise DomainError(
+                f"[n+1]^{nu} = {den!r} underflows below the smallest normal double "
+                f"at n={n}, p={p}, q={q}"
+            )
         self.first = p * ints[n] / ints[n + 1]
         if nu == 2:
             self.second = p * p * q * q * ints[n] * ints[n - 1] / den
             self.tail = p ** (n + 1) * ints[n] / den
+            self.pn, self.qn = p**n, q**n
+            self.lead = self.qn / ints[n + 1]
+            self.spread = p * p * ints[n] / den
 
     def moment(self, x: float) -> float:
         u = x / (1.0 + x)
@@ -221,8 +215,10 @@ class _ClosedForms:
 
     def delta(self, x: float) -> float:
         u = x / (1.0 + x)
-        ratio = self.second * (1.0 + x) / (self.p + self.q * x)
-        return u * u * (ratio - 2.0 * self.first + 1.0) + self.tail * u
+        # (p^n + q^n x)/(p + qx) <= 1 first, so no product overflows for any finite x
+        ratio = (self.pn + self.qn * x) / (self.p + self.q * x)
+        a = u * self.lead
+        return a * a + u * self.spread * ratio / (1.0 + x)
 
 
 def _check_moment(spec: OperatorSpec, nu: int) -> None:
@@ -252,7 +248,7 @@ def delta_n(spec: OperatorSpec, x: float) -> float:
     """Centered second kernel moment in the half-line metric (the rate quantity).
 
     Equals M2(x) - 2u M1(x) + u^2 with u = x/(1+x) and M_nu the closed
-    moments; nonnegative up to roundoff (order 1e-16 dips are possible).
+    moments; nonnegative: a sum of two nonnegative terms (see _ClosedForms).
 
     Raises:
         DomainError: if [n+1]^2 underflows (small p, large n).
@@ -372,8 +368,7 @@ def rate_bound_check(
     h = u_max / (_MODULUS_POINTS - 1)
     kernel = _Kernel(spec)
     forms = _ClosedForms(spec, ints=kernel.ints)
-    deltas = [math.sqrt(max(forms.delta(x), 0.0)) for x in grid.xs]
-    widths = [_window_width(d, h, _MODULUS_POINTS) if d > 0 else 0 for d in deltas]
+    widths = [_window_width(math.sqrt(forms.delta(x)), h, _MODULUS_POINTS) for x in grid.xs]
     w_top = max(widths)
     g = _transformed_samples(f, u_max, _MODULUS_POINTS)
     table = _window_ranges(g, w_top)
@@ -411,7 +406,7 @@ def lipschitz_bound(spec: OperatorSpec, cls: LipschitzClass, x: float) -> float:
     """
     _base_only(spec, "lipschitz_bound")
     d = distance_to_set(x, cls.E)
-    dn = max(delta_n(spec, x), 0.0)
+    dn = delta_n(spec, x)
     return cls.M * (dn ** (0.5 * cls.alpha) + 2.0 * d ** cls.alpha)
 
 
@@ -476,8 +471,8 @@ def stancu_bound_report(
     n = spec.n
     p, q = spec.params.p, spec.params.q
     gamma, beta = spec.stancu.gamma, spec.stancu.beta
-    ints = pq_integers(n + 1, spec.params)
-    den2 = _divisor(spec, ints, 2)
+    forms = _ClosedForms(spec)
+    ints = forms.ints
     c_n = ints[n + 1] + beta
     den = c_n + gamma
     if den <= 0:
@@ -493,8 +488,8 @@ def stancu_bound_report(
         term1 = (ints[n] / den) * (gamma / ints[n])
     else:
         term1 = (ints[n] / den) ** alpha * (gamma / ints[n]) ** alpha
-    term2 = abs(1.0 - ints[n + 1] / den) ** alpha * (p * ints[n] / ints[n + 1]) ** alpha
-    term3 = 1.0 - 2.0 * p * ints[n] / ints[n + 1] + q * ints[n] * ints[n - 1] / den2
+    term2 = abs(1.0 - ints[n + 1] / den) ** alpha * forms.first ** alpha
+    term3 = 1.0 - 2.0 * p * ints[n] / ints[n + 1] + q * ints[n] * ints[n - 1] / forms.den
     max_term = max(term1, term2, term3)
     return StancuBoundReport(
         terms=(term1, term2, term3),

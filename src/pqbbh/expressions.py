@@ -11,9 +11,11 @@ Grammar (EBNF):
 
 "^" is right associative and binds tighter than unary minus; NUMBER is a
 decimal literal with an optional exponent that must round to a finite
-double.  A parsed tree may be at most MAX_DEPTH nodes deep (a sum of k terms
-is k deep), so that compiling, evaluating and printing it, which recurse
-once per level, stay far inside Python's recursion limit.
+double, and to a nonzero one unless its digits before the exponent are all
+zero (so 0e5 and the subnormal 1e-320 parse, 1e-400 does not).  A parsed
+tree may be at most MAX_DEPTH nodes deep (a sum of k terms is k deep), so
+that compiling, evaluating and printing it, which recurse once per level,
+stay far inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -93,6 +95,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
 )
+_NONZERO_MANTISSA = re.compile(r"[^eE]*[1-9]")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -171,8 +174,9 @@ class _Parser:
         kind, text, offset = self.take()
         if kind == "num":
             value = float(text)
-            if not isfinite(value):
-                # inf would print as an identifier and fail only when evaluated
+            # inf would print as an identifier and fail only when evaluated;
+            # a nonzero literal read as 0.0 would be a zero the user never typed
+            if not isfinite(value) or (value == 0.0 and _NONZERO_MANTISSA.match(text)):
                 raise ExpressionSyntaxError(f"number {text!r} is out of range", offset)
             return Number(value)
         if kind == "ident":

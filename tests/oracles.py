@@ -6,8 +6,11 @@ code path with the implementation under test.  The exceptions are frozen
 copies of code that was replaced by a faster form, kept so the new form can
 be held to it bit for bit: ``sequential_weights`` and ``sequential_nodes``
 (the scalar kernel loops) and ``walk_expression`` (the expression tree walk).
+The ``mp_*`` oracles take the closed forms to 60 significant digits with
+mpmath, so they pin the double-precision forms to a relative error.
 """
 
+import functools
 import math
 
 from pqbbh import DomainError
@@ -128,6 +131,67 @@ def q_bbh_moment(nu: int, n: int, q: float, x: float) -> float:
     return (
         q * q * qint(n) * qint(n - 1) / qint(n + 1) ** 2 * u * x / (1.0 + q * x)
         + qint(n) / qint(n + 1) ** 2 * u
+    )
+
+
+MP_DIGITS = 60
+
+
+def _mp():
+    # imported on first use: bench/child.py loads this module for its brute
+    # oracles, and mpmath would add about 3 MB to the benchmark's peak RSS
+    from mpmath import mp
+
+    return mp
+
+
+@functools.lru_cache(maxsize=4)
+def mp_integers(m: int, p: float, q: float) -> tuple:
+    """[0]..[m] as mpf from (p^k - q^k)/(p - q), or k p^(k-1) on the diagonal q = p.
+
+    The entries carry MP_DIGITS digits; arithmetic on them keeps that only
+    inside ``mp.workdps(MP_DIGITS)``.
+    """
+    mp = _mp()
+    with mp.workdps(MP_DIGITS):
+        p, q = mp.mpf(p), mp.mpf(q)
+        ints = [mp.zero]
+        pk, qk = mp.one, mp.one  # p^(k-1), q^(k-1)
+        for k in range(1, m + 1):
+            ints.append(k * pk if p == q else (pk * p - qk * q) / (p - q))
+            pk, qk = pk * p, qk * q
+        return tuple(ints)
+
+
+def mp_closed_moment(nu: int, n: int, p: float, q: float, x: float) -> float:
+    """The closed moments M1 = p[n]/[n+1] u and
+    M2 = p^2 q^2 [n][n-1]/[n+1]^2 u x/(p + qx) + p^(n+1) [n]/[n+1]^2 u, u = x/(1+x),
+    evaluated at MP_DIGITS digits and rounded once to a double."""
+    mp = _mp()
+    with mp.workdps(MP_DIGITS):
+        return float(_mp_moment(nu, n, p, q, x, mp_integers(n + 1, p, q)))
+
+
+def mp_delta(n: int, p: float, q: float, x: float) -> float:
+    """delta_n = M2 - 2u M1 + u^2 in the cancelling form, at MP_DIGITS digits."""
+    mp = _mp()
+    with mp.workdps(MP_DIGITS):
+        ints = mp_integers(n + 1, p, q)
+        u = mp.mpf(x) / (1 + mp.mpf(x))
+        m1 = _mp_moment(1, n, p, q, x, ints)
+        m2 = _mp_moment(2, n, p, q, x, ints)
+        return float(m2 - 2 * u * m1 + u * u)
+
+
+def _mp_moment(nu, n, p, q, x, ints):
+    mp = _mp()
+    p, q, x = mp.mpf(p), mp.mpf(q), mp.mpf(x)
+    u = x / (1 + x)
+    if nu == 1:
+        return p * ints[n] / ints[n + 1] * u
+    return (
+        p**2 * q**2 * ints[n] * ints[n - 1] / ints[n + 1] ** 2 * u * x / (p + q * x)
+        + p ** (n + 1) * ints[n] / ints[n + 1] ** 2 * u
     )
 
 

@@ -311,6 +311,16 @@ class TestExitCodes:
         assert out == ""
         assert err == "pqbbh: number '1e400' is out of range at offset 0\n"
 
+    @pytest.mark.parametrize("fn,offset", [("1/1e-400", 2), ("1e-400+t", 0)])
+    def test_literal_below_the_doubles_is_two(self, capsys, fn, offset):
+        # was exit 3, "division by zero in '1.0/0.0'", and 0.75 for 1e-400+t
+        code, out, err = run(
+            ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", fn, "--x", "1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"pqbbh: number '1e-400' is out of range at offset {offset}\n"
+
     def test_long_flat_sum_is_two(self, capsys):
         code, out, err = run(
             ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "+".join(["t"] * 5000),

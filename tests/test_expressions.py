@@ -134,6 +134,22 @@ class TestSyntaxErrors:
         assert str(err.value) == f"number {literal!r} is out of range at offset {offset}"
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize(
+        "text,literal,offset", [("1/1e-400", "1e-400", 2), ("0.0001e-320+t", "0.0001e-320", 0)]
+    )
+    def test_literal_below_the_doubles(self, text, literal, offset):
+        # it would read as 0.0, a zero the user never typed
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_expression(text)
+        assert str(err.value) == f"number {literal!r} is out of range at offset {offset}"
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("text,value", [("1e-320", 1e-320), ("0e5", 0.0), ("0.000e-400", 0.0)])
+    def test_subnormal_and_zero_literals_parse(self, text, value):
+        ast = parse_expression(text)
+        assert ast == Number(value)
+        assert parse_expression(format_expression(ast)) == ast
+
     def test_largest_double_literal_parses(self):
         ast = parse_expression("1.7976931348623157e308*t")
         assert parse_expression(format_expression(ast)) == ast

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import sys
 
 from hypothesis import example, given, settings
@@ -33,6 +34,8 @@ from pqbbh.functions import REGISTRY
 from pqbbh.operators import _Kernel
 from oracles import (
     brute_operator,
+    mp_closed_moment,
+    mp_delta,
     q_bbh_evaluate,
     q_bbh_moment,
     sequential_nodes,
@@ -123,6 +126,66 @@ def test_closed_moment_oracle_matches_the_brute_q_operator():
         for nu in (1, 2):
             brute = q_bbh_evaluate(lambda t: (t / (1.0 + t)) ** nu, n, r, x)
             assert close(q_bbh_moment(nu, n, r, x), brute, 1e-13)
+
+
+UNDERFLOW = r"\[n\+1\]\^{nu} = .* underflows"
+
+
+@property_settings(300)
+@given(
+    n=st.integers(1, 1500),
+    p=unit,
+    q=unit,
+    x=st.one_of(points, st.floats(0.0, sys.float_info.max)),
+)
+@example(n=356, p=0.777048877899136, q=0.13826737061664626, x=99025083.52588241)
+@example(n=536, p=0.7444024607996318, q=0.6471573367038083, x=sys.float_info.max)
+def test_delta_is_finite_and_nonnegative(n, p, q, x):
+    # the old cancelling form gave -8.9e-16 and -2.2e-16 at the two examples
+    p, q = max(p, q), min(p, q)
+    try:
+        got = delta_n(OperatorSpec(n, PqParams(p, q)), x)
+    except DomainError as err:
+        assert re.match(UNDERFLOW.format(nu=2), str(err))
+        return
+    assert math.isfinite(got) and got >= 0.0
+
+
+MP_TOL = 1e-13
+
+
+@property_settings(150)
+@given(
+    n=st.integers(1, 1500),
+    p=st.floats(0.3, 1.0),
+    r=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+    x=st.floats(1e-6, 1e6),
+)
+@example(n=586, p=0.92182, r=0.90267 / 0.92182, x=9.1e5)
+def test_closed_forms_match_the_mpmath_oracles(n, p, r, x):
+    # the cancelling delta_n form was off by 2.3e-3 relative at the example
+    q = p * r
+    spec = OperatorSpec(n, PqParams(p, q))
+    checks = (
+        (1, lambda: moment_closed(spec, 1, x), lambda: mp_closed_moment(1, n, p, q, x)),
+        (2, lambda: moment_closed(spec, 2, x), lambda: mp_closed_moment(2, n, p, q, x)),
+        (2, lambda: delta_n(spec, x), lambda: mp_delta(n, p, q, x)),
+    )
+    for nu, compute, oracle in checks:
+        try:
+            got = compute()
+        except DomainError as err:
+            assert re.match(UNDERFLOW.format(nu=nu), str(err))
+            continue
+        want = oracle()
+        assert abs(got - want) <= MP_TOL * want
+
+
+def test_mp_closed_moments_match_the_brute_operator():
+    for n, p, q, x in ((1, 0.5, 0.25, 2.0), (7, 0.9, 0.3, 0.4), (12, 0.7, 0.7, 3.0)):
+        for nu in (1, 2):
+            brute = brute_operator(lambda t: (t / (1.0 + t)) ** nu, n, p, q, x)
+            assert close(mp_closed_moment(nu, n, p, q, x), brute, 1e-13)
 
 
 # -- the kernel against its scalar loop, bit for bit --------------------------
