@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .operators import OperatorSpec, RealFunction, weights
-from .operators import _Kernel, _sample, _weighted_sum
+from .operators import _Kernel, _sample, _variant, _weighted_sum
 from .pq_core import DomainError, PqParams, pq_integers
 
 
@@ -172,11 +172,6 @@ class ConvergenceReport:
     rows: tuple[ConvergenceRow, ...]
 
 
-def _base_only(spec: OperatorSpec, what: str) -> None:
-    if spec.stancu is not None:
-        raise ValueError(f"{what} is defined for the base variant only")
-
-
 class _ClosedForms:
     """x-free quantities of one spec's closed forms up to order nu (1 or 2).
 
@@ -221,8 +216,8 @@ class _ClosedForms:
         return a * a + u * self.spread * ratio / (1.0 + x)
 
 
-def _check_moment(spec: OperatorSpec, nu: int) -> None:
-    _base_only(spec, "moment_closed")
+def _check_moment(spec: OperatorSpec, nu: int, what: str) -> None:
+    _variant(spec, False, what)
     if nu not in (0, 1, 2):
         raise ValueError(f"nu must be 0, 1 or 2, got {nu!r}")
 
@@ -236,7 +231,7 @@ def moment_closed(spec: OperatorSpec, nu: int, x: float) -> float:
     Raises:
         DomainError: if [n+1]^nu underflows (small p, large n).
     """
-    _check_moment(spec, nu)
+    _check_moment(spec, nu, "moment_closed")
     if not math.isfinite(x) or x < 0:
         raise DomainError(f"x must be finite and >= 0, got {x!r}")
     if nu == 0:
@@ -253,7 +248,7 @@ def delta_n(spec: OperatorSpec, x: float) -> float:
     Raises:
         DomainError: if [n+1]^2 underflows (small p, large n).
     """
-    _base_only(spec, "delta_n")
+    _variant(spec, False, "delta_n")
     if not math.isfinite(x) or x < 0:
         raise DomainError(f"x must be finite and >= 0, got {x!r}")
     return _ClosedForms(spec).delta(x)
@@ -266,7 +261,7 @@ def korovkin_discrepancy(spec: OperatorSpec, nu: int, grid: GridSpec) -> float:
     convergence statement; it saturates as the grid refines because the
     integrand factors through x/(1+x).
     """
-    _check_moment(spec, nu)
+    _check_moment(spec, nu, "korovkin_discrepancy")
     if nu == 0:
         return 0.0  # M_0 = 1 = u^0 at every x
     forms = _ClosedForms(spec, nu)
@@ -275,7 +270,7 @@ def korovkin_discrepancy(spec: OperatorSpec, nu: int, grid: GridSpec) -> float:
 
 def sup_delta(spec: OperatorSpec, grid: GridSpec) -> float:
     """Max of delta_n over the grid."""
-    _base_only(spec, "delta_n")
+    _variant(spec, False, "sup_delta")
     return max(map(_ClosedForms(spec).delta, grid.xs))
 
 
@@ -363,7 +358,7 @@ def rate_bound_check(
     The modulus is tabulated once on the refined transformed grid and read
     off per point; the slack absorbs the grid estimate's downward bias.
     """
-    _base_only(spec, "rate_bound_check")
+    _variant(spec, False, "rate_bound_check")
     u_max = grid.u_max
     h = u_max / (_MODULUS_POINTS - 1)
     kernel = _Kernel(spec)
@@ -404,7 +399,7 @@ def lipschitz_bound(spec: OperatorSpec, cls: LipschitzClass, x: float) -> float:
     With E the whole half line the distance term vanishes and the bound
     reduces to M delta_n^(alpha/2).
     """
-    _base_only(spec, "lipschitz_bound")
+    _variant(spec, False, "lipschitz_bound")
     d = distance_to_set(x, cls.E)
     dn = delta_n(spec, x)
     return cls.M * (dn ** (0.5 * cls.alpha) + 2.0 * d ** cls.alpha)
@@ -462,8 +457,7 @@ def stancu_bound_report(
         DomainError: if [n+1]^2 underflows, c_n + gamma is nonpositive, or
             gamma < 0 makes the first term's fractional power undefined.
     """
-    if spec.stancu is None:
-        raise ValueError("stancu_bound requires a spec with a StancuShift")
+    _variant(spec, True, "stancu_bound_report")
     if not m_const > 0:
         raise ValueError(f"M must be positive, got {m_const!r}")
     if not 0.0 < alpha <= 1.0:
@@ -501,4 +495,5 @@ def stancu_bound_report(
 
 def stancu_bound(spec: OperatorSpec, m_const: float, alpha: float) -> float:
     """The bound value alone; see stancu_bound_report for the term breakdown."""
+    _variant(spec, True, "stancu_bound")
     return stancu_bound_report(spec, m_const, alpha).bound

@@ -25,7 +25,7 @@ from .analysis import (
     rate_bound_check,
     stancu_bound_report,
 )
-from .expressions import ExpressionSyntaxError, as_function, parse_expression
+from .expressions import as_function, parse_expression
 from .functions import registry_function
 from .operators import OperatorSpec, StancuShift, _representation, evaluate
 from .pq_core import DomainError, PqParams
@@ -84,11 +84,8 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_format(parser: argparse.ArgumentParser, default: str | None = "csv") -> None:
-    parser.add_argument("--format", choices=["csv", "json"], default=default)
-
-
-def _add_output(parser: argparse.ArgumentParser) -> None:
+def _add_output_args(parser: argparse.ArgumentParser, format_default: str | None = "csv") -> None:
+    parser.add_argument("--format", choices=["csv", "json"], default=format_default)
     parser.add_argument("--output", default="-", help="output path, '-' for stdout")
 
 
@@ -118,15 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_finite_float, default=None)
     _add_function_args(p)
     p.add_argument("--x", type=_finite_float, required=True)
-    _add_format(p, default=None)  # bare value unless a format is requested
-    _add_output(p)
+    _add_output_args(p, format_default=None)  # bare value unless a format is requested
 
     p = sub.add_parser("moments", help="closed-form and brute-force moments side by side")
     _add_operator_args(p)
     p.add_argument("--nu", type=int, choices=[0, 1, 2], required=True)
     p.add_argument("--x", type=_finite_float, required=True)
-    _add_format(p)
-    _add_output(p)
+    _add_output_args(p)
 
     p = sub.add_parser("converge", help="Korovkin discrepancies along a schedule")
     p.add_argument("--schedule", required=True, help="harmonic:A,B")
@@ -134,22 +129,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=int, choices=[0, 1, 2], required=True)
     p.add_argument("--x-max", type=_finite_float, default=50.0)
     p.add_argument("--points", type=int, default=2001)
-    _add_format(p)
-    _add_output(p)
+    _add_output_args(p)
 
     p = sub.add_parser("rate", help="per-point rate-bound check on the default grid")
     p.add_argument("--schedule", required=True, help="harmonic:A,B")
     p.add_argument("--n", type=int, required=True)
     _add_function_args(p)
-    _add_format(p)
-    _add_output(p)
+    _add_output_args(p)
 
     p = sub.add_parser("represent", help="divided-difference representation check")
     _add_operator_args(p)
     _add_function_args(p)
     p.add_argument("--x", type=_finite_float, required=True)
-    _add_format(p)
-    _add_output(p)
+    _add_output_args(p)
 
     p = sub.add_parser("stancu-bound", help="verbatim three-term bound for the shifted variant")
     _add_operator_args(p)
@@ -157,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_finite_float, required=True)
     p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--m", type=_finite_float, required=True)
-    _add_format(p)
-    _add_output(p)
+    _add_output_args(p)
 
     return parser
 
@@ -306,14 +297,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         text = _COMMANDS[args.command](args)
-    except ExpressionSyntaxError as exc:
-        print(f"pqbbh: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DomainError, ArithmeticError) as exc:
         print(f"pqbbh: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ValueError, TypeError) as exc:
         print(f"pqbbh: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # raised without a message of its own
+        print("pqbbh: not enough memory: the degree or grid is too large", file=sys.stderr)
         return EXIT_USAGE
     try:
         _write(args.output, text)

@@ -128,49 +128,47 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str, expected: tuple[str, ...]) -> None:
-        kind, text, offset = self.peek()
-        if kind == "op" and text == op:
-            self.take()
-            return
-        raise ExpressionSyntaxError(f"unexpected {text or 'end of input'!r}", offset, expected)
+    def accept(self, ops: str) -> str | None:
+        """Takes the next token if it is one of the operator characters ops, returning it."""
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "op" and text in ops:
+            self.pos += 1
+            return text
+        return None
+
+    def expect_op(self, op: str) -> None:
+        if not self.accept(op):
+            _, text, offset = self.peek()
+            raise ExpressionSyntaxError(f"unexpected {text or 'end of input'!r}", offset, (op,))
 
     def expr(self) -> ExprAst:
         node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.take()
-                node = Binary(text, node, self.term())
-            else:
-                return node
+        while op := self.accept("+-"):
+            node = Binary(op, node, self.term())
+        return node
 
     def term(self) -> ExprAst:
         node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.take()
-                node = Binary(text, node, self.factor())
-            else:
-                return node
+        while op := self.accept("*/"):
+            node = Binary(op, node, self.factor())
+        return node
 
     def factor(self) -> ExprAst:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.take()
+        if self.accept("-"):
             return Negate(self.power())
         return self.power()
 
     def power(self) -> ExprAst:
         node = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.take()
+        if self.accept("^"):
             return Binary("^", node, self.factor())
         return node
 
     def atom(self) -> ExprAst:
+        if self.accept("("):
+            node = self.expr()
+            self.expect_op(")")
+            return node
         kind, text, offset = self.take()
         if kind == "num":
             value = float(text)
@@ -183,15 +181,11 @@ class _Parser:
             if text == "t":
                 return Variable()
             if text in FUNCTIONS:
-                self.expect_op("(", ("(",))
+                self.expect_op("(")
                 arg = self.expr()
-                self.expect_op(")", (")",))
+                self.expect_op(")")
                 return Call(text, arg)
             raise ExpressionSyntaxError(f"unknown identifier {text!r}", offset)
-        if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")", (")",))
-            return node
         raise ExpressionSyntaxError(
             f"unexpected {text or 'end of input'!r}",
             offset,

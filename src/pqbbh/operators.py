@@ -218,13 +218,19 @@ class _Kernel:
         return f"{msg}: ratio {cause} is subnormal at k={k} (p={self.p}, q={self.q})"
 
 
+def _variant(spec: OperatorSpec, shifted: bool, what: str) -> None:
+    """Refuses a spec of the other variant, naming the public function called."""
+    if (spec.stancu is not None) != shifted:
+        need = "a spec with a StancuShift" if shifted else "a base-variant spec"
+        raise ValueError(f"{what}() requires {need}")
+
+
 def nodes(spec: OperatorSpec) -> NodeTable:
     """Base-variant nodes t_{n,k} = p^(n-k+1) [k] / ([n-k+1] q^k).
 
     The table starts at 0 and is strictly increasing in k.
     """
-    if spec.stancu is not None:
-        raise ValueError("nodes() serves the base variant; use stancu_nodes()")
+    _variant(spec, False, "nodes")
     return _Kernel(spec).nodes()
 
 
@@ -235,8 +241,7 @@ def stancu_nodes(spec: OperatorSpec) -> NodeTable:
     = [n+1] + beta for every k.  Nodes driven below zero by a negative
     gamma are reported through ``NodeTable.negative``.
     """
-    if spec.stancu is None:
-        raise ValueError("stancu_nodes() requires a spec with a StancuShift")
+    _variant(spec, True, "stancu_nodes")
     return _Kernel(spec).nodes()
 
 
@@ -297,8 +302,7 @@ def evaluate(spec: OperatorSpec, f: RealFunction, x: float) -> float:
 
 def evaluate_stancu(spec: OperatorSpec, f: RealFunction, x: float) -> float:
     """Stancu-variant evaluation, split out so both variants compare side by side."""
-    if spec.stancu is None:
-        raise ValueError("evaluate_stancu() requires a spec with a StancuShift")
+    _variant(spec, True, "evaluate_stancu")
     return evaluate(spec, f, x)
 
 
@@ -362,8 +366,7 @@ def _representation(spec: OperatorSpec, f: RealFunction, x: float) -> tuple[floa
     One kernel and one sample of f per point serve both sides.  Every check
     on spec and x comes before f is first called, at the pivot.
     """
-    if spec.stancu is not None:
-        raise ValueError("representation_rhs() serves the base variant only")
+    _variant(spec, False, "representation_rhs")
     if not math.isfinite(x) or x <= 0:
         raise DomainError(f"requires x > 0, got {x!r}")
     kernel = _Kernel(spec)
@@ -395,10 +398,11 @@ def _rhs(
     """(px/q) (sum_k dd2_k gap_k w_k - dd1 w_n) from the nodes t and the samples of f."""
     n = kernel.spec.n
     ints, ppow, qpow = kernel.ints, kernel.ppow, kernel.qpow
-    w = w.tolist()
-    acc = 0.0
-    for k in range(n):
-        gap = ppow[n - k] * ints[n + 1] / (ints[n - k] * ints[n - k + 1] * qpow[k + 1])
-        acc += _dd2(pivot, t[k], t[k + 1], fp, ft[k], ft[k + 1]) * gap * w[k]
-    acc -= _dd1(pivot, t[n], fp, ft[n]) * w[n]
-    return pivot * acc
+    terms = [
+        _dd2(pivot, t[k], t[k + 1], fp, ft[k], ft[k + 1])
+        * (ppow[n - k] * ints[n + 1] / (ints[n - k] * ints[n - k + 1] * qpow[k + 1]))
+        for k in range(n)
+    ]
+    with np.errstate(all="ignore"):  # inf and nan arise silently, as in float arithmetic
+        acc = _weighted_sum(w[:n], terms)
+    return pivot * (acc - _dd1(pivot, t[n], fp, ft[n]) * float(w[n]))

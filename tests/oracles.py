@@ -5,9 +5,11 @@ Pascal recurrences, polynomial convolution, plain binomials) so it shares no
 code path with the implementation under test.  The exceptions are frozen
 copies of code that was replaced by a faster form, kept so the new form can
 be held to it bit for bit: ``sequential_weights`` and ``sequential_nodes``
-(the scalar kernel loops) and ``walk_expression`` (the expression tree walk).
-The ``mp_*`` oracles take the closed forms to 60 significant digits with
-mpmath, so they pin the double-precision forms to a relative error.
+(the scalar kernel loops), ``sequential_rhs`` (the representation's sum) and
+``walk_expression`` (the expression tree walk).
+The ``mp_*`` oracles take the closed forms, the nodes and the weights to 60
+significant digits with mpmath, so they pin the double-precision forms to a
+relative error.
 """
 
 import functools
@@ -183,6 +185,53 @@ def mp_delta(n: int, p: float, q: float, x: float) -> float:
         return float(m2 - 2 * u * m1 + u * u)
 
 
+def mp_nodes(n: int, p: float, q: float, shift=None) -> tuple[float, ...]:
+    """Nodes (p^(n-k+1) [k] + gamma) / (q^k [n-k+1] + beta), k = 0..n, at MP_DIGITS digits.
+
+    ``shift`` is (gamma, beta) for the shifted variant; None selects the base
+    variant, gamma = beta = 0.
+    """
+    mp = _mp()
+    gamma, beta = shift if shift is not None else (0.0, 0.0)
+    with mp.workdps(MP_DIGITS):
+        ints = mp_integers(n + 1, p, q)
+        ppow, qpow = _mp_powers(p, n + 1), _mp_powers(q, n + 1)
+        gamma, beta = mp.mpf(gamma), mp.mpf(beta)
+        return tuple(
+            float((ppow[n - k + 1] * ints[k] + gamma) / (qpow[k] * ints[n - k + 1] + beta))
+            for k in range(n + 1)
+        )
+
+
+def mp_weights(n: int, p: float, q: float, x: float) -> tuple[float, ...]:
+    """Kernel weights w_0..w_n at x by the ratio recurrence at MP_DIGITS digits.
+
+    term_{k+1} = term_k q^k [n-k] x / (p^(n-1-k) [k+1]) from term_0 = 1, each
+    weight a term over their sum; mpf exponents never overflow, so no term
+    is rescaled.
+    """
+    mp = _mp()
+    with mp.workdps(MP_DIGITS):
+        ints = mp_integers(n + 1, p, q)
+        ppow, qpow = _mp_powers(p, n), _mp_powers(q, n)
+        x = mp.mpf(x)
+        terms = [mp.one]
+        for k in range(n):
+            terms.append(terms[k] * qpow[k] * ints[n - k] * x / (ppow[n - 1 - k] * ints[k + 1]))
+        total = mp.fsum(terms)
+        return tuple(float(t / total) for t in terms)
+
+
+def _mp_powers(base: float, m: int) -> list:
+    """base^0..base^m as mpf by repeated multiplication, inside the caller's workdps."""
+    mp = _mp()
+    b = mp.mpf(base)
+    out = [mp.one]
+    for _ in range(m):
+        out.append(out[-1] * b)
+    return out
+
+
 def _mp_moment(nu, n, p, q, x, ints):
     mp = _mp()
     p, q, x = mp.mpf(p), mp.mpf(q), mp.mpf(x)
@@ -293,6 +342,32 @@ def sequential_sum(weights, fvals) -> float:
     for w, v in zip(weights, fvals):
         acc += v * w
     return acc
+
+
+def sequential_rhs(f, n: int, p: float, q: float, x: float) -> float:
+    """(px/q) (sum_k dd2_k gap_k w_k - dd1 w_n), accumulated from 0.0 in ascending k.
+
+    The loop the representation's right-hand side was summed with before the
+    sum went through the kernel's weighted sum, on the scalar node, weight
+    and integer loops above; base variant, px/q clear of every node.
+    """
+    t, _ = sequential_nodes(n, p, q)
+    w = sequential_weights(n, p, q, x)
+    ints = sequential_integers(n + 1, p, q)
+    pivot = p * x / q
+    fp, ft = float(f(pivot)), [float(f(tk)) for tk in t]
+
+    def dd1(a, b, fa, fb):
+        return (fb - fa) / (b - a)
+
+    acc = 0.0
+    for k in range(n):
+        gap = p ** (n - k) * ints[n + 1] / (ints[n - k] * ints[n - k + 1] * q ** (k + 1))
+        dd2 = (dd1(t[k], t[k + 1], ft[k], ft[k + 1]) - dd1(pivot, t[k], fp, ft[k])) / (
+            t[k + 1] - pivot)
+        acc += dd2 * gap * w[k]
+    acc -= dd1(pivot, t[n], fp, ft[n]) * w[n]
+    return pivot * acc
 
 
 def walk_expression(ast, t: float) -> float:

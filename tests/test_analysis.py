@@ -19,6 +19,7 @@ from pqbbh import (
     delta_n,
     distance_to_set,
     evaluate,
+    evaluate_stancu,
     korovkin_discrepancy,
     lipschitz_bound,
     lipschitz_constant_estimate,
@@ -28,8 +29,10 @@ from pqbbh import (
     param_schedule,
     pq_integers,
     rate_bound_check,
+    representation_rhs,
     stancu_bound,
     stancu_bound_report,
+    stancu_nodes,
     sup_delta,
 )
 from pqbbh.functions import REGISTRY, bbh_metric, bbh_metric_sq
@@ -40,6 +43,37 @@ CLASSICAL = PqParams(1.0, 1.0)
 def random_params(rng, q_lo=0.05):
     q = rng.uniform(q_lo, 1.0)
     return PqParams(rng.uniform(q, 1.0), q)
+
+
+BASE = OperatorSpec(2, CLASSICAL)
+SHIFTED = OperatorSpec(2, CLASSICAL, StancuShift(1.0, 0.5))
+GRID = GridSpec((0.0, 1.0))
+EVERYWHERE = LipschitzClass(1.0, 1.0, PointSet.nonneg_reals())
+
+# every entry point that serves one variant, called with a spec of the other
+WRONG_VARIANT = {
+    "nodes": lambda: nodes(SHIFTED),
+    "stancu_nodes": lambda: stancu_nodes(BASE),
+    "evaluate_stancu": lambda: evaluate_stancu(BASE, bbh_metric, 1.0),
+    "representation_rhs": lambda: representation_rhs(SHIFTED, bbh_metric, 1.0),
+    "moment_closed": lambda: moment_closed(SHIFTED, 1, 1.0),
+    "korovkin_discrepancy": lambda: korovkin_discrepancy(SHIFTED, 1, GRID),
+    "delta_n": lambda: delta_n(SHIFTED, 1.0),
+    "sup_delta": lambda: sup_delta(SHIFTED, GRID),
+    "rate_bound_check": lambda: rate_bound_check(SHIFTED, bbh_metric, GRID),
+    "lipschitz_bound": lambda: lipschitz_bound(SHIFTED, EVERYWHERE, 1.0),
+    "stancu_bound_report": lambda: stancu_bound_report(BASE, 1.0, 1.0),
+    "stancu_bound": lambda: stancu_bound(BASE, 1.0, 1.0),
+}
+
+
+VARIANT_REFUSAL = r"^{}\(\) requires (a spec with a StancuShift|a base-variant spec)$"
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_VARIANT))
+def test_wrong_variant_names_the_function_called(name):
+    with pytest.raises(ValueError, match=VARIANT_REFUSAL.format(name)):
+        WRONG_VARIANT[name]()
 
 
 class TestSchedule:

@@ -2,6 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -214,6 +218,16 @@ class TestSchemas:
         assert rows[1][:5] == ["2", "0.9", "0.5", "0.5", "1"]
         assert rows[1][5] == "registry:exp_neg"
 
+    def test_eval_csv_leaves_the_base_shift_blank(self, capsys):
+        code, out, _ = run(
+            ["eval", "--n", "2", "--p", "0.9", "--q", "0.5", "--fn", "t", "--x", "1",
+             "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1][:6] == ["2", "0.9", "0.5", "", "", "t"]
+
     def test_registry_matches_expression(self, capsys):
         _, via_registry, _ = run(
             ["eval", "--n", "4", "--p", "0.95", "--q", "0.8", "--registry", "bbh_metric",
@@ -266,6 +280,68 @@ class TestExitCodes:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["converge", "--schedule", "harmonic:0.25", "--n-list", "4", "--nu", "1"],
+             "needs exactly two parameters"),
+            (["converge", "--schedule", "harmonic:0.25,0.5", "--n-list", "a", "--nu", "1"],
+             "bad integer list 'a'"),
+            (["converge", "--schedule", "harmonic:0.25,0.5", "--n-list", ",", "--nu", "1"],
+             "empty degree list"),
+            (["converge", "--schedule", "harmonic:0.25,0.5", "--n-list", "4", "--nu", "1",
+              "--points", "1"], "need at least 2 grid points"),
+            (["converge", "--schedule", "harmonic:0.25,0.5", "--n-list", "4", "--nu", "1",
+              "--x-max", "0"], "x_max must be positive"),
+            (["stancu-bound", "--n", "2", "--p", "1", "--q", "1", "--gamma", "1",
+              "--beta", "0", "--alpha", "1", "--m", "0"], "M must be positive"),
+        ],
+        ids=["one_schedule_parameter", "n_list_not_integers", "n_list_empty",
+             "one_grid_point", "x_max_zero", "m_zero"],
+    )
+    def test_bad_flag_value_is_two(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["moments", "--n", "3", "--p", "0.9", "--q", "0.5", "--nu", "1", "--x", "-1"],
+             "x must be finite and >= 0, got -1.0"),
+            (["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "1e308/1e-10", "--x", "1"],
+             "non-finite result in '1e+308/1e-10'"),
+        ],
+        ids=["negative_moment_point", "overflowing_expression"],
+    )
+    def test_refused_value_is_three(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert message in err
+
+    # Each request asks for far more memory than any machine has (80 GB and
+    # more), so the allocation fails at once instead of filling memory.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--n", "10000000000", "--p", "1", "--q", "1", "--fn", "t", "--x", "1"],
+            ["stancu-bound", "--n", "10000000000", "--p", "1", "--q", "1", "--gamma", "1",
+             "--beta", "0", "--alpha", "1", "--m", "1"],
+            ["converge", "--schedule", "harmonic:0.25,0.5", "--n-list", "10000000000",
+             "--nu", "1"],
+            ["converge", "--schedule", "harmonic:0.25,0.5", "--n-list", "4", "--nu", "1",
+             "--points", "100000000000"],
+        ],
+        ids=["eval_degree", "stancu_bound_degree", "converge_degree", "converge_points"],
+    )
+    def test_request_too_large_for_memory_is_two(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "pqbbh: not enough memory: the degree or grid is too large\n"
 
     def test_unknown_registry_is_two(self, capsys):
         code, _, err = run(
@@ -405,6 +481,23 @@ class TestExitCodes:
         )
         assert code == 4
         assert "cannot write" in err
+
+    def test_broken_stdout_pipe_is_four(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader, so the first write fails with EPIPE
+        src = str(pathlib.Path(pqbbh.cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pqbbh.cli", "eval", "--n", "2", "--p", "1",
+                 "--q", "1", "--fn", "t", "--x", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 4
+        assert proc.stderr == b""
 
 
 class TestParserReuse:
