@@ -7,9 +7,9 @@ copies of code that was replaced by a faster form, kept so the new form can
 be held to it bit for bit: ``sequential_weights`` and ``sequential_nodes``
 (the scalar kernel loops), ``sequential_rhs`` (the representation's sum) and
 ``walk_expression`` (the expression tree walk).
-The ``mp_*`` oracles take the closed forms, the nodes and the weights to 60
-significant digits with mpmath, so they pin the double-precision forms to a
-relative error.
+The ``mp_*`` oracles take the closed forms, the nodes, the weights and the
+rate lhs to 60 significant digits with mpmath, so they pin the
+double-precision forms to an error bound.
 """
 
 import functools
@@ -192,15 +192,8 @@ def mp_nodes(n: int, p: float, q: float, shift=None) -> tuple[float, ...]:
     variant, gamma = beta = 0.
     """
     mp = _mp()
-    gamma, beta = shift if shift is not None else (0.0, 0.0)
     with mp.workdps(MP_DIGITS):
-        ints = mp_integers(n + 1, p, q)
-        ppow, qpow = _mp_powers(p, n + 1), _mp_powers(q, n + 1)
-        gamma, beta = mp.mpf(gamma), mp.mpf(beta)
-        return tuple(
-            float((ppow[n - k + 1] * ints[k] + gamma) / (qpow[k] * ints[n - k + 1] + beta))
-            for k in range(n + 1)
-        )
+        return tuple(float(t) for t in _mp_nodes(n, p, q, shift))
 
 
 def mp_weights(n: int, p: float, q: float, x: float) -> tuple[float, ...]:
@@ -212,14 +205,55 @@ def mp_weights(n: int, p: float, q: float, x: float) -> tuple[float, ...]:
     """
     mp = _mp()
     with mp.workdps(MP_DIGITS):
-        ints = mp_integers(n + 1, p, q)
-        ppow, qpow = _mp_powers(p, n), _mp_powers(q, n)
-        x = mp.mpf(x)
-        terms = [mp.one]
-        for k in range(n):
-            terms.append(terms[k] * qpow[k] * ints[n - k] * x / (ppow[n - 1 - k] * ints[k + 1]))
-        total = mp.fsum(terms)
-        return tuple(float(t / total) for t in terms)
+        return tuple(float(w) for w in _mp_weights(n, p, q, x))
+
+
+# The registry functions of pqbbh.functions in mpmath, by name.
+MP_REGISTRY = {
+    "one_": lambda mp, t: mp.one,
+    "bbh_metric": lambda mp, t: t / (1 + t),
+    "bbh_metric_sq": lambda mp, t: (t / (1 + t)) ** 2,
+    "exp_neg": lambda mp, t: mp.exp(-t),
+    "sin_damped": lambda mp, t: mp.sin(t) / (1 + t),
+}
+
+
+def mp_rate_lhs(n: int, p: float, q: float, name: str, x: float) -> float:
+    """|sum_k f(t_k) w_k(x) - f(x)| at MP_DIGITS digits, f the registry function ``name``.
+
+    The base variant's nodes and weights as in ``mp_nodes`` and
+    ``mp_weights``, left unrounded; the lhs of the rate check.
+    """
+    mp = _mp()
+    f = MP_REGISTRY[name]
+    with mp.workdps(MP_DIGITS):
+        ts, ws = _mp_nodes(n, p, q, None), _mp_weights(n, p, q, x)
+        approx = mp.fsum(f(mp, t) * w for t, w in zip(ts, ws))
+        return float(abs(approx - f(mp, mp.mpf(x))))
+
+
+def _mp_nodes(n, p, q, shift):
+    """mp_nodes as mpf, inside the caller's workdps."""
+    mp = _mp()
+    gamma, beta = shift if shift is not None else (0.0, 0.0)
+    ints = mp_integers(n + 1, p, q)
+    ppow, qpow = _mp_powers(p, n + 1), _mp_powers(q, n + 1)
+    gamma, beta = mp.mpf(gamma), mp.mpf(beta)
+    return [(ppow[n - k + 1] * ints[k] + gamma) / (qpow[k] * ints[n - k + 1] + beta)
+            for k in range(n + 1)]
+
+
+def _mp_weights(n, p, q, x):
+    """mp_weights as mpf, inside the caller's workdps."""
+    mp = _mp()
+    ints = mp_integers(n + 1, p, q)
+    ppow, qpow = _mp_powers(p, n), _mp_powers(q, n)
+    x = mp.mpf(x)
+    terms = [mp.one]
+    for k in range(n):
+        terms.append(terms[k] * qpow[k] * ints[n - k] * x / (ppow[n - 1 - k] * ints[k + 1]))
+    total = mp.fsum(terms)
+    return [t / total for t in terms]
 
 
 def _mp_powers(base: float, m: int) -> list:

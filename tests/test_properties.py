@@ -9,9 +9,11 @@ import contextlib
 import io
 import json
 import math
+import random
 import re
 import sys
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,12 +34,13 @@ from pqbbh import (
 )
 from pqbbh.cli import main
 from pqbbh.functions import REGISTRY
-from pqbbh.operators import _Kernel
+from pqbbh.operators import _Kernel, _weighted_sum
 from oracles import (
     brute_operator,
     mp_closed_moment,
     mp_delta,
     mp_nodes,
+    mp_rate_lhs,
     mp_weights,
     q_bbh_evaluate,
     q_bbh_moment,
@@ -240,6 +243,41 @@ def test_nodes_and_weights_match_the_mpmath_oracles(n, depth, u, x, shift):
             assert abs(g - w) <= MP_WEIGHT_TOL * w
 
 
+# The rate lhs |sum_k f(t_k) w_k - f(x)| is a difference of doubles of size
+# up to max(|f(x)|, max_k |f(t_k)|), so its error is absolute on that scale.
+# |f(x)| belongs in it: at n = 12, p = 0.224, q = 4.0e-14 every node but
+# t_0 = 0 is huge, max_k |f(t_k)| is 1.7e-13 and the lhs, 0.42, is f(x).
+# Where q^n is a normal double (the domain above) the worst error measured
+# over 5,500 specs (4,421 answered, x in [1e-6, 1e6]) was 6.1e-11 of the
+# scale, at n = 26, p = 0.264, q = 6.2e-8, sin_damped, x = 4.4e5: a node
+# rounded by a relative e moves sin(t)/(1+t) by about e |cos t|, which at
+# large x is e x times the scale 1/x.  The bound is five times that worst.
+MP_RATE_TOL = 3e-10
+
+
+@property_settings(25)
+@given(
+    n=st.integers(1, 1500),
+    depth=st.floats(0.0, 1.0, exclude_min=True),
+    u=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    x=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+    name=registry,
+)
+def test_rate_lhs_matches_the_mpmath_oracle(n, depth, u, x, name):
+    q = NORMAL_MIN ** (depth / n)
+    p = q**u
+    spec = OperatorSpec(n, PqParams(p, q))
+    f = REGISTRY[name]
+    try:
+        (point,) = rate_bound_check(spec, f, GridSpec((x,)))
+    except DomainError as err:
+        # [n+1]^2 >= q^(2n) leaves the normal doubles once q^n < 1.5e-154
+        assert "[n+1]^2" in str(err) and "underflows" in str(err)
+        return
+    scale = max([abs(f(x))] + [abs(f(t)) for t in nodes(spec).values])
+    assert abs(point.lhs - mp_rate_lhs(n, p, q, name, x)) <= MP_RATE_TOL * scale
+
+
 # -- the kernel against its scalar loop, bit for bit --------------------------
 
 # p and r = q/p over the whole box, and near 1 where long rows rescale many times
@@ -394,6 +432,83 @@ def test_rate_lhs_matches_the_sequential_reduction(n, p, r, xs, name):
         w = sequential_weights(n, spec.params.p, spec.params.q, point.x)
         want = abs(sequential_sum(w, fvals) - f(point.x))
         assert point.lhs.hex() == want.hex()
+
+
+# -- the grid path against the per-row path, bit for bit ----------------------
+
+
+@st.composite
+def block_grids(draw):
+    """Sorted grids of 150-400 points with 0.0, repeated points and x up to e^60."""
+    rnd = draw(st.randoms(use_true_random=False))
+    size = draw(st.integers(150, 400))
+    xs = [rnd.uniform(0.0, 60.0) if rnd.random() < 0.5 else math.exp(rnd.uniform(-30.0, 60.0))
+          for _ in range(size - 8)]
+    xs += [0.0] * rnd.randint(1, 3)
+    xs += rnd.choices(xs, k=size - len(xs))
+    return tuple(sorted(xs))
+
+
+def node_values(n, seed):
+    """n+1 values of both signs, with +-0.0, 1.0 and +-1e-300 mixed in.
+
+    Seed None gives n+1 copies of -0.0, whose weighted sum is -0.0 until the
+    final 0.0 + makes it 0.0.
+    """
+    if seed is None:
+        return np.full(n + 1, -0.0)
+    rnd = random.Random(seed)
+    pool = (-0.0, 0.0, 1.0, -1e-300, 1e-300)
+    return np.array([rnd.choice(pool) if rnd.random() < 0.2 else rnd.uniform(-5.0, 5.0)
+                     for _ in range(n + 1)])
+
+
+RATE_GRID = GridSpec.default().xs
+BLOCK_EXAMPLES = (
+    (1000, 0.3, 0.2, (0.0, 1.0, 2.0)),  # zero ratio denominator
+    (1110, 0.518, 0.513, (0.0, 0.5, 21.9, 60.0)),  # drift: p^1109 [1] is subnormal
+    (2, 0.9, 0.5, (0.0, 1.0, 1.7e308)),  # term overflow
+    # 150 good points fill the first block (100 wide at n = 1298); the drift
+    # of the subnormal numerators q^k [n-k] fails the last point, in the second
+    (1298, 0.5912, 0.1823, tuple(0.4 * i for i in range(150)) + (1.99e26,)),
+    (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024, RATE_GRID),  # the rate command's grid
+    # blocks of 127 points and of 1, a column numpy's sum would add pairwise
+    (1024, 0.99, 0.98, tuple(0.05 * i for i in range(1, 129))),
+    (2100, 0.999, 0.998, (0.0, 1.0, 30.0)),  # a block under 64 points: per row
+    (5, 0.7, 0.7, (0.0, 1.0, -1.0, 2.0)),  # an invalid point after good ones
+    (1000, 0.3, 0.2, (1.0, -1.0)),  # a failing point before an invalid one
+)
+
+
+def with_block_examples(test):
+    for n, p, q, xs in BLOCK_EXAMPLES:
+        test = example(n=n, p=p, r=q / p, xs=xs, seed=0)(test)
+    return example(n=40, p=0.9, r=0.5, xs=(0.0, 1.0, 2.0), seed=None)(test)
+
+
+@property_settings(12)
+@given(
+    n=st.integers(330, 1500) | st.integers(1, 1500),
+    p=box_p,
+    r=box_r,
+    xs=block_grids(),
+    seed=st.none() | st.integers(0, 2**32),
+)
+@with_block_examples
+def test_grid_sums_match_the_per_row_path(n, p, r, xs, seed):
+    # from n of about 330 up, a grid of 400 points spans more than one block
+    q = p * r
+    if q == 0.0:
+        return
+    kernel = _Kernel(OperatorSpec(n, PqParams(p, q)))
+    fvals = node_values(n, seed)
+    got, error = outcome(lambda: kernel.weighted_sums(xs, fvals))
+    want, want_error = outcome(lambda: [_weighted_sum(kernel.row(x), fvals) for x in xs])
+    if want_error is None:
+        assert error is None, error
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+    else:
+        assert (type(error), str(error)) == (type(want_error), str(want_error))
 
 
 def negative_zero(t):
