@@ -28,13 +28,15 @@ COLLISION_RTOL = 1e-9
 _RESCALE_AT = 1e100
 
 # Bytes of the (n+1) x B float64 buffer in which _Kernel.weighted_sums steps
-# B grid rows together (B = 510 at n = 256, 127 at n = 1024).  1 MiB keeps
-# a rate run's peak RSS well inside the benchmark's 10% bound; 0.5 MiB
-# blocks lose the n = 1024 gain to the per-column call overhead.
+# B grid rows together (B = 510 at n = 256, 127 at n = 1024).  A wider block
+# spreads each numpy call over more rows: on a 2-vCPU host the 2001-point
+# rate grid at n = 1024 took 313 ms row by row, 190 ms in 0.5 MiB blocks,
+# 148 ms in 1 MiB and 109 ms in 2 MiB.  1 MiB keeps the buffer a small part
+# of the benchmark's 10% peak-RSS bound.
 _BLOCK_BYTES = 1 << 20
-# Narrower blocks share each numpy call among too few points to beat row():
-# per-row stepping is as fast at n = 2048 (B = 63) and faster above, by 30%
-# at n = 4096 and 2.2x at n = 32768.
+# Narrower blocks share each numpy call among too few rows to beat row():
+# row by row is as fast at n = 2048 (B = 63) and faster above, by 30% at
+# n = 4096 and 2.2x at n = 32768.
 _MIN_BLOCK = 64
 
 
