@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .operators import OperatorSpec, RealFunction, weights
-from .operators import _Kernel, _evaluate, _sample, _variant
+from .operators import _Kernel, _sample, _variant
 from .pq_core import DomainError, PqParams, pq_integers
 
 
@@ -231,30 +231,12 @@ def moment_closed(spec: OperatorSpec, nu: int, x: float) -> float:
     Raises:
         DomainError: if [n+1]^nu underflows (small p, large n).
     """
-    _check_moment_at(spec, nu, x)
-    if nu == 0:
-        return 1.0
-    return _ClosedForms(spec, nu).moment(x)
-
-
-def _check_moment_at(spec: OperatorSpec, nu: int, x: float) -> None:
     _check_moment(spec, nu, "moment_closed")
     if not math.isfinite(x) or x < 0:
         raise DomainError(f"x must be finite and >= 0, got {x!r}")
-
-
-def _moment_and_brute(
-    spec: OperatorSpec, nu: int, x: float, f: RealFunction
-) -> tuple[float, float]:
-    """(moment_closed(spec, nu, x), evaluate(spec, f, x)) from one integer table.
-
-    Refuses as the two calls in turn do: the checks on nu and x, then
-    [n+1]^nu underflowing, then evaluate's errors.
-    """
-    _check_moment_at(spec, nu, x)
-    kernel = _Kernel(spec)
-    closed = 1.0 if nu == 0 else _ClosedForms(spec, nu, ints=kernel.ints).moment(x)
-    return closed, _evaluate(kernel, f, x)
+    if nu == 0:
+        return 1.0
+    return _ClosedForms(spec, nu).moment(x)
 
 
 def delta_n(spec: OperatorSpec, x: float) -> float:

@@ -20,8 +20,8 @@ from typing import Sequence
 from .analysis import (
     GridSpec,
     HarmonicSchedule,
-    _moment_and_brute,
     convergence_report,
+    moment_closed,
     rate_bound_check,
     stancu_bound_report,
 )
@@ -216,11 +216,12 @@ def _cmd_eval(args) -> str:
 
 def _cmd_moments(args) -> str:
     spec = _build_spec(args)
+    closed = moment_closed(spec, args.nu, args.x)
 
     def metric_power(t: float) -> float:
         return (t / (1.0 + t)) ** args.nu
 
-    closed, brute = _moment_and_brute(spec, args.nu, args.x, metric_power)
+    brute = evaluate(spec, metric_power, args.x)
     header = ["n", "p", "q", "nu", "x", "closed", "brute_force", "abs_diff"]
     rows = [[args.n, args.p, args.q, args.nu, args.x, closed, brute, abs(closed - brute)]]
     return _emit(args, header, rows)

@@ -28,16 +28,12 @@ COLLISION_RTOL = 1e-9
 _RESCALE_AT = 1e100
 
 # Bytes of the (n+1) x B float64 buffer in which _Kernel.weighted_sums steps
-# B grid rows together (B = 510 at n = 256, 127 at n = 1024).  A wider block
-# spreads each numpy call over more rows: on a 2-vCPU host the 2001-point
-# rate grid at n = 1024 took 313 ms row by row, 190 ms in 0.5 MiB blocks,
-# 148 ms in 1 MiB and 109 ms in 2 MiB.  1 MiB keeps the buffer a small part
-# of the benchmark's 10% peak-RSS bound.
+# B grid rows together (B = 510 at n = 256, 127 at n = 1024, and at least 1).
+# A wider block spreads each numpy call over more rows: on a 2-vCPU host the
+# 2001-point rate grid at n = 1024 took 313 ms row by row, 190 ms in 0.5 MiB
+# blocks, 148 ms in 1 MiB and 109 ms in 2 MiB.  1 MiB keeps the buffer a
+# small part of the benchmark's 10% peak-RSS bound.
 _BLOCK_BYTES = 1 << 20
-# Narrower blocks share each numpy call among too few rows to beat row():
-# row by row is as fast at n = 2048 (B = 63) and faster above, by 30% at
-# n = 4096 and 2.2x at n = 32768.
-_MIN_BLOCK = 64
 
 
 class EvaluationError(DomainError):
@@ -167,7 +163,8 @@ class _Kernel:
         a cumsum seeded with the total so far, so every product and sum is
         taken in the loop's order.
         """
-        _check_point(x)
+        if not math.isfinite(x) or x < 0:
+            raise DomainError(f"evaluation point must be finite and >= 0, got {x!r}")
         n = self.spec.n
         w = np.zeros(n + 1)
         w[0] = 1.0
@@ -222,25 +219,20 @@ class _Kernel:
         down the columns, and the drift reference is a row-wise sum over a
         C-contiguous (B, n) view of the same buffer, which matches row()'s
         1-D sum.  x = 0 gives e_0, as in row(), and stays out of the
-        lockstep, where its 0 * x / 0 ratios would be nan.  Where fewer than
-        _MIN_BLOCK points fit in a block, the points go through row().
+        lockstep, where its 0 * x / 0 ratios would be nan.
+
+        xs must be finite and >= 0, as a GridSpec's points are.
         """
         n = self.spec.n
-        width = _BLOCK_BYTES // (8 * (n + 1))
-        if width < _MIN_BLOCK:
-            return [_weighted_sum(self.row(x), fvals) for x in xs]
+        width = max(1, _BLOCK_BYTES // (8 * (n + 1)))
         fvals = np.asarray(fvals)
-        bad = next((i for i, x in enumerate(xs) if not _valid_point(x)), len(xs))
-        at_zero = _weighted_sum(self.row(0.0), fvals)
-        out = [at_zero] * bad
-        positive = [i for i in range(bad) if xs[i] > 0.0]
+        out = [_weighted_sum(self.row(0.0), fvals)] * len(xs)
+        positive = [i for i, x in enumerate(xs) if x > 0.0]
         buf = np.empty((n + 1) * min(width, len(positive)))
         for start in range(0, len(positive), width):
             block = positive[start:start + width]
             for i, v in zip(block, self._block_sums([xs[i] for i in block], fvals, buf)):
                 out[i] = v
-        if bad < len(xs):
-            _check_point(xs[bad])
         return out
 
     def _block_sums(self, xs: list[float], fvals: np.ndarray, buf: np.ndarray) -> list[float]:
@@ -324,15 +316,6 @@ class _Kernel:
         return f"{msg}: ratio {cause} is subnormal at k={k} (p={self.p}, q={self.q})"
 
 
-def _valid_point(x: float) -> bool:
-    return math.isfinite(x) and x >= 0
-
-
-def _check_point(x: float) -> None:
-    if not _valid_point(x):
-        raise DomainError(f"evaluation point must be finite and >= 0, got {x!r}")
-
-
 def _variant(spec: OperatorSpec, shifted: bool, what: str) -> None:
     """Refuses a spec of the other variant, naming the public function called."""
     if (spec.stancu is not None) != shifted:
@@ -410,11 +393,7 @@ def evaluate(spec: OperatorSpec, f: RealFunction, x: float) -> float:
         EvaluationError: if f is non-finite at any node (the largest node,
             p[n]/q^n, grows rapidly for small q; see NodeTable.max_node).
     """
-    return _evaluate(_Kernel(spec), f, x)
-
-
-def _evaluate(kernel: _Kernel, f: RealFunction, x: float) -> float:
-    """evaluate() on a kernel the caller already holds."""
+    kernel = _Kernel(spec)
     table = kernel.nodes()
     return _weighted_sum(kernel.row(x), _sample(f, table.values, "node"))
 

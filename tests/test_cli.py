@@ -10,12 +10,9 @@ import warnings
 
 import pytest
 
-import pqbbh.analysis
 import pqbbh.cli
-import pqbbh.operators
 from pqbbh.cli import build_parser, main
 from pqbbh.functions import registry_function
-from pqbbh.pq_core import pq_integers
 
 GOLDEN_EVAL = "0.333333333333\n"
 
@@ -185,24 +182,6 @@ class TestSchemas:
         assert rows[0] == ["n", "p", "q", "nu", "x", "closed", "brute_force", "abs_diff"]
         assert len(rows) == 2
         assert float(rows[1][7]) < 1e-12
-
-    @pytest.mark.parametrize("nu", ["0", "1", "2"])
-    def test_moments_builds_the_integer_table_once(self, nu, monkeypatch, capsys):
-        # the closed forms read the kernel's [0]..[n+1]
-        calls = []
-
-        def counting(n, params):
-            calls.append(n)
-            return pq_integers(n, params)
-
-        monkeypatch.setattr(pqbbh.analysis, "pq_integers", counting)
-        monkeypatch.setattr(pqbbh.operators, "pq_integers", counting)
-        code, _, _ = run(
-            ["moments", "--n", "40", "--p", "0.9", "--q", "0.6", "--nu", nu, "--x", "3.5"],
-            capsys,
-        )
-        assert code == 0
-        assert calls == [41]
 
     @pytest.mark.parametrize(
         "nu,x,message",
