@@ -296,32 +296,33 @@ def convergence_report(
     return ConvergenceReport(tuple(rows))
 
 
-def _transformed_samples(f: RealFunction, u_max: float, m: int) -> np.ndarray:
-    """f sampled along t = u/(1-u) for m uniform u in [0, u_max]."""
-    if not 0.0 < u_max < 1.0:
-        raise DomainError(f"transformed grid end must lie in (0, 1), got {u_max!r}")
-    us = np.linspace(0.0, u_max, m).tolist()
-    return np.array(_sample(f, [u / (1.0 - u) for u in us], "modulus grid point"))
-
-
-def _window_ranges(g: np.ndarray, w_max: int) -> np.ndarray:
-    """range[w] = max |g_i - g_j| over index pairs with |i - j| <= w, w = 0..w_max."""
-    out = np.zeros(w_max + 1)
-    mx = g.copy()
-    mn = g.copy()
-    for w in range(1, w_max + 1):
-        mx = np.maximum(mx[:-1], g[w:])
-        mn = np.minimum(mn[:-1], g[w:])
-        out[w] = float((mx - mn).max())
-    return out
-
-
 # Samples of the transformed grid behind every modulus estimate.
 _MODULUS_POINTS = 8001
 
 
-def _window_width(delta: float, h: float, m: int) -> int:
-    return min(int(math.floor(delta / h + 1e-12)), m - 1)
+def _moduli(
+    f: RealFunction, deltas: list[float], u_max: float, points: int = _MODULUS_POINTS
+) -> list[float]:
+    """Grid omega(f, delta) for each delta, from one sample of f and one table.
+
+    f is sampled along t = u/(1-u) at ``points`` uniform u in [0, u_max], h
+    apart; delta >= 0 spans floor(delta/h) steps, at most the whole grid, and
+    ranges[w] = max |g_i - g_j| over |i - j| <= w is tabulated to the widest.
+    """
+    if not 0.0 < u_max < 1.0:
+        raise DomainError(f"transformed grid end must lie in (0, 1), got {u_max!r}")
+    h = u_max / (points - 1)
+    widths = [int(min(delta / h + 1e-12, points - 1)) for delta in deltas]
+    w_top = max(widths)
+    us = np.linspace(0.0, u_max, points).tolist()
+    g = mx = mn = np.array(_sample(f, [u / (1.0 - u) for u in us], "modulus grid point"))
+    ranges = np.zeros(w_top + 1)
+    with np.errstate(over="ignore"):  # a range beyond the doubles is inf
+        for w in range(1, w_top + 1):
+            mx = np.maximum(mx[:-1], g[w:])
+            mn = np.minimum(mn[:-1], g[w:])
+            ranges[w] = (mx - mn).max()
+    return [float(ranges[w]) for w in widths]
 
 
 def modulus_estimate(
@@ -332,19 +333,14 @@ def modulus_estimate(
     The sup of |f(t) - f(x)| over pairs within delta is taken on a uniform
     grid of ``points`` samples in the transformed variable u = x/(1+x) up
     to grid.u_max.  A lower bound of the true modulus, nondecreasing in
-    delta, converging from below as the grid refines.
+    delta, converging from below as the grid refines.  DomainError if
+    grid.u_max is not inside (0, 1), as for the grid (0.0,).
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta!r}")
     if points < 2:
         raise ValueError(f"need at least 2 modulus points, got {points!r}")
-    u_max = grid.u_max
-    h = u_max / (points - 1)
-    w = _window_width(delta, h, points)
-    if w == 0:
-        return 0.0
-    g = _transformed_samples(f, u_max, points)
-    return float(_window_ranges(g, w)[w])
+    return _moduli(f, [delta], grid.u_max, points)[0]
 
 
 def rate_bound_check(
@@ -359,26 +355,23 @@ def rate_bound_check(
     off per point; the slack absorbs the grid estimate's downward bias.
     """
     _variant(spec, False, "rate_bound_check")
-    u_max = grid.u_max
-    h = u_max / (_MODULUS_POINTS - 1)
     kernel = _Kernel(spec)
     forms = _ClosedForms(spec, ints=kernel.ints)
-    widths = [_window_width(math.sqrt(forms.delta(x)), h, _MODULUS_POINTS) for x in grid.xs]
-    w_top = max(widths)
-    g = _transformed_samples(f, u_max, _MODULUS_POINTS)
-    table = _window_ranges(g, w_top)
+    omegas = _moduli(f, [math.sqrt(forms.delta(x)) for x in grid.xs], grid.u_max)
     fvals = np.array(_sample(f, kernel.nodes().values, "node"))
     fxs = _sample(f, grid.xs, "grid point")
     out = []
-    for x, approx, fx, w in zip(grid.xs, kernel.weighted_sums(grid.xs, fvals), fxs, widths):
+    for x, approx, fx, omega in zip(grid.xs, kernel.weighted_sums(grid.xs, fvals), fxs, omegas):
         lhs = abs(approx - fx)
-        rhs = 2.0 * float(table[w])
+        rhs = 2.0 * omega
         out.append(RatePoint(x=x, lhs=lhs, rhs=rhs, passed=lhs <= rhs + slack))
     return out
 
 
 def distance_to_set(x: float, e: PointSet) -> float:
-    """Exact distance from x to the union of intervals (0 when x is inside)."""
+    """Exact distance from x to the union of intervals (0 when x is inside); x not NaN."""
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
     best = math.inf
     for lo, hi in e.intervals:
         if x < lo:
@@ -475,12 +468,8 @@ def stancu_bound_report(
             "first max term (gamma/[n])^alpha is undefined for gamma < 0 "
             f"with non-integer alpha={alpha}"
         )
-    if gamma == 0.0:
-        term1 = 0.0
-    elif alpha == 1.0:
-        term1 = (ints[n] / den) * (gamma / ints[n])
-    else:
-        term1 = (ints[n] / den) ** alpha * (gamma / ints[n]) ** alpha
+    # gamma + 0.0 reads gamma = -0.0 as 0.0, so either zero gives term1 = 0.0
+    term1 = (ints[n] / den) ** alpha * ((gamma + 0.0) / ints[n]) ** alpha
     term2 = abs(1.0 - ints[n + 1] / den) ** alpha * forms.first ** alpha
     term3 = 1.0 - 2.0 * p * ints[n] / ints[n + 1] + q * ints[n] * ints[n - 1] / forms.den
     max_term = max(term1, term2, term3)

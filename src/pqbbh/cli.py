@@ -36,8 +36,11 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 
-def _fmt(value) -> str:
-    """12 significant digits; booleans and ints keep their natural form."""
+def _fmt(value, column: str = "value") -> str:
+    """12 significant digits; booleans and ints keep their natural form.
+
+    Raises DomainError, naming the column, for a number that would print as inf or nan.
+    """
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -47,15 +50,17 @@ def _fmt(value) -> str:
     if isinstance(value, str):
         return value
     v = float(value)
+    if not math.isfinite(v):
+        raise DomainError(f"{column} = {v!r} is not a finite number")
     if v == 0.0:
         v = 0.0  # normalize -0
     return f"{v:.12g}"
 
 
-def _json_cell(value):
+def _json_cell(value, column: str):
     if isinstance(value, (bool, int)) or value is None or isinstance(value, str):
         return value
-    return float(_fmt(value))
+    return float(_fmt(value, column))
 
 
 def _emit(args, header: list[str], rows: list[list], **overrides) -> str:
@@ -63,13 +68,13 @@ def _emit(args, header: list[str], rows: list[list], **overrides) -> str:
         # "meta" echoes every flag in declaration order, --fn/--registry as "fn"
         meta = {k: v for k, v in vars(args).items() if k != "registry"}
         meta.update(overrides)
-        payload = {"meta": meta, "rows": [[_json_cell(c) for c in row] for row in rows]}
-        return json.dumps(payload) + "\n"
+        cells = [[_json_cell(c, name) for c, name in zip(row, header)] for row in rows]
+        return json.dumps({"meta": meta, "rows": cells}) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(c) for c in row])
+        writer.writerow([_fmt(c, name) for c, name in zip(row, header)])
     return buf.getvalue()
 
 

@@ -279,47 +279,27 @@ def _compile_call(node: Call) -> Callable[[float], float]:
     return call
 
 
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": math.pow}
 
 
 def _compile_binary(node: Binary) -> Callable[[float], float]:
-    left, right = _compile(node.left), _compile(node.right)
-    if node.op == "/":
+    left, right, combine = _compile(node.left), _compile(node.right), _BINARY[node.op]
 
-        def divide(t):
-            lhs = left(t)
-            rhs = right(t)
-            if rhs == 0.0:
-                raise _fail(node, t, "division by zero")
-            value = lhs / rhs
-            if not isfinite(value):
-                raise _fail(node, t, "non-finite result")
-            return value
-
-        return divide
-    if node.op in _ARITHMETIC:
-        combine = _ARITHMETIC[node.op]
-
-        def arithmetic(t):
-            value = combine(left(t), right(t))
-            if not isfinite(value):
-                raise _fail(node, t, "non-finite result")
-            return value
-
-        return arithmetic
-
-    def power(t):
+    def binary(t):
         lhs = left(t)
         rhs = right(t)
         try:
-            value = math.pow(lhs, rhs)
-        except (ValueError, OverflowError):
+            value = combine(lhs, rhs)
+        except ZeroDivisionError:
+            raise _fail(node, t, "division by zero") from None
+        except (ValueError, OverflowError):  # only math.pow raises these on floats
             raise _fail(node, t, f"{lhs!r} ^ {rhs!r} is undefined") from None
         if not isfinite(value):
             raise _fail(node, t, "non-finite result")
         return value
 
-    return power
+    return binary
 
 
 # Printer precedence levels; a child is parenthesized when its level is too

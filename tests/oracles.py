@@ -7,9 +7,9 @@ copies of code that was replaced by a faster form, kept so the new form can
 be held to it bit for bit: ``sequential_weights`` and ``sequential_nodes``
 (the scalar kernel loops), ``sequential_rhs`` (the representation's sum) and
 ``walk_expression`` (the expression tree walk).
-The ``mp_*`` oracles take the closed forms, the nodes, the weights and the
-rate lhs to 60 significant digits with mpmath, so they pin the
-double-precision forms to an error bound.
+The ``mp_*`` oracles take the closed forms, the nodes, the weights, the
+rate lhs and the representation to 60 significant digits with mpmath, so
+they pin the double-precision forms to an error bound.
 """
 
 import functools
@@ -227,9 +227,26 @@ def mp_rate_lhs(n: int, p: float, q: float, name: str, x: float) -> float:
     mp = _mp()
     f = MP_REGISTRY[name]
     with mp.workdps(MP_DIGITS):
-        ts, ws = _mp_nodes(n, p, q, None), _mp_weights(n, p, q, x)
-        approx = mp.fsum(f(mp, t) * w for t, w in zip(ts, ws))
-        return float(abs(approx - f(mp, mp.mpf(x))))
+        return float(abs(_mp_operator(n, p, q, f, x) - f(mp, mp.mpf(x))))
+
+
+def mp_representation(n: int, p: float, q: float, name: str, x: float) -> float:
+    """sum_k f(t_k) w_k(x) - f(px/q) at MP_DIGITS digits, f the registry function ``name``.
+
+    The difference the representation's divided-difference sum equals, from
+    the same unrounded nodes and weights as ``mp_rate_lhs``; px/q is exact.
+    """
+    mp = _mp()
+    f = MP_REGISTRY[name]
+    with mp.workdps(MP_DIGITS):
+        return float(_mp_operator(n, p, q, f, x) - f(mp, mp.mpf(p) * x / q))
+
+
+def _mp_operator(n, p, q, f, x):
+    """sum_k f(t_k) w_k(x) from the base variant's mpf nodes and weights, in the workdps."""
+    mp = _mp()
+    ts, ws = _mp_nodes(n, p, q, None), _mp_weights(n, p, q, x)
+    return mp.fsum(f(mp, t) * w for t, w in zip(ts, ws))
 
 
 def _mp_nodes(n, p, q, shift):

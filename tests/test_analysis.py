@@ -231,8 +231,10 @@ class TestModulus:
     def test_monotone_in_delta(self):
         grid = GridSpec.default()
         f = REGISTRY["sin_damped"]
-        values = [modulus_estimate(f, d, grid) for d in (0.01, 0.05, 0.1, 0.3, 0.6, 0.95)]
+        deltas = (0.01, 0.05, 0.1, 0.3, 0.6, 0.95, 1.0, math.inf)
+        values = [modulus_estimate(f, d, grid) for d in deltas]
         assert all(a <= b for a, b in zip(values, values[1:]))
+        assert values[-1] == values[-2]  # both span the whole grid, u_max < 1
 
     def test_subadditive_on_grid(self):
         # exact on the uniform transformed grid when the deltas are grid multiples
@@ -256,6 +258,12 @@ class TestModulus:
 
         with pytest.raises(EvaluationError, match="at modulus grid point"):
             modulus_estimate(f, 0.1, GridSpec.default())
+
+    @pytest.mark.parametrize("grid, delta", [(GridSpec((0.0,)), 0.1), (GridSpec((1e17,)), 1e-9)])
+    def test_grid_end_outside_the_open_unit_interval_raises(self, grid, delta):
+        # u_max = 0 leaves no grid step; 1e17/(1 + 1e17) rounds to u_max = 1
+        with pytest.raises(DomainError, match="transformed grid end"):
+            modulus_estimate(math.sin, delta, grid)
 
 
 class TestRateBound:
@@ -315,6 +323,10 @@ class TestRateBound:
         with pytest.raises(EvaluationError, match=r"at grid point 2 \(t=1\.3\)"):
             rate_bound_check(spec, f, GridSpec((0.0, 1.0, 1.3, 2.0)))
 
+    def test_grid_of_the_origin_alone_raises(self):
+        with pytest.raises(DomainError, match="transformed grid end"):
+            rate_bound_check(OperatorSpec(4, PqParams(0.9, 0.7)), math.sin, GridSpec((0.0,)))
+
     def test_builds_the_integer_table_once(self, monkeypatch):
         # the closed forms read the kernel's [0]..[n+1]
         calls = []
@@ -353,6 +365,10 @@ class TestPointSet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             PointSet(())
+
+    def test_distance_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            distance_to_set(math.nan, PointSet.nonneg_reals())
 
 
 class TestLipschitz:
@@ -409,10 +425,13 @@ class TestStancuBound:
         assert not rep.degenerate
 
     def test_degenerate_zero_case(self):
-        spec = OperatorSpec(2, CLASSICAL, StancuShift(0.0, 0.0))
-        rep = stancu_bound_report(spec, 1.0, 1.0)
-        assert rep.bound == 0.0
-        assert rep.degenerate
+        for gamma, alpha in ((0.0, 1.0), (-0.0, 1.0), (-0.0, 0.5)):
+            spec = OperatorSpec(2, CLASSICAL, StancuShift(gamma, 0.0))
+            rep = stancu_bound_report(spec, 1.0, alpha)
+            # +0.0, not -0.0, for either sign of gamma
+            assert math.copysign(1.0, rep.terms[0]) == math.copysign(1.0, rep.bound) == 1.0
+            assert rep.bound == 0.0
+            assert rep.degenerate
 
     def test_linear_in_m(self):
         spec = OperatorSpec(3, PqParams(0.9, 0.8), StancuShift(1.5, 0.5))

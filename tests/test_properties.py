@@ -6,6 +6,7 @@ the suite; the example counts keep the whole file to a few seconds.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -42,6 +43,7 @@ from oracles import (
     mp_delta,
     mp_nodes,
     mp_rate_lhs,
+    mp_representation,
     mp_weights,
     q_bbh_evaluate,
     q_bbh_moment,
@@ -277,6 +279,45 @@ def test_rate_lhs_matches_the_mpmath_oracle(n, depth, u, x, name):
         return
     scale = max([abs(f(x))] + [abs(f(t)) for t in nodes(spec).values])
     assert abs(point.lhs - mp_rate_lhs(n, p, q, name, x)) <= MP_RATE_TOL * scale
+
+
+# representation_rhs equals L_n f(x) - f(px/q), a difference of doubles of size
+# up to scale = max(|f(px/q)|, max_k |f(t_k)|), so its error is measured on that
+# scale; the difference itself may cancel far below it (for f = 1 it is 0).  Its
+# divided differences divide by px/q - t_k, so the bound also grows as px/q nears
+# a node, by 1/gap with gap = min(1, min_k |px/q - t_k| / (1 + t_k)), the
+# distance the collision check refuses below 1e-9.  Over n <= 8 (the range the
+# docstring validates), p in [0.05, 1], q/p in {1} or [0.01, 1] and x in
+# [1e-6, 1e6] or px/q within 1e-9 to 1e-1 of a node (about 15,000 of 49,532
+# answered specs), the worst error * gap / scale was 2.5e-13, at n = 3,
+# p = 0.514, q = 0.0123, sin_damped, x = 2.6e4: px/q = 1.1e6 lies beyond every
+# node, and its rounding by a relative e moves sin(t)/(1+t) by about e |cos t|,
+# 1e6 e times f there.  The bound is five times that worst.
+MP_REPRESENTATION_TOL = 1.3e-12
+
+
+@property_settings(200)
+@given(
+    n=st.integers(1, 8),
+    p=st.floats(0.05, 1.0),
+    r=st.just(1.0) | st.floats(0.01, 1.0),
+    x=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+    name=registry,
+)
+def test_representation_matches_the_mpmath_oracle(n, p, r, x, name):
+    q = p * r
+    spec = OperatorSpec(n, PqParams(p, q))
+    f = REGISTRY[name]
+    try:
+        got = representation_rhs(spec, f, x)
+    except DomainError as err:
+        assert "collides" in str(err)
+        return
+    pivot, ts = p * x / q, nodes(spec).values
+    scale = max([abs(f(pivot))] + [abs(f(t)) for t in ts])
+    gap = min([1.0] + [abs(pivot - t) / (1.0 + t) for t in ts])
+    want = mp_representation(n, p, q, name, x)
+    assert abs(got - want) <= MP_REPRESENTATION_TOL * scale / gap
 
 
 # -- the kernel against its scalar loop, bit for bit --------------------------
@@ -605,6 +646,16 @@ def reject_constant(name):
 @example(argv=["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", DEEP_SUM, "--x", "1"])
 @example(argv=["moments", "--n", "610", "--p", "0.541", "--q", "0.499", "--nu", "2",
                "--x", "1", "--format", "json"])
+# results that would print as inf or nan: a modulus beyond the doubles, a first
+# term of inf, a bound of inf * 0, and a representation over a divisor of 1e-300
+@example(argv=["rate", "--schedule", "harmonic:0.25,0.5", "--n", "4", "--fn", "1e308*sin(t)"])
+@example(argv=["stancu-bound", "--n", "8", "--p", "0.5", "--q", "0.5", "--gamma", "1.7e308",
+               "--beta", "1e300", "--alpha", "0.5", "--m", "0.9", "--format", "json"])
+@example(argv=["stancu-bound", "--n", "700", "--p", "0.999999999", "--q", "1e-320",
+               "--gamma", "0", "--beta", "0", "--alpha", "0.5", "--m", "1.7e308",
+               "--format", "json"])
+@example(argv=["represent", "--n", "8", "--p", "1e-3", "--q", "1e-3", "--fn", "1/(t+1e-300)",
+               "--x", "1e-8", "--format", "json"])
 def test_cli_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -613,5 +664,8 @@ def test_cli_contract(argv):
     assert "Traceback" not in err.getvalue()
     if code == 0 and "json" in argv:
         json.loads(out.getvalue(), parse_constant=reject_constant)
+    elif code == 0:
+        for row in csv.reader(io.StringIO(out.getvalue())):
+            assert not {cell.lower() for cell in row} & {"inf", "-inf", "nan"}, row
     if code != 0:
         assert out.getvalue() == ""
