@@ -15,9 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
+# weights is unused here; bench/test_spans.py::test_every_namespace_sees_the_wrapper_and_uninstall_restores_it reads it
 from .operators import OperatorSpec, RealFunction, weights
 from .operators import _Kernel, _sample, _variant
-from .pq_core import DomainError, PqParams, pq_integers
+from .pq_core import DomainError, PqParams
 
 
 class ParamSchedule:
@@ -175,19 +176,19 @@ class ConvergenceReport:
 class _ClosedForms:
     """x-free quantities of one spec's closed forms up to order nu (1 or 2).
 
-    ints is [0]..[n+1] (built here unless the caller holds it) and den is
-    [n+1]^nu; DomainError once den is subnormal, as [n+1] shrinks like p^n
-    and quotients over it have lost their digits.  delta_n is the sum of two
-    nonnegative terms, exact by [n+1] = p[n] + q^n and (p-q)[n-1] = p^(n-1) - q^(n-1):
+    ints is the spec's [0]..[n+1] and den is [n+1]^nu; DomainError once den
+    is subnormal, as [n+1] shrinks like p^n and quotients over it have lost
+    their digits.  delta_n is the sum of two nonnegative terms, exact by
+    [n+1] = p[n] + q^n and (p-q)[n-1] = p^(n-1) - q^(n-1):
 
         (u q^n/[n+1])^2 + u p^2 [n] (p^n + q^n x) / ([n+1]^2 (p + qx)(1 + x))
     """
 
-    def __init__(self, spec: OperatorSpec, nu: int = 2, ints: list[float] | None = None) -> None:
+    def __init__(self, spec: OperatorSpec, nu: int = 2) -> None:
         n = spec.n
         self.nu = nu
         self.p, self.q = p, q = spec.params.p, spec.params.q
-        self.ints = ints = pq_integers(n + 1, spec.params) if ints is None else ints
+        ints = spec._ints
         self.den = den = ints[n + 1] ** nu
         if den < sys.float_info.min:
             raise DomainError(
@@ -356,7 +357,7 @@ def rate_bound_check(
     """
     _variant(spec, False, "rate_bound_check")
     kernel = _Kernel(spec)
-    forms = _ClosedForms(spec, ints=kernel.ints)
+    forms = _ClosedForms(spec)
     omegas = _moduli(f, [math.sqrt(forms.delta(x)) for x in grid.xs], grid.u_max)
     fvals = np.array(_sample(f, kernel.nodes().values, "node"))
     fxs = _sample(f, grid.xs, "grid point")
@@ -458,7 +459,7 @@ def stancu_bound_report(
     p, q = spec.params.p, spec.params.q
     gamma, beta = spec.stancu.gamma, spec.stancu.beta
     forms = _ClosedForms(spec)
-    ints = forms.ints
+    ints = spec._ints
     c_n = ints[n + 1] + beta
     den = c_n + gamma
     if den <= 0:

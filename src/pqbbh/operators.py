@@ -7,6 +7,7 @@ divided-difference representation of L_n f - f(px/q).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -70,6 +71,11 @@ class OperatorSpec:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"operator degree must be an integer >= 1, got {self.n!r}")
 
+    @functools.cached_property
+    def _ints(self) -> list[float]:
+        """[0]..[n+1], built on first use and read by every later call on this spec."""
+        return pq_integers(self.n + 1, self.params)
+
 
 @dataclass(frozen=True)
 class NodeTable:
@@ -100,19 +106,19 @@ class WeightTable:
 class _Kernel:
     """x-free tables of one spec, built once and read by every node and weight row.
 
-    ints holds [0]..[n+1] and ppow, qpow hold p^j, q^j for j = 0..n+1, taken
-    with Python ``**`` (numpy's power differs from it in the last bit).  num
-    and den are the x-free halves of the weight ratio
-    q^k [n-k] x / (p^(n-1-k) [k+1]), k = 0..n-1.  The array tables are
-    products, sums and quotients of those lists taken element-wise, which
-    round each entry as the same Python operation does.
+    ints is the spec's [0]..[n+1], shared with the closed forms; ppow, qpow
+    hold p^j, q^j for j = 0..n+1, taken with Python ``**`` (numpy's power
+    differs from it in the last bit).  num and den are the x-free halves of
+    the weight ratio q^k [n-k] x / (p^(n-1-k) [k+1]), k = 0..n-1.  The array
+    tables are products, sums and quotients of those lists taken
+    element-wise, which round each entry as the same Python operation does.
     """
 
     def __init__(self, spec: OperatorSpec) -> None:
         self.spec = spec
         n = spec.n
         self.p, self.q = p, q = spec.params.p, spec.params.q
-        self.ints = ints = pq_integers(n + 1, spec.params)
+        self.ints = ints = spec._ints
         self.ppow = ppow = [p ** j for j in range(n + 2)]
         self.qpow = qpow = [q ** j for j in range(n + 2)]
         self._ints, self._ppow, self._qpow = ia, pa, qa = (
@@ -452,8 +458,10 @@ def representation_rhs(spec: OperatorSpec, f: RealFunction, x: float) -> float:
     the test corpus).
 
     Raises:
-        DomainError: if x <= 0, or px/q collides with a node within the
-            relative tolerance 1e-9 (named in the message).
+        DomainError: if x <= 0, px/q collides with a node within the
+            relative tolerance 1e-9 (named in the message), or a gap divisor
+            [n-k][n-k+1] q^(k+1) is below the smallest normal double (k and
+            the factor named); all before f is called.
     """
     return _representation(spec, f, x)[1]
 
@@ -471,9 +479,10 @@ def _representation(spec: OperatorSpec, f: RealFunction, x: float) -> tuple[floa
     t = kernel.nodes().values
     pivot = _pivot(kernel, t, x)
     w = kernel.row(x)
+    gaps = _gaps(kernel)
     (fp,) = _sample(f, (pivot,), "pivot")
     ft = _sample(f, t, "node")
-    return _weighted_sum(w, ft) - fp, _rhs(kernel, pivot, t, w, fp, ft)
+    return _weighted_sum(w, ft) - fp, _rhs(pivot, t, w, fp, ft, gaps)
 
 
 def _pivot(kernel: _Kernel, t: Sequence[float], x: float) -> float:
@@ -485,22 +494,37 @@ def _pivot(kernel: _Kernel, t: Sequence[float], x: float) -> float:
     return pivot
 
 
+def _gaps(kernel: _Kernel) -> list[float]:
+    """gap_k = p^(n-k) [n+1] / ([n-k][n-k+1] q^(k+1)), k = 0..n-1.
+
+    DomainError at the first k whose divisor is below the smallest normal
+    double (0 included), where the quotient has lost its digits.
+    """
+    n, p, q = kernel.spec.n, kernel.p, kernel.q
+    ints, ppow, qpow = kernel.ints, kernel.ppow, kernel.qpow
+    gaps = []
+    for k in range(n):
+        divisor = ints[n - k] * ints[n - k + 1] * qpow[k + 1]
+        if divisor < sys.float_info.min:
+            raise DomainError(
+                f"gap divisor [{n - k}][{n - k + 1}] q^{k + 1} = {divisor!r} underflows "
+                f"below the smallest normal double at k={k} (p={p}, q={q})"
+            )
+        gaps.append(ppow[n - k] * ints[n + 1] / divisor)
+    return gaps
+
+
 def _rhs(
-    kernel: _Kernel,
     pivot: float,
     t: Sequence[float],
     w: np.ndarray,
     fp: float,
     ft: list[float],
+    gaps: list[float],
 ) -> float:
-    """(px/q) (sum_k dd2_k gap_k w_k - dd1 w_n) from the nodes t and the samples of f."""
-    n = kernel.spec.n
-    ints, ppow, qpow = kernel.ints, kernel.ppow, kernel.qpow
-    terms = [
-        _dd2(pivot, t[k], t[k + 1], fp, ft[k], ft[k + 1])
-        * (ppow[n - k] * ints[n + 1] / (ints[n - k] * ints[n - k + 1] * qpow[k + 1]))
-        for k in range(n)
-    ]
+    """(px/q) (sum_k dd2_k gap_k w_k - dd1 w_n) from the nodes t, the gaps and the samples of f."""
+    n = len(gaps)
+    terms = [_dd2(pivot, t[k], t[k + 1], fp, ft[k], ft[k + 1]) * gaps[k] for k in range(n)]
     with np.errstate(all="ignore"):  # inf and nan arise silently, as in float arithmetic
         acc = _weighted_sum(w[:n], terms)
     return pivot * (acc - _dd1(pivot, t[n], fp, ft[n]) * float(w[n]))

@@ -1,9 +1,10 @@
 import math
 import random
+import sys
 
 import pytest
 
-import pqbbh.analysis
+import pqbbh.cli
 import pqbbh.operators
 from pqbbh import (
     DomainError,
@@ -328,14 +329,13 @@ class TestRateBound:
             rate_bound_check(OperatorSpec(4, PqParams(0.9, 0.7)), math.sin, GridSpec((0.0,)))
 
     def test_builds_the_integer_table_once(self, monkeypatch):
-        # the closed forms read the kernel's [0]..[n+1]
+        # the kernel and the closed forms read the spec's [0]..[n+1]
         calls = []
 
         def counting(n, params):
             calls.append(n)
             return pq_integers(n, params)
 
-        monkeypatch.setattr(pqbbh.analysis, "pq_integers", counting)
         monkeypatch.setattr(pqbbh.operators, "pq_integers", counting)
         spec = OperatorSpec(16, PqParams(0.95, 0.9))
         rate_bound_check(spec, REGISTRY["sin_damped"], GridSpec((0.0, 1.0, 2.0)))
@@ -506,3 +506,52 @@ class TestUnderflowingDivisor:
         rep = stancu_bound_report(spec, 1.0, 0.5)
         assert rep.terms[2] == pytest.approx(2.15143787574, rel=1e-11)
         assert rep.bound == pytest.approx(6.45431362722, rel=1e-11)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Sizes of the deformed-integer tables built, in every pqbbh namespace that calls one."""
+    calls = []
+
+    def counting(n, params):
+        calls.append(n)
+        return pq_integers(n, params)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pqbbh.") and getattr(module, "pq_integers", None) is pq_integers:
+            monkeypatch.setattr(module, "pq_integers", counting)
+    return calls
+
+
+class TestIntegerTable:
+    """A spec builds [0]..[n+1] on first use and every later call reads it.
+
+    Each test builds its own specs: a spec kept across tests would hold its
+    table already and count no build.
+    """
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_moments_command_builds_one_table(self, nu, table_builds, capsys):
+        # moment_closed and evaluate on one spec; two tables before the sharing
+        argv = ["moments", "--n", "8", "--p", "0.9", "--q", "0.7", "--nu", str(nu), "--x", "1.5"]
+        assert pqbbh.cli.main(argv) == 0
+        capsys.readouterr()
+        assert table_builds == [9]
+
+    def test_convergence_report_builds_one_table_per_degree(self, table_builds):
+        # disc1, disc2 and sup_delta each built one before the sharing
+        convergence_report(HarmonicSchedule(0.25, 0.5), [4, 16, 64], GridSpec((0.0, 1.0, 2.0)))
+        assert table_builds == [5, 17, 65]
+
+    def test_stancu_bound_report_builds_one_table(self, table_builds):
+        stancu_bound_report(OperatorSpec(12, PqParams(0.9, 0.8), StancuShift(0.5, 0.5)), 1.0, 0.5)
+        assert table_builds == [13]
+
+    def test_a_used_spec_compares_hashes_and_prints_as_a_fresh_one(self):
+        used = OperatorSpec(6, PqParams(0.9, 0.6))
+        moment_closed(used, 2, 1.0)
+        evaluate(used, bbh_metric, 1.0)
+        fresh = OperatorSpec(6, PqParams(0.9, 0.6))
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)

@@ -464,6 +464,19 @@ class TestExitCodes:
         assert "ratio denominator p^1109 [1] = " in err
         assert "is subnormal at k=0 (p=0.518, q=0.513)" in err
 
+    def test_underflowing_gap_divisor_is_three(self, capsys):
+        # exited 3 with a bare "float division by zero" before the check
+        code, out, err = run(
+            ["represent", "--n", "3", "--p", "1.0422776544377814e-100",
+             "--q", "1.0422776544377814e-100", "--registry", "exp_neg",
+             "--x", "1293.2239477425098"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert "gap divisor [3][4] q^1 = 0.0 underflows" in err
+        assert "at k=0" in err
+
     @pytest.mark.parametrize("x", ["0", "-1"])
     def test_represent_needs_positive_x_before_calling_f(self, x, capsys, monkeypatch):
         calls = []

@@ -401,6 +401,14 @@ class TestRepresentation:
         representation_rhs(spec, f, 1.7)
         assert calls == [MIXED.p * 1.7 / MIXED.q, *nodes(spec).values]
 
+    def test_underflowing_gap_divisor_raises_before_calling_f(self):
+        # [3][4] q underflows to 0: ZeroDivisionError after sampling f before the check
+        calls = []
+        spec = OperatorSpec(3, PqParams(1.0422776544377814e-100, 1.0422776544377814e-100))
+        with pytest.raises(DomainError, match=r"gap divisor \[3\]\[4\] q\^1 = 0\.0 .* k=0"):
+            representation_rhs(spec, lambda t: calls.append(t) or 0.0, 1293.2239477425098)
+        assert calls == []
+
     def test_non_finite_at_pivot_is_named(self):
         pivot = MIXED.p * 1.7 / MIXED.q
         with pytest.raises(EvaluationError, match="at pivot 0"):
