@@ -13,8 +13,6 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 # weights is unused here; bench/test_spans.py::test_every_namespace_sees_the_wrapper_and_uninstall_restores_it reads it
 from .operators import OperatorSpec, RealFunction, weights
 from .operators import _Kernel, _sample, _variant
@@ -74,6 +72,8 @@ class GridSpec:
             raise ValueError(f"x_max must be positive, got {x_max!r}")
         if points < 2:
             raise ValueError(f"need at least 2 grid points, got {points!r}")
+        import numpy as np
+
         knee = min(5.0, x_max)
         if x_max <= 5.0:
             xs = np.linspace(0.0, x_max, points)
@@ -310,6 +310,8 @@ def _moduli(
     apart; delta >= 0 spans floor(delta/h) steps, at most the whole grid, and
     ranges[w] = max |g_i - g_j| over |i - j| <= w is tabulated to the widest.
     """
+    import numpy as np
+
     if not 0.0 < u_max < 1.0:
         raise DomainError(f"transformed grid end must lie in (0, 1), got {u_max!r}")
     h = u_max / (points - 1)
@@ -355,6 +357,8 @@ def rate_bound_check(
     The modulus is tabulated once on the refined transformed grid and read
     off per point; the slack absorbs the grid estimate's downward bias.
     """
+    import numpy as np
+
     _variant(spec, False, "rate_bound_check")
     kernel = _Kernel(spec)
     forms = _ClosedForms(spec)
@@ -406,6 +410,8 @@ def lipschitz_constant_estimate(
     An empirical membership certificate for the Hoelder-type class, taken
     over all pairs of grid points (pairs coincident in u are skipped).
     """
+    import numpy as np
+
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     if len(grid.xs) < 2:

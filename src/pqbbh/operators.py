@@ -11,11 +11,12 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .pq_core import DomainError, PqParams, pq_integers
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RealFunction = Callable[[float], float]
 
@@ -35,6 +36,14 @@ _RESCALE_AT = 1e100
 # blocks, 148 ms in 1 MiB and 109 ms in 2 MiB.  1 MiB keeps the buffer a
 # small part of the benchmark's 10% peak-RSS bound.
 _BLOCK_BYTES = 1 << 20
+
+# Largest degree whose kernel takes the scalar path: Python floats for the
+# nodes and one weight row, so that a one-point query imports no numpy.
+# Above it, and on every grid, the array path runs.  It is the largest power
+# of two at which the scalar path was no slower in scripts/scalar_degree_sweep.py
+# on a 2-vCPU host: the scalar/array time of kernel, nodes, row and sum read
+# 0.88-0.95 at n = 64 and 1.16-1.21 at n = 128.
+_SCALAR_DEGREE = 64
 
 
 class EvaluationError(DomainError):
@@ -108,26 +117,39 @@ class _Kernel:
 
     ints is the spec's [0]..[n+1], shared with the closed forms; ppow, qpow
     hold p^j, q^j for j = 0..n+1, taken with Python ``**`` (numpy's power
-    differs from it in the last bit).  num and den are the x-free halves of
-    the weight ratio q^k [n-k] x / (p^(n-1-k) [k+1]), k = 0..n-1.  The array
-    tables are products, sums and quotients of those lists taken
-    element-wise, which round each entry as the same Python operation does.
+    differs from it in the last bit).  The weight ratio is
+    q^k [n-k] x / (p^(n-1-k) [k+1]), k = 0..n-1.
+
+    Up to _SCALAR_DEGREE the nodes and rows are loops over these lists.
+    Above it, _build_arrays turns them into arrays: num and den, the x-free
+    halves of the ratio, and the factors of the rising product.  Both paths
+    take each product, sum and quotient element-wise in the same order, so
+    they give the same doubles.
     """
 
     def __init__(self, spec: OperatorSpec) -> None:
         self.spec = spec
         n = spec.n
         self.p, self.q = p, q = spec.params.p, spec.params.q
-        self.ints = ints = spec._ints
-        self.ppow = ppow = [p ** j for j in range(n + 2)]
-        self.qpow = qpow = [q ** j for j in range(n + 2)]
+        self.ints = spec._ints
+        self.ppow = [p ** j for j in range(n + 2)]
+        self.qpow = [q ** j for j in range(n + 2)]
+        self.log_c0 = 0.5 * n * (n - 1) * math.log(p)
+        self.scalar = n <= _SCALAR_DEGREE
+        if not self.scalar:
+            self._build_arrays()
+
+    def _build_arrays(self) -> None:
+        """The tables of the array path and of every grid, as numpy arrays."""
+        import numpy as np
+
+        n = self.spec.n
         self._ints, self._ppow, self._qpow = ia, pa, qa = (
-            np.array(ints), np.array(ppow), np.array(qpow))
+            np.array(self.ints), np.array(self.ppow), np.array(self.qpow))
         self.num = qa[:n] * ia[n:0:-1]
         self.den = pa[n - 1::-1] * ia[1:n + 1]
         # p^s and q^s, s = 0..n-1: the factors p^s + q^s x of the rising product
         self.ell_p, self.ell_q = pa[:n], qa[:n]
-        self.log_c0 = 0.5 * n * (n - 1) * math.log(p)
 
     def nodes(self) -> NodeTable:
         """The spec's nodes: base ones checked increasing, shifted ones with negatives listed.
@@ -137,6 +159,10 @@ class _Kernel:
         """
         shift = self.spec.stancu
         gamma, beta = (shift.gamma, shift.beta) if shift is not None else (0.0, 0.0)
+        if self.scalar:
+            return self._scalar_nodes(gamma, beta)
+        import numpy as np
+
         n = self.spec.n
         ia, pa, qa = self._ints, self._ppow, self._qpow
         with np.errstate(all="ignore"):  # a zero denominator makes a non-finite node
@@ -144,33 +170,62 @@ class _Kernel:
             vals = (pa[n + 1:0:-1] * ia[:n + 1] + gamma) / den
         if not np.isfinite(vals).all():
             k = int(np.flatnonzero(~np.isfinite(vals))[0])
-            m = n - k + 1
-            raise DomainError(
-                f"node {k} overflows: its denominator q^{k} [{m}] = "
-                f"{self.qpow[k]!r} * {self.ints[m]!r} is {float(den[k])!r} "
-                f"(p={self.p}, q={self.q})"
-            )
+            raise self._node_error(k, float(den[k]))
         values = tuple(vals.tolist())
         if shift is not None:
             return NodeTable(values, tuple(np.flatnonzero(vals < 0).tolist()))
         increasing = vals[:-1] < vals[1:]
         if not increasing.all():
-            k = int(increasing.argmin())
-            raise ArithmeticError(f"node table not increasing at k={k} (n={n}, q={self.q})")
+            raise self._order_error(int(increasing.argmin()))
         return NodeTable(values)
 
-    def row(self, x: float) -> np.ndarray:
+    def _scalar_nodes(self, gamma: float, beta: float) -> NodeTable:
+        """nodes() on the lists, one node at a time."""
+        n, ints, ppow, qpow = self.spec.n, self.ints, self.ppow, self.qpow
+        vals = []
+        for k in range(n + 1):
+            m = n - k + 1
+            den = qpow[k] * ints[m] + beta
+            # a zero denominator gives a non-finite node, as in the array path
+            v = (ppow[m] * ints[k] + gamma) / den if den else math.inf
+            if not math.isfinite(v):
+                raise self._node_error(k, den)
+            vals.append(v)
+        if self.spec.stancu is not None:
+            return NodeTable(tuple(vals), tuple(k for k, v in enumerate(vals) if v < 0))
+        for k in range(n):
+            if not vals[k] < vals[k + 1]:
+                raise self._order_error(k)
+        return NodeTable(tuple(vals))
+
+    def _node_error(self, k: int, den: float) -> DomainError:
+        m = self.spec.n - k + 1
+        return DomainError(
+            f"node {k} overflows: its denominator q^{k} [{m}] = "
+            f"{self.qpow[k]!r} * {self.ints[m]!r} is {den!r} "
+            f"(p={self.p}, q={self.q})"
+        )
+
+    def _order_error(self, k: int) -> ArithmeticError:
+        return ArithmeticError(f"node table not increasing at k={k} (n={self.spec.n}, q={self.q})")
+
+    def row(self, x: float) -> list[float] | np.ndarray:
         """Weights w_0..w_n at x, bit for bit those of the sequential ratio recurrence.
 
-        term_{k+1} = term_k r_k with r_k = num_k x / den_k, as one cumprod per
-        segment: a segment starts at a term equal to 1.0 and ends at the first
-        term above _RESCALE_AT (all earlier terms are divided by it and the
-        next segment starts) or not finite (an error).  The running total is
-        a cumsum seeded with the total so far, so every product and sum is
-        taken in the loop's order.
+        A list on the scalar path, an array above _SCALAR_DEGREE.  On the
+        array path term_{k+1} = term_k r_k with r_k = num_k x / den_k, as one
+        cumprod per segment: a segment starts at a term equal to 1.0 and ends
+        at the first term above _RESCALE_AT (all earlier terms are divided by
+        it and the next segment starts) or not finite (an error).  The
+        running total is a cumsum seeded with the total so far, so every
+        product and sum is taken in the loop's order.
         """
         if not math.isfinite(x) or x < 0:
             raise DomainError(f"evaluation point must be finite and >= 0, got {x!r}")
+        if self.scalar:
+            return self._scalar_row(x)
+        import numpy as np
+
         n = self.spec.n
         w = np.zeros(n + 1)
         w[0] = 1.0
@@ -212,6 +267,45 @@ class _Kernel:
             raise error
         return w
 
+    def _scalar_row(self, x: float) -> list[float]:
+        """row(x) on the lists: the same ratios, terms, restarts and total, one k at a time.
+
+        Its drift reference is a left fold of math.log where the array path
+        takes numpy's log and pairwise sum.  The two differed by at most
+        6.5e-11 over 20,000 random specs (n <= 64, x up to e^709), so they
+        can decide the 1e-8 drift check differently only that close to its
+        threshold.
+        """
+        n, ints, ppow, qpow = self.spec.n, self.ints, self.ppow, self.qpow
+        x = float(x)  # floats out for a numpy scalar x, as the array path's tolist() gives
+        w = [1.0]
+        if x == 0.0:
+            return w + [0.0] * n
+        total = 1.0
+        log_scale = 0.0  # log of everything divided out so far
+        for k in range(n):
+            den = ppow[n - 1 - k] * ints[k + 1]
+            # a zero denominator gives a term that is not finite, as in the array path
+            t = w[k] * (qpow[k] * ints[n - k] * x / den if den else math.inf)
+            if not t <= _RESCALE_AT:
+                error = self._stop_error(k, t, x)
+                if error is not None:
+                    raise error
+                w = [v / t for v in w]
+                total /= t
+                log_scale += math.log(t)
+                t = 1.0
+            w.append(t)
+            total += t
+        # every factor is at least p^s >= p^(n-1) = den_0, which is not 0 here
+        log_ell = 0.0
+        for s in range(n):
+            log_ell += math.log(ppow[s] + qpow[s] * x)
+        error = self._drift_error(total, log_scale, log_ell, x)
+        if error is not None:
+            raise error
+        return [v / total for v in w]
+
     def weighted_sums(self, xs: Sequence[float], fvals: np.ndarray) -> list[float]:
         """[_weighted_sum(self.row(x), fvals) for x in xs], bit for bit, raising what that raises.
 
@@ -223,12 +317,18 @@ class _Kernel:
         raise records its error and keeps stepping.  The running totals add
         the terms in row()'s order, the weighted sum is an in-place cumsum
         down the columns, and the drift reference is a row-wise sum over a
-        C-contiguous (B, n) view of the same buffer, which matches row()'s
-        1-D sum.  x = 0 gives e_0, as in row(), and stays out of the
-        lockstep, where its 0 * x / 0 ratios would be nan.
+        C-contiguous (B, n) view of the same buffer, which matches the array
+        row()'s 1-D sum (see _scalar_row for the scalar one).  x = 0 gives
+        e_0, as in row(), and stays out of the lockstep, where its
+        0 * x / 0 ratios would be nan.  At any degree the lockstep runs on
+        the array tables, which a scalar-path kernel builds here.
 
         xs must be finite and >= 0, as a GridSpec's points are.
         """
+        import numpy as np
+
+        if self.scalar:
+            self._build_arrays()
         n = self.spec.n
         width = max(1, _BLOCK_BYTES // (8 * (n + 1)))
         fvals = np.asarray(fvals)
@@ -243,6 +343,8 @@ class _Kernel:
 
     def _block_sums(self, xs: list[float], fvals: np.ndarray, buf: np.ndarray) -> list[float]:
         """weighted_sums over one block of x > 0, or the first failing x's error."""
+        import numpy as np
+
         n, b = self.spec.n, len(xs)
         x = np.array(xs, dtype=float)
         w = buf[: (n + 1) * b].reshape(n + 1, b)
@@ -290,7 +392,7 @@ class _Kernel:
     def _stop_error(self, k: int, t: float, x: float) -> DomainError | None:
         """What row() raises where term k+1 = t is past _RESCALE_AT, or None if it rescales."""
         n = self.spec.n
-        if self.den[k] == 0.0:
+        if self.ppow[n - 1 - k] * self.ints[k + 1] == 0.0:  # den_k
             return DomainError(f"degree {n} too large for p={self.p}: term ratio overflows")
         if not math.isfinite(t):
             return DomainError(f"weight term {k + 1} overflows for n={n}, x={x}")
@@ -307,16 +409,18 @@ class _Kernel:
 
     def _drift_message(self, x: float) -> str:
         """Names the first subnormal ratio denominator, else the first subnormal numerator."""
-        n = self.spec.n
+        n, ints, ppow, qpow = self.spec.n, self.ints, self.ppow, self.qpow
         msg = f"weight normalizer drifted from the rising product at n={n}, x={x}"
-        tiny_den = np.flatnonzero(self.den < sys.float_info.min)
-        tiny_num = np.flatnonzero(self.num < sys.float_info.min)
-        if tiny_den.size:
-            k = int(tiny_den[0])
-            cause = f"denominator p^{n - 1 - k} [{k + 1}] = {float(self.den[k])!r}"
-        elif tiny_num.size:
-            k = int(tiny_num[0])
-            cause = f"numerator q^{k} [{n - k}] = {float(self.num[k])!r}"
+        den = [ppow[n - 1 - k] * ints[k + 1] for k in range(n)]
+        num = [qpow[k] * ints[n - k] for k in range(n)]
+        tiny_den = [k for k in range(n) if den[k] < sys.float_info.min]
+        tiny_num = [k for k in range(n) if num[k] < sys.float_info.min]
+        if tiny_den:
+            k = tiny_den[0]
+            cause = f"denominator p^{n - 1 - k} [{k + 1}] = {den[k]!r}"
+        elif tiny_num:
+            k = tiny_num[0]
+            cause = f"numerator q^{k} [{n - k}] = {num[k]!r}"
         else:
             return msg
         return f"{msg}: ratio {cause} is subnormal at k={k} (p={self.p}, q={self.q})"
@@ -369,7 +473,8 @@ def weights(spec: OperatorSpec, x: float) -> WeightTable:
             subnormal ratio denominator, the usual cause.
     """
     row = _Kernel(spec).row(x)
-    return WeightTable(float(x) if x else 0.0, tuple(row.tolist()))
+    values = row if isinstance(row, list) else row.tolist()
+    return WeightTable(float(x) if x else 0.0, tuple(values))
 
 
 def _sample(f: RealFunction, ts: Iterable[float], what: str) -> list[float]:
@@ -383,10 +488,20 @@ def _sample(f: RealFunction, ts: Iterable[float], what: str) -> list[float]:
     return vals
 
 
-def _weighted_sum(w: np.ndarray, fvals: Sequence[float] | np.ndarray) -> float:
-    # Sequential ascending-k sum: cumsum adds in the loop's order (np.sum
-    # would not), and 0.0 + gives the sign of zero an accumulator from 0.0 gives.
-    return float(0.0 + np.cumsum(np.asarray(fvals) * w)[-1])
+def _weighted_sum(w: list[float] | np.ndarray, fvals: Sequence[float] | np.ndarray) -> float:
+    # Sequential ascending-k sum of a row from either path.  cumsum adds in
+    # the loop's order (np.sum would not), and 0.0 + gives the sign of zero
+    # that the scalar fold from 0.0 gives.  Neither uses builtin sum, which
+    # Python 3.12 compensates.
+    if isinstance(w, list):
+        acc = 0.0
+        for fk, wk in zip(fvals, w):
+            acc += fk * wk
+        return float(acc)  # fvals may be numpy scalars
+    import numpy as np
+
+    with np.errstate(all="ignore"):  # inf and nan arise silently, as in float arithmetic
+        return float(0.0 + np.cumsum(np.asarray(fvals) * w)[-1])
 
 
 def evaluate(spec: OperatorSpec, f: RealFunction, x: float) -> float:
@@ -517,7 +632,7 @@ def _gaps(kernel: _Kernel) -> list[float]:
 def _rhs(
     pivot: float,
     t: Sequence[float],
-    w: np.ndarray,
+    w: list[float] | np.ndarray,
     fp: float,
     ft: list[float],
     gaps: list[float],
@@ -525,6 +640,5 @@ def _rhs(
     """(px/q) (sum_k dd2_k gap_k w_k - dd1 w_n) from the nodes t, the gaps and the samples of f."""
     n = len(gaps)
     terms = [_dd2(pivot, t[k], t[k + 1], fp, ft[k], ft[k + 1]) * gaps[k] for k in range(n)]
-    with np.errstate(all="ignore"):  # inf and nan arise silently, as in float arithmetic
-        acc = _weighted_sum(w[:n], terms)
+    acc = _weighted_sum(w[:n], terms)
     return pivot * (acc - _dd1(pivot, t[n], fp, ft[n]) * float(w[n]))

@@ -324,6 +324,13 @@ class TestRateBound:
         with pytest.raises(EvaluationError, match=r"at grid point 2 \(t=1\.3\)"):
             rate_bound_check(spec, f, GridSpec((0.0, 1.0, 1.3, 2.0)))
 
+    @pytest.mark.parametrize("n", [8, pqbbh.operators._SCALAR_DEGREE])
+    def test_scalar_degree_points_hold_python_floats_and_bools(self, n):
+        # a numpy scalar here would print the pass column as 1, not true
+        spec = OperatorSpec(n, PqParams(0.9, 0.7))
+        for pt in rate_bound_check(spec, REGISTRY["exp_neg"], GridSpec((0.0, 0.5, 3.0))):
+            assert (type(pt.lhs), type(pt.rhs), type(pt.passed)) == (float, float, bool)
+
     def test_grid_of_the_origin_alone_raises(self):
         with pytest.raises(DomainError, match="transformed grid end"):
             rate_bound_check(OperatorSpec(4, PqParams(0.9, 0.7)), math.sin, GridSpec((0.0,)))

@@ -41,6 +41,13 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH, for a child interpreter."""
+    src = str(pathlib.Path(pqbbh.cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestGoldenOutputs:
     def test_eval_documented_invocation(self, capsys):
         code, out, err = run(
@@ -516,19 +523,60 @@ class TestExitCodes:
     def test_broken_stdout_pipe_is_four(self):
         read_end, write_end = os.pipe()
         os.close(read_end)  # no reader, so the first write fails with EPIPE
-        src = str(pathlib.Path(pqbbh.cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "pqbbh.cli", "eval", "--n", "2", "--p", "1",
                  "--q", "1", "--fn", "t", "--x", "1"],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+                stdout=write_end, stderr=subprocess.PIPE, env=src_env(), timeout=60,
             )
         finally:
             os.close(write_end)
         assert proc.returncode == 4
         assert proc.stderr == b""
+
+
+class TestWithoutNumpy:
+    """One-point commands at a degree on the scalar path never import numpy."""
+
+    # a child interpreter in which ``import numpy`` raises ImportError
+    BLOCKED = "import sys; sys.modules['numpy'] = None; "
+    ONE_POINT = {
+        "eval": ["eval", "--n", "8", "--p", "0.9", "--q", "0.5", "--fn", "t/(1+t)",
+                 "--x", "1.5"],
+        "eval_stancu": ["eval", "--n", "8", "--p", "0.9", "--q", "0.5", "--gamma", "0.5",
+                        "--beta", "0.25", "--registry", "exp_neg", "--x", "2",
+                        "--format", "json"],
+        "moments": ["moments", "--n", "8", "--p", "0.95", "--q", "0.7", "--nu", "2",
+                    "--x", "3"],
+        "represent": ["represent", "--n", "8", "--p", "0.9", "--q", "0.6",
+                      "--registry", "sin_damped", "--x", "0.7"],
+        "stancu_bound": ["stancu-bound", "--n", "1024", "--p", "0.9998", "--q", "0.9995",
+                         "--gamma", "0.5", "--beta", "1", "--alpha", "0.5", "--m", "2"],
+    }
+
+    def child(self, code, *args):
+        return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, env=src_env(), timeout=60)
+
+    def test_import_loads_no_numpy(self):
+        proc = self.child("import sys, pqbbh.cli; sys.exit('numpy' in sys.modules)")
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.parametrize("argv", ONE_POINT.values(), ids=ONE_POINT.keys())
+    def test_one_point_command_runs_with_numpy_blocked(self, argv, capsys):
+        want = run(argv, capsys)
+        assert want[0] == 0
+        proc = self.child(self.BLOCKED + "from pqbbh.cli import main; sys.exit(main())", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+    def test_array_degree_imports_numpy_and_answers(self, capsys):
+        argv = ["eval", "--n", "1024", "--p", "0.9998", "--q", "0.9995", "--fn", "t/(1+t)",
+                "--x", "4"]
+        want = run(argv, capsys)
+        assert want[0] == 0
+        proc = self.child("import sys; from pqbbh.cli import main; code = main(); "
+                          "sys.exit(code if code else 'numpy' not in sys.modules)", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
 class TestParserReuse:

@@ -153,6 +153,12 @@ class TestWeights:
             assert all(v >= 0.0 for v in w)
             assert abs(math.fsum(w) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("n", [8, 200])
+    def test_weights_are_python_floats_for_a_numpy_point(self, n):
+        np = pytest.importorskip("numpy")
+        w = weights(OperatorSpec(n, MIXED), np.float64(1.5)).weights
+        assert {type(v) for v in w} == {float}
+
     def test_rejects_negative_point(self):
         with pytest.raises(DomainError):
             weights(OperatorSpec(2, MIXED), -1.0)

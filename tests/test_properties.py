@@ -15,6 +15,7 @@ import re
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -517,6 +518,8 @@ BLOCK_EXAMPLES = (
     # blocks of 127 points and of 1, a column numpy's sum would add pairwise
     (1024, 0.99, 0.98, tuple(0.05 * i for i in range(1, 129))),
     (2100, 0.999, 0.998, tuple(0.5 * i for i in range(70))),  # blocks of 62 and 7 points
+    # the per-row path is the scalar one here; the terms rescale at 1e12 and 1e30
+    (16, 0.7, 0.3, (0.0, 5e-324, 0.5, 21.9, 1e12, 1e30)),
 )
 
 
@@ -559,6 +562,67 @@ def test_grid_sums_keep_one_row_a_block_where_a_row_passes_the_block(monkeypatch
     xs = (0.0, 0.5, 0.5, 21.9, 3e5)
     want = [_weighted_sum(kernel.row(x), fvals).hex() for x in xs]
     assert [v.hex() for v in kernel.weighted_sums(xs, fvals)] == want
+
+
+# -- the scalar path against the array path, bit for bit ---------------------
+
+
+def path_outcomes(spec, x, fvals, scalar):
+    """Nodes, the row at x and its weighted sum of fvals, each as hex or (error type, message).
+
+    The kernel is built with the degree bound moved so that it takes the
+    scalar path or the array path.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pqbbh.operators, "_SCALAR_DEGREE", spec.n if scalar else spec.n - 1)
+        kernel = _Kernel(spec)
+    assert kernel.scalar is scalar
+    table, error = outcome(kernel.nodes)
+    if error is None:
+        nodes = [v.hex() for v in table.values], table.negative
+    else:
+        nodes = type(error), str(error)
+    row, error = outcome(lambda: kernel.row(x))
+    if error is not None:
+        return nodes, (type(error), str(error))
+    return nodes, [float(v).hex() for v in row], _weighted_sum(row, fvals).hex()
+
+
+SCALAR_EXAMPLES = (
+    (32, 1e-11, 1e-11, None, 1.0),  # zero ratio denominator: p^31 is 0.0
+    (2, 0.9, 0.45, None, 1.7e308),  # term overflow
+    (32, 6e-11, 3e-11, None, 1.0),  # drift: p^31 [1] is subnormal
+    (32, 1.0, 1e-20, None, 3.0),  # node 16 overflows: q^16 [17] = 1e-320
+    (8, 0.9, 0.5, (-1.5, 0.5), 0.0),  # negative shifted nodes
+    (20, 0.7, 0.3, None, 5e-324),
+    (20, 0.7, 0.3, (0.5, 0.25), 1e30),  # the terms rescale four times
+)
+
+
+def with_scalar_examples(test):
+    for n, p, q, shift, x in SCALAR_EXAMPLES:
+        test = example(n=n, p=p, r=q / p, shift=shift, x=x, seed=0)(test)
+    return test
+
+
+@property_settings(150)
+@given(
+    n=st.integers(1, 2 * pqbbh.operators._SCALAR_DEGREE) | st.integers(1, 400),
+    p=box_p,
+    r=box_r,
+    shift=st.none() | st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 3.0)),
+    x=kernel_points | st.sampled_from([5e-324, 1e30, 1.7e308]),
+    seed=st.none() | st.integers(0, 2**32),
+)
+@with_scalar_examples
+def test_scalar_path_matches_the_array_path(n, p, r, shift, x, seed):
+    q = p * r
+    if q == 0.0:
+        return
+    spec = OperatorSpec(n, PqParams(p, q), None if shift is None else StancuShift(*shift))
+    fvals = node_values(n, seed).tolist()
+    assert path_outcomes(spec, x, fvals, True) == path_outcomes(spec, x, fvals, False)
+
 
 def negative_zero(t):
     return -0.0
