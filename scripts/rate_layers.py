@@ -1,0 +1,89 @@
+"""Time the benchmark's three rate calls in process, layer by layer.
+
+The calls have the shape of one ``rate_kernel`` pass: ``rate`` at n = 256
+with CSV and with JSON output and at n = 1024 with JSON, on the default
+2001-point grid, here with the fixed schedule harmonic:0.25,0.5 and
+``sin_damped``.  Each call is timed whole (``cli.main``, stdout captured)
+and by layer:
+
+- ``kernel``: ``_Kernel`` built and ``weighted_sums`` over the grid;
+- ``moduli``: ``analysis._moduli`` for the grid's sqrt(delta_n);
+- ``emit``: ``cli._emit`` of the call's rows.
+
+The layers and calls take turns until the time budget is spent, so that a
+slow phase of the host hits them all, and each figure is the best time
+seen, in ms.  Prints one JSON object.
+
+    PYTHONPATH=src python3 scripts/rate_layers.py [--seconds 20]
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import time
+
+import numpy as np
+
+from pqbbh import GridSpec, HarmonicSchedule, OperatorSpec, nodes
+from pqbbh import analysis, cli, operators
+from pqbbh.functions import REGISTRY
+
+SCHEDULE = "harmonic:0.25,0.5"
+FUNCTION = "sin_damped"
+CALLS = ((256, "csv"), (256, "json"), (1024, "json"))
+
+
+def layers(n: int, fmt: str) -> dict:
+    """The zero-argument callables to time for one call, by layer name."""
+    argv = ["rate", "--schedule", SCHEDULE, "--n", str(n), "--registry", FUNCTION,
+            "--format", fmt]
+    args = cli.build_parser().parse_args(argv)
+    spec = OperatorSpec(n, HarmonicSchedule(0.25, 0.5).params_for(n))
+    f = REGISTRY[FUNCTION]
+    grid = GridSpec.default()
+    fvals = np.array([f(t) for t in nodes(spec).values])
+    deltas = [math.sqrt(analysis._ClosedForms(spec).delta(x)) for x in grid.xs]
+    points = analysis.rate_bound_check(spec, f, grid)
+    rows = [[pt.x, pt.lhs, pt.rhs, pt.passed] for pt in points]
+
+    def total() -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+
+    return {
+        "kernel": lambda: operators._Kernel(spec).weighted_sums(grid.xs, fvals),
+        "moduli": lambda: analysis._moduli(f, deltas, grid.u_max),
+        "emit": lambda: cli._emit(args, ["x", "lhs", "rhs", "pass"], rows,
+                                  fn=f"registry:{FUNCTION}"),
+        "total": total,
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seconds", type=float, default=20.0, help="time budget")
+    budget = parser.parse_args().seconds
+    timed = {f"n={n} {fmt}": layers(n, fmt) for n, fmt in CALLS}
+    best = {call: dict.fromkeys(fns, math.inf) for call, fns in timed.items()}
+    rounds = 0
+    end = time.perf_counter() + budget
+    while rounds == 0 or time.perf_counter() < end:
+        for call, fns in timed.items():
+            for layer, fn in fns.items():
+                start = time.perf_counter()
+                fn()
+                best[call][layer] = min(best[call][layer], time.perf_counter() - start)
+        rounds += 1
+    print(json.dumps({
+        "schedule": SCHEDULE, "function": FUNCTION, "seconds": budget, "rounds": rounds,
+        "best_ms": {call: {layer: round(1e3 * s, 3) for layer, s in layer_s.items()}
+                    for call, layer_s in best.items()},
+    }, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -317,15 +317,18 @@ def _moduli(
     h = u_max / (points - 1)
     widths = [int(min(delta / h + 1e-12, points - 1)) for delta in deltas]
     w_top = max(widths)
-    us = np.linspace(0.0, u_max, points).tolist()
-    g = mx = mn = np.array(_sample(f, [u / (1.0 - u) for u in us], "modulus grid point"))
-    ranges = np.zeros(w_top + 1)
+    us = np.linspace(0.0, u_max, points)
+    g = np.array(_sample(f, (us / (1.0 - us)).tolist(), "modulus grid point"))
+    # mx[i] and mn[i] run over g[i..i+w], in place: the first points - w are live
+    mx, mn, span = g.copy(), g.copy(), np.empty(points)
+    ranges = [0.0] * (w_top + 1)
     with np.errstate(over="ignore"):  # a range beyond the doubles is inf
         for w in range(1, w_top + 1):
-            mx = np.maximum(mx[:-1], g[w:])
-            mn = np.minimum(mn[:-1], g[w:])
-            ranges[w] = (mx - mn).max()
-    return [float(ranges[w]) for w in widths]
+            m = points - w
+            np.maximum(mx[:m], g[w:], out=mx[:m])
+            np.minimum(mn[:m], g[w:], out=mn[:m])
+            ranges[w] = float(np.subtract(mx[:m], mn[:m], out=span[:m]).max())
+    return [ranges[w] for w in widths]
 
 
 def modulus_estimate(

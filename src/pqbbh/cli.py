@@ -52,9 +52,12 @@ def _fmt(value, column: str = "value") -> str:
     v = float(value)
     if not math.isfinite(v):
         raise DomainError(f"{column} = {v!r} is not a finite number")
-    if v == 0.0:
-        v = 0.0  # normalize -0
-    return f"{v:.12g}"
+    return _float_texts((v,))[0]
+
+
+def _float_texts(values) -> list[str]:
+    """Finite floats at 12 significant digits; + 0.0 prints -0.0 as 0."""
+    return [f"{v + 0.0:.12g}" for v in values]
 
 
 def _json_cell(value, column: str):
@@ -63,18 +66,42 @@ def _json_cell(value, column: str):
     return float(_fmt(value, column))
 
 
+def _column(values: tuple, column: str, json_out: bool) -> list:
+    """One column's cells: finite Python floats in one pass, any other cell by cell."""
+    if set(map(type, values)) == {float} and all(map(math.isfinite, values)):
+        texts = _float_texts(values)
+        return list(map(float, texts)) if json_out else texts
+    cell = _json_cell if json_out else _fmt
+    return [cell(v, column) for v in values]
+
+
+def _cells(header: list[str], rows: list[list], json_out: bool) -> list:
+    """The table's cells as _fmt (CSV) or _json_cell (JSON) gives them, row by row.
+
+    A table of more than one row is formatted column by column.  Where a
+    cell is refused, the table goes again cell by cell in row order, so the
+    error names the first such cell.
+    """
+    if len(rows) > 1:
+        try:
+            return list(zip(*(_column(col, name, json_out)
+                              for name, col in zip(header, zip(*rows)))))
+        except DomainError:
+            pass
+    cell = _json_cell if json_out else _fmt
+    return [[cell(c, name) for c, name in zip(row, header)] for row in rows]
+
+
 def _emit(args, header: list[str], rows: list[list], **overrides) -> str:
     if args.format == "json":
         # "meta" echoes every flag in declaration order, --fn/--registry as "fn"
         meta = {k: v for k, v in vars(args).items() if k != "registry"}
         meta.update(overrides)
-        cells = [[_json_cell(c, name) for c, name in zip(row, header)] for row in rows]
-        return json.dumps({"meta": meta, "rows": cells}) + "\n"
+        return json.dumps({"meta": meta, "rows": _cells(header, rows, True)}) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(c, name) for c, name in zip(row, header)])
+    writer.writerows(_cells(header, rows, False))
     return buf.getvalue()
 
 

@@ -30,12 +30,13 @@ COLLISION_RTOL = 1e-9
 _RESCALE_AT = 1e100
 
 # Bytes of the (n+1) x B float64 buffer in which _Kernel.weighted_sums steps
-# B grid rows together (B = 510 at n = 256, 127 at n = 1024, and at least 1).
+# B grid rows together (B = 1020 at n = 256, 255 at n = 1024, and at least 1).
 # A wider block spreads each numpy call over more rows: on a 2-vCPU host the
-# 2001-point rate grid at n = 1024 took 313 ms row by row, 190 ms in 0.5 MiB
-# blocks, 148 ms in 1 MiB and 109 ms in 2 MiB.  1 MiB keeps the buffer a
-# small part of the benchmark's 10% peak-RSS bound.
-_BLOCK_BYTES = 1 << 20
+# 2001-point rate grid at n = 1024 took 129 ms in 0.5 MiB blocks, 109 ms in
+# 1 MiB, 83 ms in 2 MiB and 80 ms in 4 MiB (n = 256: 11-12 ms at each size).
+# 2 MiB costs about 1 MB of peak RSS over 1 MiB, a small part of the
+# benchmark's 10% bound.
+_BLOCK_BYTES = 1 << 21
 
 # Largest degree whose kernel takes the scalar path: Python floats for the
 # nodes and one weight row, so that a one-point query imports no numpy.
@@ -311,17 +312,19 @@ class _Kernel:
 
         The x > 0 rows step together, B at a time, in an (n+1) x B buffer
         whose row k holds the weights w_k of the B points: row k+1 starts as
-        the ratios num_k x / den_k and is multiplied in place by row k.  One
-        max() per k finds the points whose term passed _RESCALE_AT (or is not
-        finite); those alone get row()'s rescale, and a point that would
-        raise records its error and keeps stepping.  The running totals add
-        the terms in row()'s order, the weighted sum is an in-place cumsum
-        down the columns, and the drift reference is a row-wise sum over a
-        C-contiguous (B, n) view of the same buffer, which matches the array
-        row()'s 1-D sum (see _scalar_row for the scalar one).  x = 0 gives
-        e_0, as in row(), and stays out of the lockstep, where its
-        0 * x / 0 ratios would be nan.  At any degree the lockstep runs on
-        the array tables, which a scalar-path kernel builds here.
+        the ratios num_k x / den_k and is multiplied in place by row k.  A
+        row that the product of its ratios' maxima cannot prove below
+        _RESCALE_AT takes one max(), which finds the points whose term passed
+        it (or is not finite); those alone get row()'s rescale, and a point
+        that would raise records its error and keeps stepping.
+        The running totals add the terms in row()'s order, the weighted sum
+        adds the rows of the buffer in order, and the drift reference is a
+        row-wise sum over a C-contiguous (B, n) view of the same buffer,
+        which matches the array row()'s 1-D sum (see _scalar_row for the
+        scalar one).  x = 0 gives e_0, as in row(), and stays out of the
+        lockstep, where its 0 * x / 0 ratios would be nan.  At any degree the
+        lockstep runs on the array tables, which a scalar-path kernel builds
+        here.
 
         xs must be finite and >= 0, as a GridSpec's points are.
         """
@@ -355,28 +358,47 @@ class _Kernel:
             w[0] = 1.0
             np.multiply.outer(self.num, x, out=w[1:])
             w[1:] /= self.den[:, None]
+            rmax = w[1:].max(axis=1).tolist()  # each row's largest ratio, nan if any is nan
+            bound = 1.0  # no term of the row before exceeds it
             prev = w[0]
             for k, col in enumerate(w[1:]):
                 col *= prev
                 prev = col
-                if col.max() <= _RESCALE_AT:
+                # Terms and ratios are >= 0 and rounding is monotone, so no
+                # term of this row exceeds the product; a nan or inf ratio
+                # makes it fail the test.  Only then does the row take a max().
+                bound *= rmax[k]
+                if not bound <= _RESCALE_AT:
+                    bound = float(col.max())
+                if bound <= _RESCALE_AT:
                     total += col
                     continue
-                rows = (~(col <= _RESCALE_AT)).nonzero()[0]
-                t = col[rows]
-                for j, tj in zip(rows.tolist(), t.tolist()):
-                    if errors[j] is None:
-                        errors[j] = self._stop_error(k, tj, xs[j])
+                # row()'s rescale for the points whose term passed _RESCALE_AT:
+                # nearly always one run, taken as a slice
+                found = (~(col <= _RESCALE_AT)).nonzero()[0]
+                rows = found.tolist()
+                lo, hi = rows[0], rows[-1] + 1
+                sel = slice(lo, hi) if hi - lo == len(rows) else found
+                t = col[sel]
+                ts = t.tolist()
+                # a zero den_k makes every t inf or nan, so finite ones raise nothing
+                if not all(map(math.isfinite, ts)):
+                    for j, tj in zip(rows, ts):
+                        if errors[j] is None:
+                            errors[j] = self._stop_error(k, tj, xs[j])
+                for j, tj in zip(rows, ts):
                     log_scale[j] += math.log(tj)
-                w[: k + 1, rows] /= t
-                restarted = total[rows] / t + 1.0
+                w[: k + 1, sel] /= t
+                total[sel] /= t  # then + 1.0 from the restarted term, as in row()
+                col[sel] = 1.0
                 total += col
-                total[rows] = restarted
-                col[rows] = 1.0
+                bound = _RESCALE_AT
             w /= total
             w *= fvals[:, None]
-            np.cumsum(w, axis=0, out=w)
-            sums = (0.0 + w[n]).tolist()
+            # Down axis 0 numpy adds one row at a time, in cumsum's order; in
+            # a one-column block axis 0 is the fast axis, which it sums pairwise.
+            sums = np.add.reduce(w, axis=0) if b > 1 else np.cumsum(w, axis=0)[n]
+            sums = (0.0 + sums).tolist()
             ell = buf[: b * n].reshape(b, n)
             np.multiply.outer(x, self.ell_q, out=ell)
             ell += self.ell_p

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -13,6 +14,7 @@ import pytest
 import pqbbh.cli
 from pqbbh.cli import build_parser, main
 from pqbbh.functions import registry_function
+from pqbbh.pq_core import DomainError
 
 GOLDEN_EVAL = "0.333333333333\n"
 
@@ -641,3 +643,67 @@ class TestOutputFile:
         assert len(payload["rows"]) == 2
         # nu = 0 discrepancies vanish identically
         assert all(row[4] == 0.0 for row in payload["rows"])
+
+
+class TestTableCells:
+    """A table of many rows is formatted column by column, with the bytes of the per-cell rule."""
+
+    HEADER = ["floats", "mixed", "blank", "flag", "count", "name"]
+
+    @staticmethod
+    def rows():
+        import numpy as np
+
+        return [
+            [-0.0, np.float64(0.1), None, True, 3, "a,b"],
+            [5e-324, 2.5, None, False, -7, "c"],
+            [1e-5, np.float64(-0.0), None, True, 0, ""],
+            [123456789012.0, -0.0, None, False, 10**20, 'say "d"'],
+            [1e16, 1.0, None, True, 1, "e"],
+        ]
+
+    @staticmethod
+    def per_cell(fmt, header, rows):
+        """_emit's output with every cell passed to _fmt (CSV) or _json_cell (JSON) in row order."""
+        if fmt == "json":
+            cells = [[pqbbh.cli._json_cell(c, name) for c, name in zip(row, header)]
+                     for row in rows]
+            return json.dumps({"meta": {"format": fmt}, "rows": cells}) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([pqbbh.cli._fmt(c, name) for c, name in zip(row, header)])
+        return buf.getvalue()
+
+    EXPECTED = {
+        "csv": (
+            "floats,mixed,blank,flag,count,name\n"
+            '0,0.1,,true,3,"a,b"\n'
+            "4.94065645841e-324,2.5,,false,-7,c\n"
+            "1e-05,0,,true,0,\n"
+            '123456789012,0,,false,100000000000000000000,"say ""d"""\n'
+            "1e+16,1,,true,1,e\n"
+        ),
+        "json": (
+            '{"meta": {"format": "json"}, "rows": [[0.0, 0.1, null, true, 3, "a,b"], '
+            '[5e-324, 2.5, null, false, -7, "c"], [1e-05, 0.0, null, true, 0, ""], '
+            '[123456789012.0, 0.0, null, false, 100000000000000000000, "say \\"d\\""], '
+            '[1e+16, 1.0, null, true, 1, "e"]]}\n'
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_columns_give_the_per_cell_bytes(self, fmt):
+        args = argparse.Namespace(format=fmt)
+        got = pqbbh.cli._emit(args, self.HEADER, self.rows())
+        assert got == self.per_cell(fmt, self.HEADER, self.rows())
+        assert got == self.EXPECTED[fmt]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_first_non_finite_cell_in_row_order_is_named(self, fmt):
+        # column by column, "a" would be refused first
+        rows = [[1.0, float("inf")], [float("nan"), 2.0]]
+        args = argparse.Namespace(format=fmt)
+        with pytest.raises(DomainError, match=r"^b = inf is not a finite number$"):
+            pqbbh.cli._emit(args, ["a", "b"], rows)

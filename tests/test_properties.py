@@ -506,20 +506,34 @@ def node_values(n, seed):
                      for _ in range(n + 1)])
 
 
+def block_width(n):
+    """Points in a full block of weighted_sums at degree n."""
+    return max(1, pqbbh.operators._BLOCK_BYTES // (8 * (n + 1)))
+
+
 RATE_GRID = GridSpec.default().xs
 BLOCK_EXAMPLES = (
     (1000, 0.3, 0.2, (0.0, 1.0, 2.0)),  # zero ratio denominator
     (1110, 0.518, 0.513, (0.0, 0.5, 21.9, 60.0)),  # drift: p^1109 [1] is subnormal
     (2, 0.9, 0.5, (0.0, 1.0, 1.7e308)),  # term overflow
-    # 150 good points fill the first block (100 wide at n = 1298); the drift
-    # of the subnormal numerators q^k [n-k] fails the last point, in the second
-    (1298, 0.5912, 0.1823, tuple(0.4 * i for i in range(150)) + (1.99e26,)),
+    # good points fill the first block and 49 more start the second, where
+    # the drift of the subnormal numerators q^k [n-k] fails the last point
+    (1298, 0.5912, 0.1823, tuple(0.4 * i for i in range(block_width(1298) + 50)) + (1.99e26,)),
     (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024, RATE_GRID),  # the rate command's grid
-    # blocks of 127 points and of 1, a column numpy's sum would add pairwise
-    (1024, 0.99, 0.98, tuple(0.05 * i for i in range(1, 129))),
-    (2100, 0.999, 0.998, tuple(0.5 * i for i in range(70))),  # blocks of 62 and 7 points
+    # a full block and one of 1 point, a column numpy's sum would add pairwise
+    (1024, 0.99, 0.98, tuple(0.05 * i for i in range(1, block_width(1024) + 2))),
+    # a full block and one of 7 points
+    (2100, 0.999, 0.998, tuple(0.5 * i for i in range(block_width(2100) + 8))),
     # the per-row path is the scalar one here; the terms rescale at 1e12 and 1e30
     (16, 0.7, 0.3, (0.0, 5e-324, 0.5, 21.9, 1e12, 1e30)),
+    # unsorted: the three 40.0 points pass _RESCALE_AT at one k, not side by
+    # side, and are indexed by an array; a proven-quiet stretch ends just before
+    (300, 0.99, 0.98, (40.0, 1.0, 40.0, 2.0, 40.0)),
+    # the bound is exact for equal points: the stretch ends one row before the event
+    (300, 0.99, 0.98, (40.0, 40.0)),
+    # den_0 = p^619 [1] is 0 and num_0 x is 0 at 5e-324, so row 0 holds a nan
+    # ratio where the bound of the stretch starts
+    (620, 0.3, 0.25, (5e-324, 0.5, 5e-324)),
 )
 
 
