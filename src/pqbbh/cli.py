@@ -52,11 +52,11 @@ def _fmt(value, column: str = "value") -> str:
     v = float(value)
     if not math.isfinite(v):
         raise DomainError(f"{column} = {v!r} is not a finite number")
-    return _float_texts((v,))[0]
+    return f"{v + 0.0:.12g}"  # + 0.0 prints -0.0 as 0
 
 
 def _float_texts(values) -> list[str]:
-    """Finite floats at 12 significant digits; + 0.0 prints -0.0 as 0."""
+    """[_fmt(v) for v in values] for finite floats; the f-string must stay _fmt's."""
     return [f"{v + 0.0:.12g}" for v in values]
 
 

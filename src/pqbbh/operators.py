@@ -373,13 +373,10 @@ class _Kernel:
                 if bound <= _RESCALE_AT:
                     total += col
                     continue
-                # row()'s rescale for the points whose term passed _RESCALE_AT:
-                # nearly always one run, taken as a slice
+                # row()'s rescale for the points whose term passed _RESCALE_AT
                 found = (~(col <= _RESCALE_AT)).nonzero()[0]
                 rows = found.tolist()
-                lo, hi = rows[0], rows[-1] + 1
-                sel = slice(lo, hi) if hi - lo == len(rows) else found
-                t = col[sel]
+                t = col[found]
                 ts = t.tolist()
                 # a zero den_k makes every t inf or nan, so finite ones raise nothing
                 if not all(map(math.isfinite, ts)):
@@ -388,9 +385,9 @@ class _Kernel:
                             errors[j] = self._stop_error(k, tj, xs[j])
                 for j, tj in zip(rows, ts):
                     log_scale[j] += math.log(tj)
-                w[: k + 1, sel] /= t
-                total[sel] /= t  # then + 1.0 from the restarted term, as in row()
-                col[sel] = 1.0
+                w[: k + 1, found] /= t
+                total[found] /= t  # then + 1.0 from the restarted term, as in row()
+                col[found] = 1.0
                 total += col
                 bound = _RESCALE_AT
             w /= total

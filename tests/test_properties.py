@@ -527,7 +527,7 @@ BLOCK_EXAMPLES = (
     # the per-row path is the scalar one here; the terms rescale at 1e12 and 1e30
     (16, 0.7, 0.3, (0.0, 5e-324, 0.5, 21.9, 1e12, 1e30)),
     # unsorted: the three 40.0 points pass _RESCALE_AT at one k, not side by
-    # side, and are indexed by an array; a proven-quiet stretch ends just before
+    # side; a proven-quiet stretch ends just before
     (300, 0.99, 0.98, (40.0, 1.0, 40.0, 2.0, 40.0)),
     # the bound is exact for equal points: the stretch ends one row before the event
     (300, 0.99, 0.98, (40.0, 40.0)),
