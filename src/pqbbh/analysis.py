@@ -315,6 +315,11 @@ def _moduli(
     if not 0.0 < u_max < 1.0:
         raise DomainError(f"transformed grid end must lie in (0, 1), got {u_max!r}")
     h = u_max / (points - 1)
+    if h == 0.0:
+        raise DomainError(
+            f"transformed grid end {u_max!r} leaves a modulus grid step of 0.0 "
+            f"over {points - 1} steps"
+        )
     widths = [int(min(delta / h + 1e-12, points - 1)) for delta in deltas]
     w_top = max(widths)
     us = np.linspace(0.0, u_max, points)
@@ -340,7 +345,8 @@ def modulus_estimate(
     grid of ``points`` samples in the transformed variable u = x/(1+x) up
     to grid.u_max.  A lower bound of the true modulus, nondecreasing in
     delta, converging from below as the grid refines.  DomainError if
-    grid.u_max is not inside (0, 1), as for the grid (0.0,).
+    grid.u_max is not inside (0, 1), as for the grid (0.0,), or so small
+    that the grid step underflows to 0.0, as for (0.0, 1e-320).
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta!r}")

@@ -169,19 +169,13 @@ class _Kernel:
         with np.errstate(all="ignore"):  # a zero denominator makes a non-finite node
             den = qa[:n + 1] * ia[n + 1:0:-1] + beta
             vals = (pa[n + 1:0:-1] * ia[:n + 1] + gamma) / den
-        if not np.isfinite(vals).all():
-            k = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise self._node_error(k, float(den[k]))
-        values = tuple(vals.tolist())
-        if shift is not None:
-            return NodeTable(values, tuple(np.flatnonzero(vals < 0).tolist()))
-        increasing = vals[:-1] < vals[1:]
-        if not increasing.all():
-            raise self._order_error(int(increasing.argmin()))
-        return NodeTable(values)
+        if not (np.isfinite(vals).all() and (shift is not None or (vals[:-1] < vals[1:]).all())):
+            return self._scalar_nodes(gamma, beta)  # the same nodes, so it raises the refusal
+        negative = np.flatnonzero(vals < 0).tolist() if shift is not None else ()
+        return NodeTable(tuple(vals.tolist()), tuple(negative))
 
     def _scalar_nodes(self, gamma: float, beta: float) -> NodeTable:
-        """nodes() on the lists, one node at a time."""
+        """nodes() on the lists, one node at a time, and every refusal of either path."""
         n, ints, ppow, qpow = self.spec.n, self.ints, self.ppow, self.qpow
         vals = []
         for k in range(n + 1):
@@ -190,25 +184,17 @@ class _Kernel:
             # a zero denominator gives a non-finite node, as in the array path
             v = (ppow[m] * ints[k] + gamma) / den if den else math.inf
             if not math.isfinite(v):
-                raise self._node_error(k, den)
+                raise DomainError(
+                    f"node {k} overflows: its denominator q^{k} [{m}] = "
+                    f"{qpow[k]!r} * {ints[m]!r} is {den!r} (p={self.p}, q={self.q})"
+                )
             vals.append(v)
         if self.spec.stancu is not None:
             return NodeTable(tuple(vals), tuple(k for k, v in enumerate(vals) if v < 0))
         for k in range(n):
             if not vals[k] < vals[k + 1]:
-                raise self._order_error(k)
+                raise ArithmeticError(f"node table not increasing at k={k} (n={n}, q={self.q})")
         return NodeTable(tuple(vals))
-
-    def _node_error(self, k: int, den: float) -> DomainError:
-        m = self.spec.n - k + 1
-        return DomainError(
-            f"node {k} overflows: its denominator q^{k} [{m}] = "
-            f"{self.qpow[k]!r} * {self.ints[m]!r} is {den!r} "
-            f"(p={self.p}, q={self.q})"
-        )
-
-    def _order_error(self, k: int) -> ArithmeticError:
-        return ArithmeticError(f"node table not increasing at k={k} (n={self.spec.n}, q={self.q})")
 
     def row(self, x: float) -> list[float] | np.ndarray:
         """Weights w_0..w_n at x, bit for bit those of the sequential ratio recurrence.
@@ -252,9 +238,7 @@ class _Kernel:
                     break
                 k = s + stop
                 t = float(seg[stop])
-                error = self._stop_error(k, t, x)
-                if error is not None:
-                    raise error
+                self._check_stop(k, t, x)
                 w[: k + 1] /= t
                 total /= t
                 log_scale += math.log(t)
@@ -263,9 +247,8 @@ class _Kernel:
                 s = k + 1
             log_ell = float(np.log(self.ell_p + self.ell_q * x).sum())
         w /= total
-        error = self._drift_error(total, log_scale, log_ell, x)
-        if error is not None:
-            raise error
+        if self._drifted(total, log_scale, log_ell):
+            raise ArithmeticError(self._drift_message(x))
         return w
 
     def _scalar_row(self, x: float) -> list[float]:
@@ -289,9 +272,7 @@ class _Kernel:
             # a zero denominator gives a term that is not finite, as in the array path
             t = w[k] * (qpow[k] * ints[n - k] * x / den if den else math.inf)
             if not t <= _RESCALE_AT:
-                error = self._stop_error(k, t, x)
-                if error is not None:
-                    raise error
+                self._check_stop(k, t, x)
                 w = [v / t for v in w]
                 total /= t
                 log_scale += math.log(t)
@@ -302,29 +283,18 @@ class _Kernel:
         log_ell = 0.0
         for s in range(n):
             log_ell += math.log(ppow[s] + qpow[s] * x)
-        error = self._drift_error(total, log_scale, log_ell, x)
-        if error is not None:
-            raise error
+        if self._drifted(total, log_scale, log_ell):
+            raise ArithmeticError(self._drift_message(x))
         return [v / total for v in w]
 
     def weighted_sums(self, xs: Sequence[float], fvals: np.ndarray) -> list[float]:
         """[_weighted_sum(self.row(x), fvals) for x in xs], bit for bit, raising what that raises.
 
-        The x > 0 rows step together, B at a time, in an (n+1) x B buffer
-        whose row k holds the weights w_k of the B points: row k+1 starts as
-        the ratios num_k x / den_k and is multiplied in place by row k.  A
-        row that the product of its ratios' maxima cannot prove below
-        _RESCALE_AT takes one max(), which finds the points whose term passed
-        it (or is not finite); those alone get row()'s rescale, and a point
-        that would raise records its error and keeps stepping.
-        The running totals add the terms in row()'s order, the weighted sum
-        adds the rows of the buffer in order, and the drift reference is a
-        row-wise sum over a C-contiguous (B, n) view of the same buffer,
-        which matches the array row()'s 1-D sum (see _scalar_row for the
-        scalar one).  x = 0 gives e_0, as in row(), and stays out of the
-        lockstep, where its 0 * x / 0 ratios would be nan.  At any degree the
-        lockstep runs on the array tables, which a scalar-path kernel builds
-        here.
+        The points step together in blocks of B, in an (n+1) x B buffer
+        (see _block_sums).  A block that _block_sums cannot finish is redone
+        by row() one point at a time, which gives its sums or raises the
+        first refusal in grid order.  At any degree the lockstep runs on the
+        array tables, which a scalar-path kernel builds here.
 
         xs must be finite and >= 0, as a GridSpec's points are.
         """
@@ -335,26 +305,43 @@ class _Kernel:
         n = self.spec.n
         width = max(1, _BLOCK_BYTES // (8 * (n + 1)))
         fvals = np.asarray(fvals)
-        out = [_weighted_sum(self.row(0.0), fvals)] * len(xs)
-        positive = [i for i, x in enumerate(xs) if x > 0.0]
-        buf = np.empty((n + 1) * min(width, len(positive)))
-        for start in range(0, len(positive), width):
-            block = positive[start:start + width]
-            for i, v in zip(block, self._block_sums([xs[i] for i in block], fvals, buf)):
-                out[i] = v
+        buf = np.empty((n + 1) * min(width, len(xs)))
+        out: list[float] = []
+        for start in range(0, len(xs), width):
+            block = xs[start:start + width]
+            sums = self._block_sums(block, fvals, buf)
+            if sums is None:
+                sums = [_weighted_sum(self.row(x), fvals) for x in block]
+            out += sums
         return out
 
-    def _block_sums(self, xs: list[float], fvals: np.ndarray, buf: np.ndarray) -> list[float]:
-        """weighted_sums over one block of x > 0, or the first failing x's error."""
+    def _block_sums(
+        self, xs: Sequence[float], fvals: np.ndarray, buf: np.ndarray
+    ) -> list[float] | None:
+        """weighted_sums over one block of two or more points, or None where row() must answer.
+
+        Row k of the buffer holds the weights w_k of the block's points: row
+        k+1 starts as the ratios num_k x / den_k and is multiplied in place
+        by row k.  A row that the product of its ratios' maxima cannot prove
+        below _RESCALE_AT takes one max(), which finds the points whose term
+        passed it; those alone get row()'s rescale.  The running totals add
+        the terms in row()'s order, the weighted sum adds the rows of the
+        buffer in order, and the drift reference is a row-wise sum over a
+        C-contiguous (B, n) view of the same buffer, which matches the array
+        row()'s 1-D sum (see _scalar_row for the scalar one).  None for a
+        block of one point, whose one column numpy would sum pairwise, for a
+        term that is not finite and for a normalizer that drifts.
+        """
         import numpy as np
 
         n, b = self.spec.n, len(xs)
+        if b < 2:
+            return None
         x = np.array(xs, dtype=float)
         w = buf[: (n + 1) * b].reshape(n + 1, b)
         total = np.ones(b)
         log_scale = [0.0] * b
-        errors: list[Exception | None] = [None] * b
-        with np.errstate(all="ignore"):  # a failing point's terms run on as inf or nan
+        with np.errstate(all="ignore"):  # a zero den_k or a failing term gives inf or nan
             w[0] = 1.0
             np.multiply.outer(self.num, x, out=w[1:])
             w[1:] /= self.den[:, None]
@@ -375,15 +362,11 @@ class _Kernel:
                     continue
                 # row()'s rescale for the points whose term passed _RESCALE_AT
                 found = (~(col <= _RESCALE_AT)).nonzero()[0]
-                rows = found.tolist()
                 t = col[found]
                 ts = t.tolist()
-                # a zero den_k makes every t inf or nan, so finite ones raise nothing
                 if not all(map(math.isfinite, ts)):
-                    for j, tj in zip(rows, ts):
-                        if errors[j] is None:
-                            errors[j] = self._stop_error(k, tj, xs[j])
-                for j, tj in zip(rows, ts):
+                    return None
+                for j, tj in zip(found.tolist(), ts):
                     log_scale[j] += math.log(tj)
                 w[: k + 1, found] /= t
                 total[found] /= t  # then + 1.0 from the restarted term, as in row()
@@ -392,39 +375,28 @@ class _Kernel:
                 bound = _RESCALE_AT
             w /= total
             w *= fvals[:, None]
-            # Down axis 0 numpy adds one row at a time, in cumsum's order; in
-            # a one-column block axis 0 is the fast axis, which it sums pairwise.
-            sums = np.add.reduce(w, axis=0) if b > 1 else np.cumsum(w, axis=0)[n]
-            sums = (0.0 + sums).tolist()
+            # down axis 0 of two or more columns numpy adds one row at a time, in cumsum's order
+            sums = (0.0 + np.add.reduce(w, axis=0)).tolist()
             ell = buf[: b * n].reshape(b, n)
             np.multiply.outer(x, self.ell_q, out=ell)
             ell += self.ell_p
             np.log(ell, out=ell)
             log_ell = ell.sum(axis=1).tolist()
-        for j, total_j in enumerate(total.tolist()):
-            if errors[j] is None:
-                errors[j] = self._drift_error(total_j, log_scale[j], log_ell[j], xs[j])
-            if errors[j] is not None:
-                raise errors[j]
+        if any(map(self._drifted, total.tolist(), log_scale, log_ell)):
+            return None
         return sums
 
-    def _stop_error(self, k: int, t: float, x: float) -> DomainError | None:
-        """What row() raises where term k+1 = t is past _RESCALE_AT, or None if it rescales."""
+    def _check_stop(self, k: int, t: float, x: float) -> None:
+        """Raises row()'s refusal where term k+1 = t is past _RESCALE_AT and cannot be rescaled."""
         n = self.spec.n
         if self.ppow[n - 1 - k] * self.ints[k + 1] == 0.0:  # den_k
-            return DomainError(f"degree {n} too large for p={self.p}: term ratio overflows")
+            raise DomainError(f"degree {n} too large for p={self.p}: term ratio overflows")
         if not math.isfinite(t):
-            return DomainError(f"weight term {k + 1} overflows for n={n}, x={x}")
-        return None
+            raise DomainError(f"weight term {k + 1} overflows for n={n}, x={x}")
 
-    def _drift_error(
-        self, total: float, log_scale: float, log_ell: float, x: float
-    ) -> ArithmeticError | None:
-        """The drift error if log(total) + log_scale + log c_0 misses log ell_n(x) by > 1e-8."""
-        log_sum = math.log(total) + log_scale + self.log_c0
-        if abs(log_sum - log_ell) > 1e-8:
-            return ArithmeticError(self._drift_message(x))
-        return None
+    def _drifted(self, total: float, log_scale: float, log_ell: float) -> bool:
+        """Whether log(total) + log_scale + log c_0 misses log ell_n(x) by more than 1e-8."""
+        return abs(math.log(total) + log_scale + self.log_c0 - log_ell) > 1e-8
 
     def _drift_message(self, x: float) -> str:
         """Names the first subnormal ratio denominator, else the first subnormal numerator."""

@@ -9,6 +9,7 @@ above ``_DIRECT_LIMIT`` so degrees in the hundreds stay usable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 # n! overflows a double near n = 171; beyond this bound factorial-scale
@@ -103,18 +104,32 @@ def pq_factorial(n: int, params: PqParams) -> float:
 
 
 def pq_log_factorial(n: int, params: PqParams) -> float:
-    """log of pq_factorial, usable far beyond double overflow."""
+    """log of pq_factorial, usable far beyond double overflow.
+
+    Raises:
+        DomainError: if some [i], i <= n, underflows to 0.0, which has no log.
+    """
     _check_index(n)
-    return math.fsum(math.log(v) for v in pq_integers(n, params)[1:])
+    ints = pq_integers(n, params)[1:]
+    if 0.0 in ints:
+        raise DomainError(
+            f"deformed integer [{ints.index(0.0) + 1}] underflows to 0.0, which has no log "
+            f"(p={params.p}, q={params.q})"
+        )
+    return math.fsum(math.log(v) for v in ints)
 
 
 def pq_binomial(n: int, k: int, params: PqParams) -> float:
     """Deformed binomial coefficient [n]! / ([k]! [n-k]!).
 
-    Strictly positive; not necessarily >= 1 away from the classical case.
+    Positive, but it can underflow to 0.0; not necessarily >= 1 away from
+    the classical case.  Above _DIRECT_LIMIT, or where the product of the
+    numerator or the denominator is not a normal double, it is taken in
+    log space.
 
     Raises:
-        DomainError: if k is outside 0..n.
+        DomainError: if k is outside 0..n, or the log form meets a deformed
+            integer [i] that underflows to 0.0 (see pq_log_factorial).
     """
     _check_index(n)
     if not isinstance(k, int) or k < 0 or k > n:
@@ -127,7 +142,8 @@ def pq_binomial(n: int, k: int, params: PqParams) -> float:
         for i in range(kk):
             num *= ints[n - i]
             den *= ints[i + 1]
-        return num / den
+        if min(num, den) >= sys.float_info.min:
+            return num / den
     return _exp_or_inf(
         pq_log_factorial(n, params)
         - pq_log_factorial(kk, params)

@@ -260,9 +260,13 @@ class TestModulus:
         with pytest.raises(EvaluationError, match="at modulus grid point"):
             modulus_estimate(f, 0.1, GridSpec.default())
 
-    @pytest.mark.parametrize("grid, delta", [(GridSpec((0.0,)), 0.1), (GridSpec((1e17,)), 1e-9)])
+    @pytest.mark.parametrize(
+        "grid, delta",
+        [(GridSpec((0.0,)), 0.1), (GridSpec((1e17,)), 1e-9), (GridSpec((0.0, 1e-320)), 0.1)],
+    )
     def test_grid_end_outside_the_open_unit_interval_raises(self, grid, delta):
-        # u_max = 0 leaves no grid step; 1e17/(1 + 1e17) rounds to u_max = 1
+        # u_max = 0 leaves no grid step; 1e17/(1 + 1e17) rounds to u_max = 1;
+        # the step 1e-320/8000 underflows to 0.0
         with pytest.raises(DomainError, match="transformed grid end"):
             modulus_estimate(math.sin, delta, grid)
 
@@ -334,6 +338,13 @@ class TestRateBound:
     def test_grid_of_the_origin_alone_raises(self):
         with pytest.raises(DomainError, match="transformed grid end"):
             rate_bound_check(OperatorSpec(4, PqParams(0.9, 0.7)), math.sin, GridSpec((0.0,)))
+
+    def test_grid_whose_modulus_step_underflows_raises_before_f_is_called(self):
+        def f(t):
+            raise AssertionError(f"f called at {t!r}")
+
+        with pytest.raises(DomainError, match="transformed grid end 1e-320"):
+            rate_bound_check(OperatorSpec(4, PqParams(0.9, 0.7)), f, GridSpec((0.0, 1e-320)))
 
     def test_builds_the_integer_table_once(self, monkeypatch):
         # the kernel and the closed forms read the spec's [0]..[n+1]

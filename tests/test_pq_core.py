@@ -141,6 +141,19 @@ class TestPqFactorial:
     def test_classical_overflow_is_inf(self):
         assert pq_factorial(200, CLASSICAL) == math.inf
 
+    @pytest.mark.parametrize(
+        "call, i",
+        [
+            (lambda: pq_log_factorial(65, PqParams(5e-324, 5e-324)), 3),  # [3] = 3 p^2
+            (lambda: pq_factorial(200, PqParams(1e-3, 1e-4)), 109),
+            (lambda: pq_binomial(200, 100, PqParams(1e-3, 1e-4)), 109),
+        ],
+        ids=["log_factorial", "factorial", "binomial"],
+    )
+    def test_log_form_refuses_an_integer_that_underflows(self, call, i):
+        with pytest.raises(DomainError, match=rf"\[{i}\] underflows to 0\.0"):
+            call()
+
 
 class TestPqBinomial:
     def test_k_zero(self):
@@ -179,6 +192,13 @@ class TestPqBinomial:
             got = pq_binomial(n, k, PqParams(p, q))
             want = pascal_binomial(n, k, p, q)
             assert got == pytest.approx(want, rel=1e-12)
+
+    def test_underflowing_products_take_the_log_form(self):
+        # both products underflow to 0.0, and so does the coefficient
+        assert pq_binomial(150, 75, PqParams(0.01, 0.005)) == 0.0
+        # a subnormal numerator (2e-316) left the direct quotient off by 1.2e-8
+        got = pq_binomial(36, 17, PqParams(0.2, 0.1))
+        assert got == pytest.approx(pascal_binomial(36, 17, 0.2, 0.1), rel=1e-12)
 
     def test_log_space_path(self):
         pp = PqParams(0.95, 0.7)

@@ -519,6 +519,8 @@ BLOCK_EXAMPLES = (
     # good points fill the first block and 49 more start the second, where
     # the drift of the subnormal numerators q^k [n-k] fails the last point
     (1298, 0.5912, 0.1823, tuple(0.4 * i for i in range(block_width(1298) + 50)) + (1.99e26,)),
+    # x = 0 inside a block whose third point drifts: the whole block takes row()
+    (1298, 0.5912, 0.1823, (0.4, 0.0, 1.99e26, 0.8)),
     (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024, RATE_GRID),  # the rate command's grid
     # a full block and one of 1 point, a column numpy's sum would add pairwise
     (1024, 0.99, 0.98, tuple(0.05 * i for i in range(1, block_width(1024) + 2))),
