@@ -7,8 +7,9 @@ copies of code that was replaced by a faster form, kept so the new form can
 be held to it bit for bit: ``sequential_weights`` and ``sequential_nodes``
 (the scalar kernel loops), ``sequential_rhs`` (the representation's sum) and
 ``walk_expression`` (the expression tree walk).
-The ``mp_*`` oracles take the closed forms, the nodes, the weights, the
-rate lhs and the representation to 60 significant digits with mpmath, so
+The ``mp_*`` oracles take the factorials, the binomials, the Euler
+coefficients, the closed forms, the nodes, the weights, the rate lhs and
+the representation to 60 significant digits with mpmath, so
 they pin the double-precision forms to an error bound.
 """
 
@@ -163,6 +164,39 @@ def mp_integers(m: int, p: float, q: float) -> tuple:
             ints.append(k * pk if p == q else (pk * p - qk * q) / (p - q))
             pk, qk = pk * p, qk * q
         return tuple(ints)
+
+
+def mp_factorial(n: int, p: float, q: float) -> float:
+    """[1][2]...[n] at MP_DIGITS digits, rounded once to a double (0.0 or inf beyond them)."""
+    mp = _mp()
+    with mp.workdps(MP_DIGITS):
+        return float(mp.fprod(mp_integers(n, p, q)[1:]))
+
+
+def mp_binomial(n: int, k: int, p: float, q: float) -> float:
+    """[n]! / ([k]! [n-k]!) at MP_DIGITS digits, rounded once to a double."""
+    mp = _mp()
+    with mp.workdps(MP_DIGITS):
+        ints = mp_integers(n, p, q)
+        return float(mp.fprod(ints[n - k + 1 :]) / mp.fprod(ints[1 : k + 1]))
+
+
+def mp_euler_coefficients(n: int, p: float, q: float) -> list[float]:
+    """c_k = p^((n-k)(n-k-1)/2) q^(k(k-1)/2) [n over k], k = 0..n, at MP_DIGITS digits.
+
+    The binomials come from [n over k+1] = [n over k] [n-k] / [k+1].
+    """
+    mp = _mp()
+    with mp.workdps(MP_DIGITS):
+        ints = mp_integers(n, p, q)
+        p, q = mp.mpf(p), mp.mpf(q)
+        out = []
+        binomial = mp.one
+        for k in range(n + 1):
+            out.append(float(p ** ((n - k) * (n - k - 1) // 2) * q ** (k * (k - 1) // 2) * binomial))
+            if k < n:
+                binomial = binomial * ints[n - k] / ints[k + 1]
+        return out
 
 
 def mp_closed_moment(nu: int, n: int, p: float, q: float, x: float) -> float:

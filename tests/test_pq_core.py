@@ -145,20 +145,30 @@ class TestPqFactorial:
         "call, i",
         [
             (lambda: pq_log_factorial(65, PqParams(5e-324, 5e-324)), 3),  # [3] = 3 p^2
-            (lambda: pq_factorial(200, PqParams(1e-3, 1e-4)), 109),
             (lambda: pq_binomial(200, 100, PqParams(1e-3, 1e-4)), 109),
         ],
-        ids=["log_factorial", "factorial", "binomial"],
+        ids=["log_factorial", "binomial"],
     )
     def test_log_form_refuses_an_integer_that_underflows(self, call, i):
         with pytest.raises(DomainError, match=rf"\[{i}\] underflows to 0\.0"):
             call()
+
+    @pytest.mark.parametrize("n", [150, 151, 200])
+    def test_an_integer_that_underflows_gives_zero(self, n):
+        # [109] is 0.0, so p^108 <= [109] is below the subnormals, and the
+        # product, at most n! p^(n(n-1)/2), rounds to 0.0
+        assert pq_factorial(n, PqParams(1e-3, 1e-4)) == 0.0
 
 
 class TestPqBinomial:
     def test_k_zero(self):
         for pp in PARAM_SETS:
             assert pq_binomial(9, 0, pp) == 1.0
+
+    @pytest.mark.parametrize("n", [150, 151])
+    def test_k_zero_needs_no_integer(self, n):
+        # [109] onwards underflow to 0.0, but k = 0 multiplies none of them
+        assert pq_binomial(n, 0, PqParams(1e-3, 1e-4)) == 1.0
 
     def test_ordinary_binomial(self):
         assert pq_binomial(4, 2, CLASSICAL) == pytest.approx(6.0, rel=1e-15)
@@ -221,6 +231,29 @@ class TestPochhammer:
     def test_rejects_negative_argument(self):
         with pytest.raises(DomainError):
             pochhammer_ell(2, -1.0, MIXED)
+
+    def test_partial_products_beyond_the_doubles(self):
+        # the first 50 factors multiply past the top of the doubles and the
+        # rest bring the product back; 40-digit mpmath: 2.7324816968233779e49
+        got = pochhammer_ell(100, 1e153, PqParams(8.3e-4, 8.3e-4))
+        assert got == pytest.approx(2.7324816968233779e49, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: pochhammer_ell(1994, 1e300, PqParams(0.5, 0.5)),  # about 1e21
+            lambda: log_pochhammer_ell(1994, 1e300, PqParams(0.5, 0.5)),
+            lambda: log_pochhammer_ell(2000, 0.0, PqParams(0.5, 0.5)),
+        ],
+        ids=["pochhammer", "log_pochhammer", "log_pochhammer_at_zero"],
+    )
+    def test_a_factor_that_underflows_is_refused(self, call):
+        with pytest.raises(DomainError, match=r"p\^s \+ q\^s x at s = 1075 underflows to 0\.0"):
+            call()
+
+    def test_a_factor_that_underflows_at_zero_gives_zero(self):
+        # every factor p^s is at most 1, so the product is below the zero one
+        assert pochhammer_ell(2000, 0.0, PqParams(0.5, 0.5)) == 0.0
 
     def test_log_variant_consistent(self):
         rng = random.Random(43)

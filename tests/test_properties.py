@@ -26,9 +26,14 @@ from pqbbh import (
     PqParams,
     StancuShift,
     delta_n,
+    euler_coefficients,
     evaluate,
     moment_closed,
     nodes,
+    pochhammer_ell,
+    pq_binomial,
+    pq_factorial,
+    pq_integers,
     rate_bound_check,
     representation_rhs,
     stancu_nodes,
@@ -38,10 +43,14 @@ import pqbbh.operators
 from pqbbh.cli import main
 from pqbbh.functions import REGISTRY
 from pqbbh.operators import _Kernel, _weighted_sum
+from pqbbh.pq_core import _ell_factors
 from oracles import (
     brute_operator,
+    mp_binomial,
     mp_closed_moment,
     mp_delta,
+    mp_euler_coefficients,
+    mp_factorial,
     mp_nodes,
     mp_rate_lhs,
     mp_representation,
@@ -319,6 +328,89 @@ def test_representation_matches_the_mpmath_oracle(n, p, r, x, name):
     gap = min([1.0] + [abs(pivot - t) / (1.0 + t) for t in ts])
     want = mp_representation(n, p, q, name, x)
     assert abs(got - want) <= MP_REPRESENTATION_TOL * scale / gap
+
+
+# -- factorial-scale products: the left fold and the 60-digit values ---------
+
+# p = NORMAL_MIN^(d/n^2) and q = p NORMAL_MIN^(e/n^2) put p^(n(n-1)/2), the
+# scale of [n]! and of the Euler coefficients, anywhere from 1 to far below
+# the doubles, on both sides of n = 150 (n^2 is taken as at least 6, so q > 0).
+depths = st.floats(0.0, 3.0)
+
+
+def scaled_params(n, d, e):
+    p = NORMAL_MIN ** (d / max(n * n, 6))
+    return p, p * NORMAL_MIN ** (e / max(n * n, 6))
+
+
+def left_fold(values):
+    """1.0 * v_0 * v_1 * ... in doubles, or None once a partial product is not normal."""
+    out = 1.0
+    for v in values:
+        out *= v
+        if not NORMAL_MIN <= out <= sys.float_info.max:
+            return None
+    return out
+
+
+@property_settings(150)
+@given(
+    n=st.integers(0, 400),
+    d=depths,
+    e=depths,
+    k=st.floats(0.0, 1.0),
+    x=st.just(0.0) | st.floats(-6.0, 6.0).map(lambda t: 10.0**t),
+)
+def test_products_match_the_left_fold(n, d, e, k, x):
+    p, q = scaled_params(n, d, e)
+    params = PqParams(p, q)
+    ints = pq_integers(n, params)
+    k = round(k * n)
+    kk = min(k, n - k)
+    num, den = left_fold(ints[n : n - kk : -1]), left_fold(ints[1 : kk + 1])
+    folds = (
+        (lambda: pq_factorial(n, params), left_fold(ints[1:])),
+        (lambda: pq_binomial(n, k, params), num and den and left_fold([num / den])),
+        (lambda: pochhammer_ell(n, x, params), left_fold(_ell_factors(n, x, params, ""))),
+    )
+    for compute, want in folds:
+        if want is not None:
+            assert compute().hex() == want.hex()
+
+
+# Relative errors against the 60-digit values where those are normal
+# doubles.  The worst measured, with n <= 2500 and these p and q, were
+# 3.4e-13 for a factorial and 2.2e-12 for a binomial (3,000 specs; the
+# deformed integers' own rounding dominates), and 4.8e-12 for an Euler
+# coefficient (1,300 specs; its p^a and q^b come from a log2(p) once **
+# leaves the normal doubles).  The bound is twice the worst.
+MP_PRODUCT_TOL = 1e-11
+
+
+def assert_near_the_oracle(got, want):
+    """Relative error within MP_PRODUCT_TOL, and never 0.0 or inf where want is normal."""
+    if NORMAL_MIN <= want <= sys.float_info.max:
+        assert abs(got - want) <= MP_PRODUCT_TOL * want
+
+
+@property_settings(60)
+@given(n=st.integers(0, 2500), d=depths, e=depths, k=st.floats(0.0, 1.0))
+@example(n=170, d=0.0, e=0.0, k=0.5)  # p = q = 1: 170! = 7.3e306, near the top
+@example(n=2500, d=0.05, e=1e-3, k=0.3)
+def test_factorial_and_binomial_match_the_mpmath_oracles(n, d, e, k):
+    p, q = scaled_params(n, d, e)
+    k = round(k * n)
+    assert_near_the_oracle(pq_factorial(n, PqParams(p, q)), mp_factorial(n, p, q))
+    assert_near_the_oracle(pq_binomial(n, k, PqParams(p, q)), mp_binomial(n, k, p, q))
+
+
+@property_settings(16)
+@given(n=st.integers(0, 2500), d=depths, e=depths)
+@example(n=1100, d=0.0, e=0.0)  # p = q = 1: the classical binomials, the middle ones inf
+def test_euler_coefficients_match_the_mpmath_oracle(n, d, e):
+    p, q = scaled_params(n, d, e)
+    for got, want in zip(euler_coefficients(n, PqParams(p, q)), mp_euler_coefficients(n, p, q)):
+        assert_near_the_oracle(got, want)
 
 
 # -- the kernel against its scalar loop, bit for bit --------------------------
