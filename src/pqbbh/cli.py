@@ -140,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-parameter Bleimann-Butzer-Hahn operators and convergence tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser, read by _parse_args
 
     p = sub.add_parser("eval", help="evaluate the operator at a point")
     _add_operator_args(p)
@@ -193,6 +194,24 @@ def _main_parser() -> argparse.ArgumentParser:
     Parsing keeps no state on it: each parse_args starts a fresh namespace.
     """
     return build_parser()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """_main_parser().parse_args(argv), with a known subcommand parsed by its own parser.
+
+    The top-level parser would hand argv[1:] to that parser and copy its
+    namespace after "command"; seeding the namespace with "command" gives
+    the same keys in the same order.  No argv, a first word that is not a
+    subcommand (-h included) and words the subcommand leaves over go to the
+    top-level parser, which gives its usage errors.
+    """
+    parser = _main_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
 
 
 def _build_spec(args) -> OperatorSpec:
@@ -324,7 +343,7 @@ def _write(path: str, text: str) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = _main_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:  # argparse prints its own diagnostics
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:

@@ -25,6 +25,7 @@ import operator
 import re
 from math import isfinite
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Union
 
 from .pq_core import DomainError
@@ -358,18 +359,91 @@ def format_expression(ast: ExprAst) -> str:
 
 
 def as_function(ast: ExprAst) -> Callable[[float], float]:
-    """Compile the AST once into a plain callable of t.
+    """Compile the AST into a plain callable of t, so that sampling never walks the tree.
 
     The callable takes the tree walk's float operations in its order, with
     its checks and messages: t must be finite, every intermediate value must
     be finite, a divisor must not be zero, and a function or power that
     leaves the reals names its node.
+
+    Its attribute ``at_points(ts)`` gives [f(t) for t in ts] with the same
+    bits, node by node over the whole list (see _compile_list).  Where that
+    meets an exception or a value that is not finite, it goes back to f one
+    point at a time, which raises the first refusal in point order.  ts is
+    a sequence of numbers, which at_points reads more than once.
     """
-    body = _compile(ast)
+    body_list = _compile_list(ast)
+    body = None  # the per-point closures, built on f's first call: most callers sample lists
 
     def f(t):
+        nonlocal body
         if not isfinite(t):
             raise ExpressionDomainError(f"t must be finite, got {t!r}")
+        if body is None:
+            body = _compile(ast)
         return body(t)
 
+    def at_points(ts):
+        try:
+            if not all(map(isfinite, ts)):
+                raise ArithmeticError
+            values = body_list(list(map(float, ts)))
+        except Exception:  # noqa: BLE001 -- f owns every refusal, with its message
+            return list(map(f, ts))
+        return values if type(values) is list else [values] * len(ts)
+
+    f.at_points = at_points
     return f
+
+
+def _finite(values: float | list[float]) -> float | list[float]:
+    """values, if every one is finite; ArithmeticError sends the list back to the points."""
+    # A sum of floats is finite only if every term is: once the running sum
+    # meets inf or nan it stays inf or nan, with or without Python 3.12's
+    # compensation.  A sum of finite terms that overflows sends the list back
+    # for nothing but time.  The sum itself is never used.
+    if not isfinite(sum(values) if type(values) is list else values):
+        raise ArithmeticError
+    return values
+
+
+def _compile_list(node: ExprAst) -> Callable[[list[float]], float | list[float]]:
+    """One map per node over the list of float(t): each element gets _compile's operations.
+
+    A subtree without t gives one float, which a binary node broadcasts
+    with repeat(), so constants build no lists.  A call or binary result
+    that is not finite raises ArithmeticError (see _finite); no error here
+    names a node, since the caller then goes back to the per-point closures.
+    """
+    if isinstance(node, Number):
+        value = node.value
+        return lambda ts: value
+    if isinstance(node, Variable):
+        return lambda ts: ts
+    if isinstance(node, Negate):
+        operand = _compile_list(node.operand)
+
+        def negate(ts):
+            v = operand(ts)
+            return list(map(operator.neg, v)) if type(v) is list else -v
+
+        return negate
+    if isinstance(node, Call):
+        arg_of, func = _compile_list(node.arg), FUNCTIONS[node.func]
+
+        def call(ts):
+            v = arg_of(ts)
+            return _finite(list(map(func, v)) if type(v) is list else func(v))
+
+        return call
+    left, right, combine = _compile_list(node.left), _compile_list(node.right), _BINARY[node.op]
+
+    def binary(ts):
+        a, b = left(ts), right(ts)
+        if type(a) is list:
+            return _finite(list(map(combine, a, b if type(b) is list else repeat(b))))
+        if type(b) is list:
+            return _finite(list(map(combine, repeat(a), b)))
+        return _finite(combine(a, b))
+
+    return binary

@@ -11,7 +11,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .pq_core import DomainError, PqParams, pq_integers
 
@@ -468,14 +468,28 @@ def weights(spec: OperatorSpec, x: float) -> WeightTable:
     return WeightTable(float(x) if x else 0.0, tuple(values))
 
 
-def _sample(f: RealFunction, ts: Iterable[float], what: str) -> list[float]:
-    """f(t) as a float for each t in order: the one place a user function is called."""
-    vals = []
-    for i, t in enumerate(ts):
-        v = float(f(t))
-        if not math.isfinite(v):
-            raise EvaluationError(f"function returned {v!r} at {what} {i} (t={t!r})")
-        vals.append(v)
+def _sample(f: RealFunction, ts: Sequence[float], what: str) -> list[float]:
+    """f(t) as a float for each t in order: the one place a user function is called.
+
+    One pass calls f once per point, in order; an expression from
+    as_function takes the whole list through its at_points.  One more pass
+    looks for a value that is not finite and names the first.  Where f
+    raises, a value before that point that is not finite is refused
+    instead, as a loop that stopped there would have done.
+    """
+    at_points = getattr(f, "at_points", None)
+    vals: list[float] = []
+    try:
+        if at_points is not None:
+            vals = at_points(ts)
+        else:
+            vals.extend(map(float, map(f, ts)))  # on a raise, vals keeps the values before it
+    finally:
+        # finite only if every value is (see expressions._finite); the sum is never used
+        if not math.isfinite(sum(vals)):
+            for i, (v, t) in enumerate(zip(vals, ts)):
+                if not math.isfinite(v):
+                    raise EvaluationError(f"function returned {v!r} at {what} {i} (t={t!r})")
     return vals
 
 

@@ -619,6 +619,48 @@ class TestParserReuse:
         assert meta["gamma"] is None and meta["beta"] is None
         assert reused[6] == (0, GOLDEN_EVAL_JSON, "")
 
+    # id: (exit code, argv)
+    DISPATCHED = {
+        "eval json": (0, ["eval", "--n", "3", "--p", "0.9", "--q", "0.6", "--gamma", "0.5",
+                          "--fn", "t/(1+t)", "--x", "2", "--format", "json"]),
+        "moments json": (0, ["moments", "--n", "3", "--p", "0.9", "--q", "0.6", "--nu", "2",
+                             "--x", "2", "--format", "json"]),
+        "converge json": (0, ["converge", "--schedule", "harmonic:0.25,0.5", "--n-list", "4,8",
+                              "--nu", "1", "--points", "11", "--format", "json"]),
+        "rate json": (0, ["rate", "--schedule", "harmonic:0.25,0.5", "--n", "4",
+                          "--registry", "exp_neg", "--format", "json"]),
+        "represent json": (0, ["represent", "--n", "3", "--p", "0.9", "--q", "0.6",
+                               "--registry", "sin_damped", "--x", "0.7", "--format", "json"]),
+        "stancu-bound json": (0, ["stancu-bound", "--n", "2", "--p", "1", "--q", "1",
+                                  "--gamma", "1", "--beta", "0", "--alpha", "1", "--m", "1",
+                                  "--format", "json"]),
+        "help after a subcommand": (0, ["moments", "-h"]),
+        "unknown flag": (2, ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "t",
+                             "--x", "1", "--bogus", "3"]),
+        "unknown subcommand": (2, ["evaluate", "--n", "2"]),
+        "empty argv": (2, []),
+        "abbreviated flag": (0, ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "t",
+                                 "--x", "1", "--form", "json"]),
+        "negative value": (3, ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "t",
+                               "--x", "-1"]),
+        "negative value after =": (0, ["eval", "--n", "2", "--p", "1", "--q", "1",
+                                       "--gamma=-0.5", "--fn", "t", "--x", "1",
+                                       "--format", "json"]),
+        "function sources in conflict": (2, ["represent", "--n", "2", "--p", "1", "--q", "1",
+                                             "--fn", "t", "--registry", "one_", "--x", "1"]),
+    }
+
+    @pytest.mark.parametrize("want, argv", list(DISPATCHED.values()), ids=list(DISPATCHED))
+    def test_dispatch_matches_the_top_level_parser(self, want, argv, capsys, monkeypatch):
+        dispatched = run(argv, capsys)
+        monkeypatch.setattr(pqbbh.cli, "_parse_args", lambda argv: build_parser().parse_args(argv))
+        assert dispatched == run(argv, capsys)  # exit codes, stdout and stderr, byte for byte
+        code, out, err = dispatched
+        assert code == want
+        if out.startswith("{"):  # JSON: "meta" starts with the subcommand's name
+            assert err == ""
+            assert next(iter(json.loads(out)["meta"])) == "command"
+
 
 class TestOutputFile:
     def test_file_matches_stdout_bytes(self, capsys, tmp_path):

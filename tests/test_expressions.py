@@ -273,25 +273,48 @@ def outcome(f, t):
     return "value", type(value), float.hex(value)
 
 
+def outcomes(f, ts):
+    """("values", type and hex of each double) or (error type, message) of f(ts)."""
+    try:
+        values = f(ts)
+    except Exception as exc:  # noqa: BLE001 -- any error must match the walk's
+        return type(exc), str(exc)
+    return "values", [(type(v), float.hex(v)) for v in values]
+
+
 THIRD = Binary("/", Number(1.0), Number(3.0))
+points = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -8.0, 1000.0]), st.floats())
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
-@given(
-    ast=expression_trees(7),
-    t=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -8.0, 1000.0]), st.floats()),
-)
-@example(ast=Call("log", Negate(Variable())), t=1.0)
-@example(ast=Call("sqrt", Binary("-", Variable(), Number(1.0))), t=0.0)
-@example(ast=Binary("/", Number(1.0), Binary("-", Variable(), Variable())), t=2.0)
-@example(ast=Binary("^", Number(-8.0), THIRD), t=0.0)
-@example(ast=Binary("^", Variable(), THIRD), t=-8.0)
-@example(ast=Call("exp", Variable()), t=1000.0)
-@example(ast=Binary("*", Variable(), Number(1e308)), t=10.0)
-@example(ast=Variable(), t=math.inf)
-@example(ast=Variable(), t=-math.inf)
-@example(ast=Variable(), t=math.nan)
-def test_compiled_expressions_match_the_tree_walk(ast, t):
+@given(ast=expression_trees(7), t=points, others=st.lists(points, max_size=4))
+@example(ast=Call("log", Negate(Variable())), t=1.0, others=[])
+@example(ast=Call("sqrt", Binary("-", Variable(), Number(1.0))), t=0.0, others=[])
+@example(ast=Binary("/", Number(1.0), Binary("-", Variable(), Variable())), t=2.0, others=[])
+@example(ast=Binary("^", Number(-8.0), THIRD), t=0.0, others=[])
+@example(ast=Binary("^", Variable(), THIRD), t=-8.0, others=[])
+@example(ast=Call("exp", Variable()), t=1000.0, others=[])
+@example(ast=Binary("*", Variable(), Number(1e308)), t=10.0, others=[])
+@example(ast=Variable(), t=math.inf, others=[])
+@example(ast=Variable(), t=-math.inf, others=[])
+@example(ast=Variable(), t=math.nan, others=[])
+# a list that fails at its middle point, after a point that passes
+@example(ast=Call("log", Variable()), t=-1.0, others=[1.0, 2.0])
+@example(ast=Binary("/", Number(1.0), Binary("-", Variable(), Number(2.0))), t=2.0,
+         others=[1.0, 3.0])
+@example(ast=Binary("+", Number(1.0), Call("exp", Variable())), t=710.0, others=[1.0, 2.0])
+@example(ast=Binary("*", Number(2.0), Variable()), t=math.nan, others=[1.0, math.inf])
+# finite values whose sum overflows: the list goes back to the points and passes
+@example(ast=Binary("*", Variable(), Number(1e308)), t=1.5, others=[1.0, 1.0])
+# constants only, broadcast over the list, and a constant that fails
+@example(ast=Binary("*", Number(2.0), Number(3.0)), t=1.0, others=[2.0])
+@example(ast=Call("exp", Number(1000.0)), t=1.0, others=[2.0])
+def test_compiled_expressions_match_the_tree_walk(ast, t, others):
     want = outcome(lambda t: walk_expression(ast, t), t)
-    assert outcome(as_function(ast), t) == want
+    f = as_function(ast)
+    assert outcome(f, t) == want
     assert outcome(lambda t: eval_expression(ast, t), t) == want
+    # over a list with t in the middle: the values, or the walk's first refusal in order
+    ts = others[: len(others) // 2] + [t] + others[len(others) // 2:]
+    assert outcomes(f.at_points, ts) == outcomes(
+        lambda ts: [walk_expression(ast, t) for t in ts], ts)

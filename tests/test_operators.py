@@ -18,6 +18,8 @@ from pqbbh import (
     stancu_nodes,
     weights,
 )
+from pqbbh.expressions import as_function, parse_expression
+from pqbbh.operators import _sample
 from oracles import brute_operator, classical_bbh_evaluate, q_bbh_evaluate
 
 CLASSICAL = PqParams(1.0, 1.0)
@@ -341,6 +343,61 @@ class TestDividedDifference:
     def test_non_finite_value_names_the_point(self):
         with pytest.raises(EvaluationError, match=r"at point 1 \(t=2\.0\)"):
             divided_difference([1.0, 2.0], lambda t: math.inf if t == 2.0 else t)
+
+
+class TestSample:
+    TS = [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
+
+    def recording(self, value):
+        """A function of t that records each t it is called at and returns value(i, t)."""
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return value(len(calls) - 1, t)
+
+        return f, calls
+
+    def test_calls_f_once_per_point_in_order(self):
+        f, calls = self.recording(lambda i, t: t * t)
+        assert _sample(f, self.TS, "node") == [t * t for t in self.TS]
+        assert calls == self.TS
+
+    def test_values_become_floats(self):
+        vals = _sample(lambda t: int(t), (1.0, 2.0), "node")
+        assert vals == [1.0, 2.0] and all(type(v) is float for v in vals)
+
+    def test_nan_names_its_index_and_point(self):
+        f, calls = self.recording(lambda i, t: math.nan if i == 3 else t)
+        with pytest.raises(EvaluationError) as info:
+            _sample(f, self.TS, "node")
+        assert str(info.value) == "function returned nan at node 3 (t=3.5)"
+        assert calls == self.TS  # each point once, the ones after the nan too
+
+    def test_nan_before_a_raise_is_refused_first(self):
+        def f(t):
+            if t == 3.5:
+                return math.inf
+            if t == 5.5:
+                raise ZeroDivisionError("later")
+            return t
+
+        with pytest.raises(EvaluationError, match=r"^function returned inf at node 3 \(t=3\.5\)$"):
+            _sample(f, self.TS, "node")
+
+    def test_a_raise_passes_through(self):
+        f, calls = self.recording(lambda i, t: 1.0 / (t - 2.5))
+        with pytest.raises(ZeroDivisionError):
+            _sample(f, self.TS, "node")
+        assert calls == self.TS[:3]
+
+    def test_values_whose_sum_overflows_are_kept(self):
+        assert _sample(lambda t: 1e308, [1.0, 2.0], "node") == [1e308, 1e308]
+
+    def test_expression_gives_the_per_point_bits(self):
+        f = as_function(parse_expression("cos(t)*exp(-t/4)+log(1+t)/(2+t)^2"))
+        got = _sample(f, self.TS, "node")
+        assert list(map(float.hex, got)) == [float.hex(f(t)) for t in self.TS]
 
 
 class TestRepresentation:

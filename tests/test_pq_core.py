@@ -133,7 +133,7 @@ class TestPqFactorial:
             want = product_factorial(n, p, q)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
-    def test_log_space_agrees_at_boundary(self):
+    def test_log_factorial_agrees_with_the_product(self):
         pp = PqParams(1.0, 0.95)
         direct = pq_factorial(150, pp)
         assert math.exp(pq_log_factorial(150, pp)) == pytest.approx(direct, rel=1e-9)
@@ -149,7 +149,7 @@ class TestPqFactorial:
         ],
         ids=["log_factorial", "binomial"],
     )
-    def test_log_form_refuses_an_integer_that_underflows(self, call, i):
+    def test_refuses_an_integer_that_underflows(self, call, i):
         with pytest.raises(DomainError, match=rf"\[{i}\] underflows to 0\.0"):
             call()
 
@@ -203,14 +203,14 @@ class TestPqBinomial:
             want = pascal_binomial(n, k, p, q)
             assert got == pytest.approx(want, rel=1e-12)
 
-    def test_underflowing_products_take_the_log_form(self):
+    def test_underflowing_products_round_once(self):
         # both products underflow to 0.0, and so does the coefficient
         assert pq_binomial(150, 75, PqParams(0.01, 0.005)) == 0.0
         # a subnormal numerator (2e-316) left the direct quotient off by 1.2e-8
         got = pq_binomial(36, 17, PqParams(0.2, 0.1))
         assert got == pytest.approx(pascal_binomial(36, 17, 0.2, 0.1), rel=1e-12)
 
-    def test_log_space_path(self):
+    def test_large_degree_matches_the_direct_quotient(self):
         pp = PqParams(0.95, 0.7)
         ints = pq_integers(200, pp)
         direct = ints[200] * ints[199] * ints[198] / (ints[1] * ints[2] * ints[3])
