@@ -12,6 +12,8 @@ timed whole (``cli.main``, stdout captured) and by layer:
 - ``nodes``: ``_Kernel.nodes``;
 - ``sample``: the function resolved (an expression parsed and compiled)
   and sampled at the nodes by ``operators._sample``;
+- ``points`` (``--fn`` calls only): the compiled expression called once
+  per node, ``list(map(f, values))``, the path a single ``f(t)`` takes;
 - ``row_sum``: ``_Kernel.row`` at x and ``_weighted_sum``;
 - ``emit``: the value formatted as the command prints it.
 
@@ -67,15 +69,19 @@ def layers(argv: list[str]) -> dict:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
 
-    return {
+    timed = {
         "parse": lambda: cli._parse_args(argv),
         "kernel": lambda: operators._Kernel(cli._build_spec(args)),
         "nodes": kernel.nodes,
         "sample": lambda: operators._sample(cli._resolve_function(args)[0], values, "node"),
+        "points": lambda: list(map(f, values)),
         "row_sum": lambda: operators._weighted_sum(kernel.row(args.x), fvals),
         "emit": emit,
         "total": total,
     }
+    if args.fn is None:
+        del timed["points"]
+    return timed
 
 
 def main() -> None:

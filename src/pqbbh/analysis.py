@@ -429,15 +429,16 @@ def lipschitz_constant_estimate(
     us = xs / (1.0 + xs)
     fv = np.array(_sample(f, xs.tolist(), "grid point"))
     best = 0.0
-    for i in range(len(xs) - 1):
-        du = np.abs(us[i + 1 :] - us[i])
-        df = np.abs(fv[i + 1 :] - fv[i])
-        mask = du > 0.0
-        if mask.any():
-            ratio = df[mask] / du[mask] ** alpha
-            m = float(ratio.max())
-            if m > best:
-                best = m
+    with np.errstate(over="ignore"):  # a difference beyond the doubles is inf
+        for i in range(len(xs) - 1):
+            du = np.abs(us[i + 1 :] - us[i])
+            df = np.abs(fv[i + 1 :] - fv[i])
+            mask = du > 0.0
+            if mask.any():
+                ratio = df[mask] / du[mask] ** alpha
+                m = float(ratio.max())
+                if m > best:
+                    best = m
     return best
 
 

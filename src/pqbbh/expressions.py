@@ -241,68 +241,6 @@ def eval_expression(ast: ExprAst, t: float) -> float:
     return as_function(ast)(t)
 
 
-def _fail(node: ExprAst, t: float, why: str) -> "ExpressionDomainError":
-    return ExpressionDomainError(f"{why} in '{format_expression(node)}' at t={t!r}")
-
-
-def _compile(node: ExprAst) -> Callable[[float], float]:
-    """One closure per node: its children first, left before right, then its own checks.
-
-    t reaches every closure as given, so error messages show it as the caller
-    passed it; a variable reads float(t), so all arithmetic is on Python floats.
-    """
-    if isinstance(node, Number):
-        value = node.value
-        return lambda t: value
-    if isinstance(node, Variable):
-        return float
-    if isinstance(node, Negate):
-        operand = _compile(node.operand)
-        return lambda t: -operand(t)
-    if isinstance(node, Call):
-        return _compile_call(node)
-    return _compile_binary(node)
-
-
-def _compile_call(node: Call) -> Callable[[float], float]:
-    arg_of, func, name = _compile(node.arg), FUNCTIONS[node.func], node.func
-
-    def call(t):
-        arg = arg_of(t)
-        try:
-            value = float(func(arg))
-        except (ValueError, OverflowError):
-            raise _fail(node, t, f"{name} of {arg!r} is undefined") from None
-        if not isfinite(value):
-            raise _fail(node, t, "non-finite result")
-        return value
-
-    return call
-
-
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-           "^": math.pow}
-
-
-def _compile_binary(node: Binary) -> Callable[[float], float]:
-    left, right, combine = _compile(node.left), _compile(node.right), _BINARY[node.op]
-
-    def binary(t):
-        lhs = left(t)
-        rhs = right(t)
-        try:
-            value = combine(lhs, rhs)
-        except ZeroDivisionError:
-            raise _fail(node, t, "division by zero") from None
-        except (ValueError, OverflowError):  # only math.pow raises these on floats
-            raise _fail(node, t, f"{lhs!r} ^ {rhs!r} is undefined") from None
-        if not isfinite(value):
-            raise _fail(node, t, "non-finite result")
-        return value
-
-    return binary
-
-
 # Printer precedence levels; a child is parenthesized when its level is too
 # low for the slot it appears in, which makes format -> parse structurally
 # lossless.
@@ -364,30 +302,34 @@ def as_function(ast: ExprAst) -> Callable[[float], float]:
     The callable takes the tree walk's float operations in its order, with
     its checks and messages: t must be finite, every intermediate value must
     be finite, a divisor must not be zero, and a function or power that
-    leaves the reals names its node.
+    leaves the reals names its node.  A message shows t as the caller
+    passed it; the arithmetic runs on float(t).
 
     Its attribute ``at_points(ts)`` gives [f(t) for t in ts] with the same
-    bits, node by node over the whole list (see _compile_list).  Where that
-    meets an exception or a value that is not finite, it goes back to f one
-    point at a time, which raises the first refusal in point order.  ts is
-    a sequence of numbers, which at_points reads more than once.
+    bits, running the same compiled tree once over the whole list (see
+    _compile).  Where that meets an exception or a value that is not
+    finite, it goes back to f one point at a time, which raises the first
+    refusal in point order.  ts is a sequence of numbers, which at_points
+    reads more than once.
     """
-    body_list = _compile_list(ast)
-    body = None  # the per-point closures, built on f's first call: most callers sample lists
+    body = _compile(ast)
 
     def f(t):
-        nonlocal body
         if not isfinite(t):
             raise ExpressionDomainError(f"t must be finite, got {t!r}")
-        if body is None:
-            body = _compile(ast)
-        return body(t)
+        try:
+            return body(float(t))
+        except _Refusal as refusal:
+            node, why = refusal.args
+            raise ExpressionDomainError(
+                f"{why} in '{format_expression(node)}' at t={t!r}"
+            ) from None
 
     def at_points(ts):
         try:
             if not all(map(isfinite, ts)):
                 raise ArithmeticError
-            values = body_list(list(map(float, ts)))
+            values = body(list(map(float, ts)))
         except Exception:  # noqa: BLE001 -- f owns every refusal, with its message
             return list(map(f, ts))
         return values if type(values) is list else [values] * len(ts)
@@ -396,24 +338,26 @@ def as_function(ast: ExprAst) -> Callable[[float], float]:
     return f
 
 
-def _finite(values: float | list[float]) -> float | list[float]:
-    """values, if every one is finite; ArithmeticError sends the list back to the points."""
-    # A sum of floats is finite only if every term is: once the running sum
-    # meets inf or nan it stays inf or nan, with or without Python 3.12's
-    # compensation.  A sum of finite terms that overflows sends the list back
-    # for nothing but time.  The sum itself is never used.
-    if not isfinite(sum(values) if type(values) is list else values):
-        raise ArithmeticError
-    return values
+class _Refusal(Exception):
+    """A node's value left the reals at one t; args are the node and the reason."""
 
 
-def _compile_list(node: ExprAst) -> Callable[[list[float]], float | list[float]]:
-    """One map per node over the list of float(t): each element gets _compile's operations.
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": math.pow}
 
+
+def _compile(node: ExprAst) -> Callable[[float | list[float]], float | list[float]]:
+    """One function per node, of one float t or of the list of float(t): children first.
+
+    Each element gets the tree walk's operations, left child before right.
     A subtree without t gives one float, which a binary node broadcasts
-    with repeat(), so constants build no lists.  A call or binary result
-    that is not finite raises ArithmeticError (see _finite); no error here
-    names a node, since the caller then goes back to the per-point closures.
+    with repeat(), so constants build no lists.  On one float, a call or
+    binary node checks its result and raises _Refusal with its reason.  On
+    a list, it raises ArithmeticError, which sends the list back to the
+    points, where the sum of its result is not finite.  A sum of floats is
+    finite only if every term is: once the running sum meets inf or nan it
+    stays there, with or without Python 3.12's compensation.  A sum of
+    finite terms that overflows sends the list back for nothing but time.
     """
     if isinstance(node, Number):
         value = node.value
@@ -421,7 +365,7 @@ def _compile_list(node: ExprAst) -> Callable[[list[float]], float | list[float]]
     if isinstance(node, Variable):
         return lambda ts: ts
     if isinstance(node, Negate):
-        operand = _compile_list(node.operand)
+        operand = _compile(node.operand)
 
         def negate(ts):
             v = operand(ts)
@@ -429,21 +373,44 @@ def _compile_list(node: ExprAst) -> Callable[[list[float]], float | list[float]]
 
         return negate
     if isinstance(node, Call):
-        arg_of, func = _compile_list(node.arg), FUNCTIONS[node.func]
+        arg_of, func, name = _compile(node.arg), FUNCTIONS[node.func], node.func
 
         def call(ts):
-            v = arg_of(ts)
-            return _finite(list(map(func, v)) if type(v) is list else func(v))
+            arg = arg_of(ts)
+            if type(arg) is list:
+                values = list(map(func, arg))
+                if isfinite(sum(values)):
+                    return values
+                raise ArithmeticError
+            try:
+                value = func(arg)
+            except (ValueError, OverflowError):
+                raise _Refusal(node, f"{name} of {arg!r} is undefined") from None
+            if isfinite(value):
+                return value
+            raise _Refusal(node, "non-finite result")
 
         return call
-    left, right, combine = _compile_list(node.left), _compile_list(node.right), _BINARY[node.op]
+    left, right, combine = _compile(node.left), _compile(node.right), _BINARY[node.op]
 
     def binary(ts):
         a, b = left(ts), right(ts)
         if type(a) is list:
-            return _finite(list(map(combine, a, b if type(b) is list else repeat(b))))
-        if type(b) is list:
-            return _finite(list(map(combine, repeat(a), b)))
-        return _finite(combine(a, b))
+            values = list(map(combine, a, b if type(b) is list else repeat(b)))
+        elif type(b) is list:
+            values = list(map(combine, repeat(a), b))
+        else:
+            try:
+                value = combine(a, b)
+            except ZeroDivisionError:
+                raise _Refusal(node, "division by zero") from None
+            except (ValueError, OverflowError):  # only math.pow raises these on floats
+                raise _Refusal(node, f"{a!r} ^ {b!r} is undefined") from None
+            if isfinite(value):
+                return value
+            raise _Refusal(node, "non-finite result")
+        if isfinite(sum(values)):
+            return values
+        raise ArithmeticError
 
     return binary

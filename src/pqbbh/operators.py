@@ -485,7 +485,8 @@ def _sample(f: RealFunction, ts: Sequence[float], what: str) -> list[float]:
         else:
             vals.extend(map(float, map(f, ts)))  # on a raise, vals keeps the values before it
     finally:
-        # finite only if every value is (see expressions._finite); the sum is never used
+        # finite only if every value is: a running sum that meets inf or nan
+        # stays inf or nan (see expressions._compile); the sum is never used
         if not math.isfinite(sum(vals)):
             for i, (v, t) in enumerate(zip(vals, ts)):
                 if not math.isfinite(v):

@@ -459,7 +459,8 @@ def walk_expression(ast, t: float) -> float:
     """The expression at t by the recursive tree walk, errors included.
 
     The evaluator expressions were interpreted with before they were
-    compiled to closures, with its check that t is finite in front.
+    compiled, with its check that t is finite in front.  The one compiled
+    evaluator is held to it both at one t and over a list of t.
     """
     if not math.isfinite(t):
         raise ExpressionDomainError(f"t must be finite, got {t!r}")

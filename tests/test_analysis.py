@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import warnings
 
 import pytest
 
@@ -423,6 +424,16 @@ class TestLipschitz:
         got = lipschitz_constant_estimate(bbh_metric_sq, 1.0, grid)
         assert got < 2.0
         assert got == pytest.approx(2.0 * grid.u_max, abs=1e-3)
+
+    def test_constant_estimate_overflowing_difference_is_inf(self):
+        # finite samples 1e308 and -1e308 differ by more than the largest double
+        def f(t):
+            return 1e308 if t < 1.0 else -1e308
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lipschitz_constant_estimate(f, 1.0, GridSpec((0.0, 0.5, 2.0, 3.0)))
+        assert got == math.inf
 
     def test_constant_estimate_non_finite_value_raises(self):
         def f(t):

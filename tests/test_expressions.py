@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -199,6 +200,26 @@ class TestDomainErrors:
             ev("t", math.inf)
 
 
+class TestCallerT:
+    """t may be any finite real number; the arithmetic runs on float(t)."""
+
+    @pytest.mark.parametrize("t", [2, np.float64(2.0)], ids=["int", "float64"])
+    def test_refusal_shows_t_as_passed(self, t):
+        f = as_function(parse_expression("log(t-3)"))
+        want = f"log of -1.0 is undefined in 'log(t-3.0)' at t={t!r}"
+        with pytest.raises(ExpressionDomainError) as at_t:
+            f(t)
+        assert str(at_t.value) == want
+        with pytest.raises(ExpressionDomainError) as at_list:
+            f.at_points([4.0, t])
+        assert str(at_list.value) == want
+
+    @pytest.mark.parametrize("t", [2, np.float64(2.0)], ids=["int", "float64"])
+    @pytest.mark.parametrize("text", ["2*3", "t"])
+    def test_one_t_gives_a_float(self, text, t):
+        assert type(as_function(parse_expression(text))(t)) is float
+
+
 def _random_ast(rng, depth):
     if depth == 0:
         return rng.choice([Number(round(rng.uniform(0, 9), 2)), Variable()])
@@ -242,7 +263,7 @@ class TestRoundTrip:
         assert f(3.0) == 10.0
 
 
-# -- compiled closures against the tree walk, bit for bit ---------------------
+# -- the compiled tree, at one t and over lists, against the tree walk ---------
 
 literals = st.one_of(
     st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, -1.0, -8.0, 710.0, 1e308, 5e-324]),
