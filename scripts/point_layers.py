@@ -1,21 +1,26 @@
-"""Time one-point eval calls in process, layer by layer.
+"""Time one-point eval and moments calls in process, layer by layer.
 
-The calls have the shape of the benchmark's ``point_queries`` evals: one
-kernel row at n = 8, 150 and 1024, with the bare value, CSV and JSON output,
-here with fixed parameters, the pool's longest expression and, at n = 1024,
-also the registry's ``sin_damped`` on the Stancu variant.  Each call is
-timed whole (``cli.main``, stdout captured) and by layer:
+The calls have the shape of the benchmark's ``point_queries`` calls: evals
+of one kernel row at n = 8, 150 and 1024, with the bare value, CSV and JSON
+output, here with fixed parameters, the pool's longest expression and, at
+n = 1024, also the registry's ``sin_damped`` on the Stancu variant; and
+``moments --nu 2`` at n = 1024, whose six calls per pass are about a fifth
+of a pass.  Each call is timed whole (``cli.main``, stdout captured) and by
+layer:
 
 - ``parse``: ``cli._parse_args`` of the argv;
 - ``kernel``: a new ``OperatorSpec`` and its ``_Kernel``, the deformed
   integers included;
 - ``nodes``: ``_Kernel.nodes``;
-- ``sample``: the function resolved (an expression parsed and compiled)
-  and sampled at the nodes by ``operators._sample``;
+- ``closed`` (``moments`` only): ``moment_closed`` on a new spec, its
+  deformed integers included;
+- ``sample``: the function resolved (an expression parsed and compiled,
+  or the moment's (t/(1+t))^nu) and sampled at the nodes by
+  ``operators._sample``;
 - ``points`` (``--fn`` calls only): the compiled expression called once
   per node, ``list(map(f, values))``, the path a single ``f(t)`` takes;
 - ``row_sum``: ``_Kernel.row`` at x and ``_weighted_sum``;
-- ``emit``: the value formatted as the command prints it.
+- ``emit``: the row formatted as the command prints it.
 
 The layers and calls take turns until the time budget is spent, so that a
 slow phase of the host hits them all, and each figure is the best time
@@ -33,7 +38,7 @@ import json
 import math
 import time
 
-from pqbbh import cli, operators
+from pqbbh import analysis, cli, operators
 
 EXPRESSION = "cos(t)*exp(-t/4)+log(1+t)/(2+t)^2"
 CALLS = {
@@ -46,6 +51,8 @@ CALLS = {
     "n=1024 stancu registry": ["eval", "--n", "1024", "--p", "0.9997", "--q", "0.9995",
                                "--gamma", "0.5", "--beta", "1.5", "--registry", "sin_damped",
                                "--x", "12"],
+    "n=1024 moments nu=2": ["moments", "--n", "1024", "--p", "0.9997", "--q", "0.9995",
+                            "--nu", "2", "--x", "0.7", "--format", "json"],
 }
 
 
@@ -54,11 +61,27 @@ def layers(argv: list[str]) -> dict:
     args = cli._parse_args(argv)
     kernel = operators._Kernel(cli._build_spec(args))
     values = kernel.nodes().values
-    f, fname = cli._resolve_function(args)
+    moments = args.command == "moments"
+
+    def resolve():
+        if moments:  # the moment that cli._cmd_moments samples
+            return lambda t: (t / (1.0 + t)) ** args.nu
+        return cli._resolve_function(args)[0]
+
+    f = resolve()
     fvals = operators._sample(f, values, "node")
     value = operators._weighted_sum(kernel.row(args.x), fvals)
+    if moments:
+        closed = analysis.moment_closed(cli._build_spec(args), args.nu, args.x)
+    else:
+        fname = cli._resolve_function(args)[1]
 
     def emit() -> str:
+        if moments:
+            header = ["n", "p", "q", "nu", "x", "closed", "brute_force", "abs_diff"]
+            rows = [[args.n, args.p, args.q, args.nu, args.x, closed, value,
+                     abs(closed - value)]]
+            return cli._emit(args, header, rows)
         if args.format is None:
             return cli._fmt(value) + "\n"
         header = ["n", "p", "q", "gamma", "beta", "fn", "x", "value"]
@@ -73,13 +96,16 @@ def layers(argv: list[str]) -> dict:
         "parse": lambda: cli._parse_args(argv),
         "kernel": lambda: operators._Kernel(cli._build_spec(args)),
         "nodes": kernel.nodes,
-        "sample": lambda: operators._sample(cli._resolve_function(args)[0], values, "node"),
+        "closed": lambda: analysis.moment_closed(cli._build_spec(args), args.nu, args.x),
+        "sample": lambda: operators._sample(resolve(), values, "node"),
         "points": lambda: list(map(f, values)),
         "row_sum": lambda: operators._weighted_sum(kernel.row(args.x), fvals),
         "emit": emit,
         "total": total,
     }
-    if args.fn is None:
+    if not moments:
+        del timed["closed"]
+    if moments or args.fn is None:
         del timed["points"]
     return timed
 

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .analysis import (
     GridSpec,
@@ -116,74 +116,99 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_output_args(parser: argparse.ArgumentParser, format_default: str | None = "csv") -> None:
-    parser.add_argument("--format", choices=["csv", "json"], default=format_default)
-    parser.add_argument("--output", default="-", help="output path, '-' for stdout")
+class _Flag(NamedTuple):
+    """One flag of a subcommand, as build_parser declares it and _table_args reads it."""
+
+    name: str
+    type: Callable[[str], object] | None = None
+    choices: tuple | None = None
+    default: object = None
+    required: bool = False
+    group: str | None = None  # a required exclusive group: exactly one of its flags is given
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
 
 
-def _add_operator_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--p", type=_finite_float, required=True)
-    parser.add_argument("--q", type=_finite_float, required=True)
+_OPERATOR_FLAGS = (
+    _Flag("--n", int, required=True),
+    _Flag("--p", _finite_float, required=True),
+    _Flag("--q", _finite_float, required=True),
+)
+_FUNCTION_FLAGS = (
+    _Flag("--fn", group="function", help="expression in t, e.g. 't/(1+t)'"),
+    _Flag("--registry", group="function", help="named test function"),
+)
+_NU = _Flag("--nu", int, choices=(0, 1, 2), required=True)
+_X = _Flag("--x", _finite_float, required=True)
+_SCHEDULE = _Flag("--schedule", required=True, help="harmonic:A,B")
 
 
-def _add_function_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--fn", help="expression in t, e.g. 't/(1+t)'")
-    group.add_argument("--registry", help="named test function")
+def _output_flags(format_default: str | None = "csv") -> tuple[_Flag, ...]:
+    return (_Flag("--format", choices=("csv", "json"), default=format_default),
+            _Flag("--output", default="-", help="output path, '-' for stdout"))
+
+
+# Every subcommand's help and flags, declared once.  The flags' order is
+# their order in --help and in the JSON "meta" echo.
+_SUBCOMMANDS: dict[str, tuple[str, tuple[_Flag, ...]]] = {
+    "eval": ("evaluate the operator at a point", (
+        *_OPERATOR_FLAGS,
+        _Flag("--gamma", _finite_float),
+        _Flag("--beta", _finite_float),
+        *_FUNCTION_FLAGS,
+        _X,
+        *_output_flags(format_default=None),  # bare value unless a format is requested
+    )),
+    "moments": ("closed-form and brute-force moments side by side", (
+        *_OPERATOR_FLAGS, _NU, _X, *_output_flags(),
+    )),
+    "converge": ("Korovkin discrepancies along a schedule", (
+        _SCHEDULE,
+        _Flag("--n-list", required=True, help="comma-separated degrees"),
+        _NU,
+        _Flag("--x-max", _finite_float, default=50.0),
+        _Flag("--points", int, default=2001),
+        *_output_flags(),
+    )),
+    "rate": ("per-point rate-bound check on the default grid", (
+        _SCHEDULE, _Flag("--n", int, required=True), *_FUNCTION_FLAGS, *_output_flags(),
+    )),
+    "represent": ("divided-difference representation check", (
+        *_OPERATOR_FLAGS, *_FUNCTION_FLAGS, _X, *_output_flags(),
+    )),
+    "stancu-bound": ("verbatim three-term bound for the shifted variant", (
+        *_OPERATOR_FLAGS,
+        *(_Flag(name, _finite_float, required=True)
+          for name in ("--gamma", "--beta", "--alpha", "--m")),
+        *_output_flags(),
+    )),
+}
+# subcommand -> {flag name: flag}, in declaration order
+_FLAG_TABLE = {command: {flag.name: flag for flag in flags}
+               for command, (_, flags) in _SUBCOMMANDS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser of the command line on every call."""
+    """A new parser of the command line on every call, built from _SUBCOMMANDS."""
     parser = argparse.ArgumentParser(
         prog="pqbbh",
         description="Two-parameter Bleimann-Butzer-Hahn operators and convergence tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # subcommand name -> its parser, read by _parse_args
-
-    p = sub.add_parser("eval", help="evaluate the operator at a point")
-    _add_operator_args(p)
-    p.add_argument("--gamma", type=_finite_float, default=None)
-    p.add_argument("--beta", type=_finite_float, default=None)
-    _add_function_args(p)
-    p.add_argument("--x", type=_finite_float, required=True)
-    _add_output_args(p, format_default=None)  # bare value unless a format is requested
-
-    p = sub.add_parser("moments", help="closed-form and brute-force moments side by side")
-    _add_operator_args(p)
-    p.add_argument("--nu", type=int, choices=[0, 1, 2], required=True)
-    p.add_argument("--x", type=_finite_float, required=True)
-    _add_output_args(p)
-
-    p = sub.add_parser("converge", help="Korovkin discrepancies along a schedule")
-    p.add_argument("--schedule", required=True, help="harmonic:A,B")
-    p.add_argument("--n-list", required=True, help="comma-separated degrees")
-    p.add_argument("--nu", type=int, choices=[0, 1, 2], required=True)
-    p.add_argument("--x-max", type=_finite_float, default=50.0)
-    p.add_argument("--points", type=int, default=2001)
-    _add_output_args(p)
-
-    p = sub.add_parser("rate", help="per-point rate-bound check on the default grid")
-    p.add_argument("--schedule", required=True, help="harmonic:A,B")
-    p.add_argument("--n", type=int, required=True)
-    _add_function_args(p)
-    _add_output_args(p)
-
-    p = sub.add_parser("represent", help="divided-difference representation check")
-    _add_operator_args(p)
-    _add_function_args(p)
-    p.add_argument("--x", type=_finite_float, required=True)
-    _add_output_args(p)
-
-    p = sub.add_parser("stancu-bound", help="verbatim three-term bound for the shifted variant")
-    _add_operator_args(p)
-    p.add_argument("--gamma", type=_finite_float, required=True)
-    p.add_argument("--beta", type=_finite_float, required=True)
-    p.add_argument("--alpha", type=_finite_float, required=True)
-    p.add_argument("--m", type=_finite_float, required=True)
-    _add_output_args(p)
-
+    for command, (help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        groups = {}
+        for flag in flags:
+            target = p
+            if flag.group is not None:
+                if flag.group not in groups:
+                    groups[flag.group] = p.add_mutually_exclusive_group(required=True)
+                target = groups[flag.group]
+            target.add_argument(flag.name, type=flag.type, choices=flag.choices,
+                                default=flag.default, required=flag.required, help=flag.help)
     return parser
 
 
@@ -196,22 +221,57 @@ def _main_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """_main_parser().parse_args(argv), with a known subcommand parsed by its own parser.
+def _table_args(argv: list[str]) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv) for a well-formed argv, read from the flag table.
 
-    The top-level parser would hand argv[1:] to that parser and copy its
-    namespace after "command"; seeding the namespace with "command" gives
-    the same keys in the same order.  No argv, a first word that is not a
-    subcommand (-h included) and words the subcommand leaves over go to the
-    top-level parser, which gives its usage errors.
+    Accepts only a known subcommand followed by exact ``--flag value``
+    pairs: no flag twice, no value starting with "-", each value converted
+    by the flag's type and within its choices, every required flag given
+    and exactly one flag of each group.  The namespace then has "command"
+    first and every flag's dest in declaration order, as argparse gives
+    them.  Anything else (-h, abbreviations, --flag=value, a negative
+    value, a usage error) gives None, for argparse to parse or refuse.
     """
-    parser = _main_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extra:
-            return args
-    return parser.parse_args(argv)
+    flags = _FLAG_TABLE.get(argv[0]) if argv else None
+    if flags is None or len(argv) % 2 == 0:
+        return None
+    texts = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(texts) != len(argv) - 1 or not texts.keys() <= flags.keys():
+        return None  # a flag given twice, or a word that is not a flag of the subcommand
+    args = argparse.Namespace(command=argv[0])
+    given_in_group: dict[str, int] = {}
+    for name, flag in flags.items():
+        text = texts.get(name)
+        if flag.group is not None:
+            given_in_group[flag.group] = given_in_group.get(flag.group, 0) + (text is not None)
+        if text is None:
+            if flag.required:
+                return None
+            value = flag.default
+        elif text.startswith("-"):
+            return None
+        else:
+            value = text
+            if flag.type is not None:
+                try:
+                    value = flag.type(text)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if flag.choices is not None and value not in flag.choices:
+                return None
+        setattr(args, flag.dest, value)
+    if any(count != 1 for count in given_in_group.values()):
+        return None
+    return args
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace of argv: from the flag table where it reads argv, else from argparse.
+
+    argparse prints --help and every usage error, and exits.
+    """
+    args = _table_args(argv)
+    return args if args is not None else _main_parser().parse_args(argv)
 
 
 def _build_spec(args) -> OperatorSpec:

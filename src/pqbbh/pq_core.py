@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable
 
 
@@ -87,6 +87,7 @@ def pq_integer(n: int, params: PqParams) -> float:
 # wherever that one's result is a normal double, and the int exponent never
 # leaves its range: only the final ldexp meets the ends of the doubles.
 _ONE = (0.5, 1)
+_LN2 = math.log(2.0)
 
 
 def _mul(a: tuple[float, int], b: tuple[float, int]) -> tuple[float, int]:
@@ -178,54 +179,51 @@ def pq_binomial(n: int, k: int, params: PqParams) -> float:
     return _to_float(_binomials(ints, kk)[kk])
 
 
-def _ell_factors(n: int, x: float, params: PqParams, why: str) -> list[float]:
-    """The factors p^s + q^s x, s = 0..n-1, of the rising product.
+def _ell_factors(n: int, x: float, params: PqParams) -> list[tuple[float, int]]:
+    """The factors p^s + q^s x, s = 0..n-1, of the rising product, as pairs.
 
-    Raises:
-        DomainError: if ``why`` is not empty and a factor underflows to 0.0.
+    p^s and q^s are left folds of pairs, so each has the bits of the repeated
+    product in doubles while that is normal.  While q^s (and with it
+    p^s >= q^s) is normal, a factor is the double p^s + q^s x; below that it
+    is summed at p^s's scale, so a power that leaves the doubles loses no
+    digits and no factor is 0.0.
     """
     _check_index(n)
     if not math.isfinite(x) or x < 0:
         raise DomainError(f"argument must be finite and >= 0, got {x!r}")
-    p, q = params.p, params.q
+    p_powers = accumulate(repeat(math.frexp(params.p)), _mul, initial=_ONE)
+    q_powers = accumulate(repeat(math.frexp(params.q)), _mul, initial=_ONE)
     factors = []
-    ppow = 1.0
-    qpow = 1.0
-    for _ in range(n):
-        factors.append(ppow + qpow * x)
-        ppow *= p
-        qpow *= q
-    if why and 0.0 in factors:
-        raise DomainError(
-            f"factor p^s + q^s x at s = {factors.index(0.0)} underflows to 0.0, {why} "
-            f"(p={p}, q={q}, x={x})"
-        )
+    for _, (pm, pe), (qm, qe) in zip(range(n), p_powers, q_powers):
+        if qe >= sys.float_info.min_exp:
+            factors.append(math.frexp(math.ldexp(pm, pe) + math.ldexp(qm, qe) * x))
+        else:
+            m, e = math.frexp(pm + math.ldexp(qm * x, qe - pe))
+            factors.append((m, e + pe))
     return factors
+
+
+def _log(pair: tuple[float, int]) -> float:
+    """log of a pair: of its double where that is normal, else log(m) + e log 2."""
+    m, e = pair
+    if e >= sys.float_info.min_exp:
+        return math.log(math.ldexp(m, e))
+    return math.log(m) + e * _LN2
 
 
 def pochhammer_ell(n: int, x: float, params: PqParams) -> float:
     """Rising product prod_{s=0}^{n-1} (p^s + q^s x); 1 for n = 0.
 
-    Strictly positive for x >= 0.  The partial products are scaled as in
-    pq_factorial, so it is 0.0 or inf only where the true value lies beyond
-    the doubles.  At x = 0 a factor p^s that underflows to 0.0 gives 0.0,
-    since no factor exceeds 1.
-
-    Raises:
-        DomainError: if x > 0 and a factor underflows to 0.0, which leaves
-            the product undetermined.
+    Strictly positive for x >= 0.  The factors and the partial products are
+    scaled as in pq_factorial, so it is 0.0 or inf only where the true value
+    lies beyond the doubles.
     """
-    why = "which leaves the product undetermined" if x > 0 else ""
-    return _to_float(_product(_ell_factors(n, x, params, why)))
+    return _to_float(reduce(_mul, _ell_factors(n, x, params), _ONE))
 
 
 def log_pochhammer_ell(n: int, x: float, params: PqParams) -> float:
-    """log of pochhammer_ell, immune to under/overflow of the product.
-
-    Raises:
-        DomainError: if a factor underflows to 0.0, which has no log.
-    """
-    return math.fsum(map(math.log, _ell_factors(n, x, params, "which has no log")))
+    """log of pochhammer_ell, immune to under/overflow of the product and its factors."""
+    return math.fsum(map(_log, _ell_factors(n, x, params)))
 
 
 def _power(base: float, a: int) -> tuple[float, int]:

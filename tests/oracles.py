@@ -7,10 +7,10 @@ copies of code that was replaced by a faster form, kept so the new form can
 be held to it bit for bit: ``sequential_weights`` and ``sequential_nodes``
 (the scalar kernel loops), ``sequential_rhs`` (the representation's sum) and
 ``walk_expression`` (the expression tree walk).
-The ``mp_*`` oracles take the factorials, the binomials, the Euler
-coefficients, the closed forms, the nodes, the weights, the rate lhs and
-the representation to 60 significant digits with mpmath, so
-they pin the double-precision forms to an error bound.
+The ``mp_*`` oracles take the factorials, the binomials, the rising
+product, the Euler coefficients, the closed forms, the nodes, the weights,
+the rate lhs and the representation to 60 significant digits with mpmath,
+so they pin the double-precision forms to an error bound.
 """
 
 import functools
@@ -179,6 +179,18 @@ def mp_binomial(n: int, k: int, p: float, q: float) -> float:
     with mp.workdps(MP_DIGITS):
         ints = mp_integers(n, p, q)
         return float(mp.fprod(ints[n - k + 1 :]) / mp.fprod(ints[1 : k + 1]))
+
+
+def mp_pochhammer_ell(n: int, x: float, p: float, q: float) -> tuple[float, float]:
+    """prod_{s=0}^{n-1} (p^s + q^s x) and its log at MP_DIGITS digits, each rounded once.
+
+    The product rounds to 0.0 or inf beyond the doubles; its log does not.
+    """
+    mp = _mp()
+    with mp.workdps(MP_DIGITS):
+        p, q, x = mp.mpf(p), mp.mpf(q), mp.mpf(x)
+        value = mp.fprod(p**s + q**s * x for s in range(n))
+        return float(value), float(mp.log(value))
 
 
 def mp_euler_coefficients(n: int, p: float, q: float) -> list[float]:

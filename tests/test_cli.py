@@ -10,6 +10,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pqbbh.cli
 from pqbbh.cli import build_parser, main
@@ -660,6 +662,143 @@ class TestParserReuse:
         if out.startswith("{"):  # JSON: "meta" starts with the subcommand's name
             assert err == ""
             assert next(iter(json.loads(out)["meta"])) == "command"
+
+
+def flag_text(flag):
+    """Text that the flag's type and choices accept, never starting with "-"."""
+    if flag.choices is not None:
+        return st.sampled_from(flag.choices).map(str)
+    if flag.type is int:
+        return st.integers(0, 10**12).map(str)
+    if flag.type is not None:  # the finite floats
+        return st.floats(allow_nan=False, allow_infinity=False).map(lambda v: repr(abs(v)))
+    return st.text().filter(lambda text: not text.startswith("-"))
+
+
+@st.composite
+def well_formed_argv(draw, command):
+    """The subcommand, then every required flag, one flag of each group and some others."""
+    flags = pqbbh.cli._SUBCOMMANDS[command][1]
+    groups = {}
+    for flag in flags:
+        if flag.group is not None:
+            groups.setdefault(flag.group, []).append(flag)
+    chosen = [flag for flag in flags
+              if flag.required or (flag.group is None and draw(st.booleans()))]
+    chosen += [draw(st.sampled_from(members)) for members in groups.values()]
+    argv = [command]
+    for flag in draw(st.permutations(chosen)):
+        argv += [flag.name, draw(flag_text(flag))]
+    return argv
+
+
+@st.composite
+def malformed_argv(draw, command):
+    """A well-formed argv with one to three of the forms only argparse may read."""
+    argv = draw(well_formed_argv(command))
+    flags = pqbbh.cli._SUBCOMMANDS[command][1]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from([
+            "abbreviation", "equals", "dash value", "duplicate", "missing", "both sources",
+            "bad number", "out of choice", "unknown flag", "help", "lone word",
+        ]))
+        # a word in a flag's place, while there is one
+        i = draw(st.sampled_from(range(1, len(argv), 2))) if len(argv) > 1 else None
+        if kind == "abbreviation" and i is not None:
+            name = argv[i]
+            argv[i] = name[: draw(st.integers(3, max(3, len(name) - 1)))]
+        elif kind == "equals" and i is not None and i + 1 < len(argv):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        elif kind == "dash value" and i is not None and i + 1 < len(argv):
+            argv[i + 1] = draw(st.sampled_from(["-", "-1", "-0.5", "--", "-x"])) + argv[i + 1]
+        elif kind == "duplicate" and i is not None:
+            argv += argv[i : i + 2]
+        elif kind == "missing" and i is not None:
+            del argv[i : i + 2]
+        elif kind == "both sources" and "--fn" in pqbbh.cli._FLAG_TABLE[command]:
+            argv += ["--fn", "t", "--registry", "exp_neg"]
+        elif kind == "bad number":
+            flag = draw(st.sampled_from([f for f in flags if f.type is not None]))
+            bad = ["x", "1.5", "1e3", "", "0x10"] if flag.type is int else \
+                ["inf", "nan", "1e999", "x", "", "1,5"]
+            argv += [flag.name, draw(st.sampled_from(bad))]
+        elif kind == "out of choice":
+            flag = draw(st.sampled_from([f for f in flags if f.choices is not None]))
+            argv += [flag.name, draw(st.sampled_from(["3", "xml", "JSON", "1.0", " 1"]))]
+        elif kind == "unknown flag":
+            argv += [draw(st.sampled_from(["--bogus", "--N", "--fn2", "-n"])), "3"]
+        elif kind == "help":
+            argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["-h", "--help"])))
+        elif kind == "lone word":
+            argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["t", "--x"])))
+    return argv
+
+
+def table_namespace(argv):
+    """cli._table_args(argv), after checking that it is None or argparse's namespace."""
+    got = pqbbh.cli._table_args(argv)
+    if got is not None:
+        want = build_parser().parse_args(argv)
+        assert list(vars(got).items()) == list(vars(want).items())
+    return got
+
+
+class TestFlagTable:
+    """The flag table reads an argv exactly as argparse would, or leaves it to argparse."""
+
+    COMMANDS = list(pqbbh.cli._SUBCOMMANDS)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_well_formed_argv_takes_the_table_path(self, data):
+        argv = data.draw(well_formed_argv(data.draw(st.sampled_from(self.COMMANDS))))
+        assert table_namespace(argv) is not None
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_malformed_argv_is_declined_or_read_as_argparse_reads_it(self, data):
+        table_namespace(data.draw(malformed_argv(data.draw(st.sampled_from(self.COMMANDS)))))
+
+    # one argv of each subcommand in the shape of the benchmark's passes
+    BENCHMARK_SHAPED = {
+        "eval": ["eval", "--n", "150", "--p", "0.998", "--q", "0.996", "--gamma", "0.5",
+                 "--beta", "1.25", "--fn", "cos(t)*exp(-t/4)+log(1+t)/(2+t)^2",
+                 "--x", "2.5", "--format", "csv"],
+        "moments": ["moments", "--n", "1024", "--p", "0.9997", "--q", "0.9995", "--nu", "2",
+                    "--x", "0.7", "--format", "json"],
+        "converge": ["converge", "--schedule", "harmonic:0.25,0.5", "--n-list",
+                     "16,64,256,1024", "--nu", "2", "--format", "csv", "--x-max", "120.5",
+                     "--points", "3001"],
+        "rate": ["rate", "--schedule", "harmonic:0.25,0.5", "--n", "256",
+                 "--registry", "sin_damped", "--format", "json"],
+        "represent": ["represent", "--n", "8", "--p", "0.9", "--q", "0.6", "--fn", "exp(-t)",
+                      "--x", "0.7", "--format", "csv"],
+        "stancu-bound": ["stancu-bound", "--n", "8", "--p", "1.0", "--q", "1.0",
+                         "--gamma", "0.5", "--beta", "1.0", "--alpha", "0.5", "--m", "2.0",
+                         "--format", "json"],
+    }
+
+    @pytest.mark.parametrize("argv", BENCHMARK_SHAPED.values(), ids=BENCHMARK_SHAPED.keys())
+    def test_benchmark_shaped_argv_takes_the_table_path(self, argv):
+        args = table_namespace(argv)
+        assert args is not None
+        assert list(vars(args))[0] == "command"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "t", "--x=1.5"],
+        ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "t", "--x", "1", "--form", "json"],
+        ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "t", "--x", "-1"],
+        ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "t", "--x", "1", "--x", "1"],
+        ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "t", "--registry", "one_",
+         "--x", "1"],
+        ["eval", "--n", "2", "--p", "1", "--q", "1", "--x", "1"],
+        ["moments", "--n", "2", "--p", "1", "--q", "1", "--nu", "3", "--x", "1"],
+        ["moments", "-h"],
+        [],
+    ], ids=["equals", "abbreviation", "negative", "repeated", "both sources", "no source",
+            "out of choice", "help", "empty"])
+    def test_argparse_forms_are_declined(self, argv):
+        assert pqbbh.cli._table_args(argv) is None
 
 
 class TestOutputFile:
