@@ -9,8 +9,9 @@ of a pass.  Each call is timed whole (``cli.main``, stdout captured) and by
 layer:
 
 - ``parse``: ``cli._parse_args`` of the argv;
-- ``kernel``: a new ``OperatorSpec`` and its ``_Kernel``, the deformed
-  integers included;
+- ``ints``: a new ``OperatorSpec`` and its deformed integers [0]..[n+1];
+- ``tables``: ``_Kernel`` of a spec whose integers are built: the powers
+  and, above ``operators._SCALAR_DEGREE``, the arrays;
 - ``nodes``: ``_Kernel.nodes``;
 - ``closed`` (``moments`` only): ``moment_closed`` on a new spec, its
   deformed integers included;
@@ -59,7 +60,8 @@ CALLS = {
 def layers(argv: list[str]) -> dict:
     """The zero-argument callables to time for one call, by layer name."""
     args = cli._parse_args(argv)
-    kernel = operators._Kernel(cli._build_spec(args))
+    spec = cli._build_spec(args)
+    kernel = operators._Kernel(spec)
     values = kernel.nodes().values
     moments = args.command == "moments"
 
@@ -94,7 +96,8 @@ def layers(argv: list[str]) -> dict:
 
     timed = {
         "parse": lambda: cli._parse_args(argv),
-        "kernel": lambda: operators._Kernel(cli._build_spec(args)),
+        "ints": lambda: cli._build_spec(args)._ints,
+        "tables": lambda: operators._Kernel(spec),
         "nodes": kernel.nodes,
         "closed": lambda: analysis.moment_closed(cli._build_spec(args), args.nu, args.x),
         "sample": lambda: operators._sample(resolve(), values, "node"),

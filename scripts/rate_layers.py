@@ -7,7 +7,11 @@ with CSV and with JSON output and at n = 1024 with JSON, on the default
 and by layer:
 
 - ``kernel``: ``_Kernel`` built and ``weighted_sums`` over the grid;
-- ``moduli``: ``analysis._moduli`` for the grid's sqrt(delta_n);
+- ``moduli_sample``: f at the modulus grid's 8,001 points
+  (``analysis._modulus_samples``);
+- ``moduli_window``: the running max and min over those samples, one pass
+  per window width up to the widest sqrt(delta_n) needs
+  (``analysis._window_ranges``);
 - ``emit``: ``cli._emit`` of the call's rows.
 
 The layers and calls take turns until the time budget is spent, so that a
@@ -47,6 +51,10 @@ def layers(n: int, fmt: str) -> dict:
     grid = GridSpec.default()
     fvals = np.array([f(t) for t in nodes(spec).values])
     deltas = [math.sqrt(analysis._ClosedForms(spec).delta(x)) for x in grid.xs]
+    size = analysis._MODULUS_POINTS
+    samples = analysis._modulus_samples(f, grid.u_max, size)
+    h = grid.u_max / (size - 1)  # the widest window, as analysis._moduli takes it
+    w_top = max(int(min(delta / h + 1e-12, size - 1)) for delta in deltas)
     points = analysis.rate_bound_check(spec, f, grid)
     rows = [[pt.x, pt.lhs, pt.rhs, pt.passed] for pt in points]
 
@@ -56,7 +64,8 @@ def layers(n: int, fmt: str) -> dict:
 
     return {
         "kernel": lambda: operators._Kernel(spec).weighted_sums(grid.xs, fvals),
-        "moduli": lambda: analysis._moduli(f, deltas, grid.u_max),
+        "moduli_sample": lambda: analysis._modulus_samples(f, grid.u_max, size),
+        "moduli_window": lambda: analysis._window_ranges(samples, w_top),
         "emit": lambda: cli._emit(args, ["x", "lhs", "rhs", "pass"], rows,
                                   fn=f"registry:{FUNCTION}"),
         "total": total,

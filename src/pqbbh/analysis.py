@@ -11,12 +11,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 # weights is unused here; bench/test_spans.py::test_every_namespace_sees_the_wrapper_and_uninstall_restores_it reads it
 from .operators import OperatorSpec, RealFunction, weights
 from .operators import _Kernel, _sample, _variant
 from .pq_core import DomainError, PqParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ParamSchedule:
@@ -310,8 +313,6 @@ def _moduli(
     apart; delta >= 0 spans floor(delta/h) steps, at most the whole grid, and
     ranges[w] = max |g_i - g_j| over |i - j| <= w is tabulated to the widest.
     """
-    import numpy as np
-
     if not 0.0 < u_max < 1.0:
         raise DomainError(f"transformed grid end must lie in (0, 1), got {u_max!r}")
     h = u_max / (points - 1)
@@ -322,8 +323,23 @@ def _moduli(
         )
     widths = [int(min(delta / h + 1e-12, points - 1)) for delta in deltas]
     w_top = max(widths)
+    ranges = _window_ranges(_modulus_samples(f, u_max, points), w_top)
+    return [ranges[w] for w in widths]
+
+
+def _modulus_samples(f: RealFunction, u_max: float, points: int) -> np.ndarray:
+    """g_i = f(u_i/(1-u_i)) at ``points`` uniform u_i in [0, u_max]."""
+    import numpy as np
+
     us = np.linspace(0.0, u_max, points)
-    g = np.array(_sample(f, (us / (1.0 - us)).tolist(), "modulus grid point"))
+    return np.array(_sample(f, (us / (1.0 - us)).tolist(), "modulus grid point"))
+
+
+def _window_ranges(g: np.ndarray, w_top: int) -> list[float]:
+    """ranges[w] = max |g_i - g_j| over |i - j| <= w, for w = 0..w_top: one pass per width."""
+    import numpy as np
+
+    points = len(g)
     # mx[i] and mn[i] run over g[i..i+w], in place: the first points - w are live
     mx, mn, span = g.copy(), g.copy(), np.empty(points)
     ranges = [0.0] * (w_top + 1)
@@ -333,7 +349,7 @@ def _moduli(
             np.maximum(mx[:m], g[w:], out=mx[:m])
             np.minimum(mn[:m], g[w:], out=mn[:m])
             ranges[w] = float(np.subtract(mx[:m], mn[:m], out=span[:m]).max())
-    return [ranges[w] for w in widths]
+    return ranges
 
 
 def modulus_estimate(

@@ -7,7 +7,6 @@ deterministic CSV or JSON (see README for the column schemas).  Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import io
@@ -15,7 +14,8 @@ import json
 import math
 import os
 import sys
-from typing import Callable, NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .analysis import (
     GridSpec,
@@ -29,6 +29,9 @@ from .expressions import as_function, parse_expression
 from .functions import registry_function
 from .operators import OperatorSpec, StancuShift, _representation, evaluate
 from .pq_core import DomainError, PqParams
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -106,12 +109,18 @@ def _emit(args, header: list[str], rows: list[list], **overrides) -> str:
 
 
 def _finite_float(text: str) -> float:
-    """Type of every float flag: inf and nan are usage errors, like malformed numbers."""
+    """Type of every float flag: inf and nan are usage errors, like malformed numbers.
+
+    argparse is imported only here, to refuse, and in build_parser: a
+    well-formed command line never loads it.
+    """
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
@@ -193,6 +202,8 @@ _FLAG_TABLE = {command: {flag.name: flag for flag in flags}
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser of the command line on every call, built from _SUBCOMMANDS."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pqbbh",
         description="Two-parameter Bleimann-Butzer-Hahn operators and convergence tables.",
@@ -221,16 +232,17 @@ def _main_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _table_args(argv: list[str]) -> argparse.Namespace | None:
+def _table_args(argv: list[str]) -> SimpleNamespace | None:
     """build_parser().parse_args(argv) for a well-formed argv, read from the flag table.
 
     Accepts only a known subcommand followed by exact ``--flag value``
     pairs: no flag twice, no value starting with "-", each value converted
     by the flag's type and within its choices, every required flag given
     and exactly one flag of each group.  The namespace then has "command"
-    first and every flag's dest in declaration order, as argparse gives
-    them.  Anything else (-h, abbreviations, --flag=value, a negative
-    value, a usage error) gives None, for argparse to parse or refuse.
+    first and every flag's dest in declaration order: argparse's vars(),
+    without importing argparse.  Anything else (-h, abbreviations,
+    --flag=value, a negative value, a usage error) gives None, for
+    argparse to parse or refuse.
     """
     flags = _FLAG_TABLE.get(argv[0]) if argv else None
     if flags is None or len(argv) % 2 == 0:
@@ -238,7 +250,7 @@ def _table_args(argv: list[str]) -> argparse.Namespace | None:
     texts = dict(zip(argv[1::2], argv[2::2]))
     if 2 * len(texts) != len(argv) - 1 or not texts.keys() <= flags.keys():
         return None  # a flag given twice, or a word that is not a flag of the subcommand
-    args = argparse.Namespace(command=argv[0])
+    args = SimpleNamespace(command=argv[0])
     given_in_group: dict[str, int] = {}
     for name, flag in flags.items():
         text = texts.get(name)
@@ -255,7 +267,9 @@ def _table_args(argv: list[str]) -> argparse.Namespace | None:
             if flag.type is not None:
                 try:
                     value = flag.type(text)
-                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                # ValueError, or _finite_float's ArgumentTypeError, which cannot be
+                # named without importing argparse; argparse converts the text again
+                except Exception:
                     return None
             if flag.choices is not None and value not in flag.choices:
                 return None
@@ -265,7 +279,7 @@ def _table_args(argv: list[str]) -> argparse.Namespace | None:
     return args
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
     """The namespace of argv: from the flag table where it reads argv, else from argparse.
 
     argparse prints --help and every usage error, and exits.
@@ -327,14 +341,15 @@ def _cmd_eval(args) -> str:
 
 def _cmd_moments(args) -> str:
     spec = _build_spec(args)
-    closed = moment_closed(spec, args.nu, args.x)
+    nu = args.nu
+    closed = moment_closed(spec, nu, args.x)
 
     def metric_power(t: float) -> float:
-        return (t / (1.0 + t)) ** args.nu
+        return (t / (1.0 + t)) ** nu
 
     brute = evaluate(spec, metric_power, args.x)
     header = ["n", "p", "q", "nu", "x", "closed", "brute_force", "abs_diff"]
-    rows = [[args.n, args.p, args.q, args.nu, args.x, closed, brute, abs(closed - brute)]]
+    rows = [[args.n, args.p, args.q, nu, args.x, closed, brute, abs(closed - brute)]]
     return _emit(args, header, rows)
 
 

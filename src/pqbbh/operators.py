@@ -11,7 +11,8 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .pq_core import DomainError, PqParams, pq_integers
 
@@ -40,10 +41,13 @@ _BLOCK_BYTES = 1 << 21
 
 # Largest degree whose kernel takes the scalar path: Python floats for the
 # nodes and one weight row, so that a one-point query imports no numpy.
-# Above it, and on every grid, the array path runs.  It is the largest power
+# Above it, and on every grid, the array path runs.  It was the largest power
 # of two at which the scalar path was no slower in scripts/scalar_degree_sweep.py
 # on a 2-vCPU host: the scalar/array time of kernel, nodes, row and sum read
-# 0.88-0.95 at n = 64 and 1.16-1.21 at n = 128.
+# 0.88-0.95 at n = 64 and 1.16-1.21 at n = 128.  Since the array tables take
+# their powers without Python lists, it reads 1.01-1.08 at n = 64 and
+# 1.25-1.37 at n = 128; n = 64 stays on the scalar path, where a one-shot
+# query saves numpy's import for a few µs in process.
 _SCALAR_DEGREE = 64
 
 
@@ -113,19 +117,30 @@ class WeightTable:
     weights: tuple[float, ...]
 
 
+def _powers(base: float, exponents: Iterable[float]) -> Iterator[float]:
+    """base^e for each e, from the C library's pow as Python ``**`` takes it.
+
+    math.pow and ``**`` give the same doubles (0 differences over 200,000
+    random (p, j), j < 5000, subnormal and 0.0 results included); numpy's
+    power differs from them in the last bit on AVX-512.
+    """
+    return map(math.pow, repeat(base), exponents)
+
+
 class _Kernel:
     """x-free tables of one spec, built once and read by every node and weight row.
 
     ints is the spec's [0]..[n+1], shared with the closed forms; ppow, qpow
-    hold p^j, q^j for j = 0..n+1, taken with Python ``**`` (numpy's power
-    differs from it in the last bit).  The weight ratio is
+    hold p^j, q^j for j = 0..n+1, all taken by _powers.  The weight ratio is
     q^k [n-k] x / (p^(n-1-k) [k+1]), k = 0..n-1.
 
-    Up to _SCALAR_DEGREE the nodes and rows are loops over these lists.
-    Above it, _build_arrays turns them into arrays: num and den, the x-free
-    halves of the ratio, and the factors of the rising product.  Both paths
-    take each product, sum and quotient element-wise in the same order, so
-    they give the same doubles.
+    Up to _SCALAR_DEGREE the tables are lists, and the nodes and rows are
+    loops over them.  Above it, _build_arrays takes the powers straight
+    into arrays, and builds num and den, the x-free halves of the ratio,
+    and the factors of the rising product.  There ppow and qpow are lists
+    made from the arrays on first use, by the refusals and the gaps of
+    the representation alone.  Both paths take each product, sum and
+    quotient element-wise in the same order, so they give the same doubles.
     """
 
     def __init__(self, spec: OperatorSpec) -> None:
@@ -133,24 +148,46 @@ class _Kernel:
         n = spec.n
         self.p, self.q = p, q = spec.params.p, spec.params.q
         self.ints = spec._ints
-        self.ppow = [p ** j for j in range(n + 2)]
-        self.qpow = [q ** j for j in range(n + 2)]
         self.log_c0 = 0.5 * n * (n - 1) * math.log(p)
         self.scalar = n <= _SCALAR_DEGREE
-        if not self.scalar:
+        if self.scalar:
+            exponents = list(map(float, range(n + 2)))  # 0.0..n+1, shared by p and q
+            # a cached_property takes writes: these lists stand in for the arrays' copies
+            self.ppow = list(_powers(p, exponents))
+            self.qpow = list(_powers(q, exponents))
+        else:
             self._build_arrays()
 
     def _build_arrays(self) -> None:
-        """The tables of the array path and of every grid, as numpy arrays."""
+        """The tables of the array path and of every grid, as numpy arrays.
+
+        The powers go straight into their arrays, except on the scalar
+        path, whose lists already hold them.
+        """
         import numpy as np
 
         n = self.spec.n
-        self._ints, self._ppow, self._qpow = ia, pa, qa = (
-            np.array(self.ints), np.array(self.ppow), np.array(self.qpow))
+        if self.scalar:
+            ppow, qpow = self.ppow, self.qpow
+        else:
+            exponents = np.arange(n + 2.0).tolist()  # 0.0..n+1, shared by p and q
+            ppow, qpow = _powers(self.p, exponents), _powers(self.q, exponents)
+        ia, pa, qa = (np.fromiter(values, float, n + 2) for values in (self.ints, ppow, qpow))
+        self._ints, self._ppow, self._qpow = ia, pa, qa
         self.num = qa[:n] * ia[n:0:-1]
         self.den = pa[n - 1::-1] * ia[1:n + 1]
         # p^s and q^s, s = 0..n-1: the factors p^s + q^s x of the rising product
         self.ell_p, self.ell_q = pa[:n], qa[:n]
+
+    @functools.cached_property
+    def ppow(self) -> list[float]:
+        """p^0..p^(n+1) as Python floats; set in __init__ on the scalar path."""
+        return self._ppow.tolist()
+
+    @functools.cached_property
+    def qpow(self) -> list[float]:
+        """q^0..q^(n+1) as Python floats; set in __init__ on the scalar path."""
+        return self._qpow.tolist()
 
     def nodes(self) -> NodeTable:
         """The spec's nodes: base ones checked increasing, shifted ones with negatives listed.
@@ -388,11 +425,12 @@ class _Kernel:
 
     def _check_stop(self, k: int, t: float, x: float) -> None:
         """Raises row()'s refusal where term k+1 = t is past _RESCALE_AT and cannot be rescaled."""
+        if math.isfinite(t):  # rescaled: a zero den_k gives an inf or nan term, never a finite one
+            return
         n = self.spec.n
         if self.ppow[n - 1 - k] * self.ints[k + 1] == 0.0:  # den_k
             raise DomainError(f"degree {n} too large for p={self.p}: term ratio overflows")
-        if not math.isfinite(t):
-            raise DomainError(f"weight term {k + 1} overflows for n={n}, x={x}")
+        raise DomainError(f"weight term {k + 1} overflows for n={n}, x={x}")
 
     def _drifted(self, total: float, log_scale: float, log_ell: float) -> bool:
         """Whether log(total) + log_scale + log c_0 misses log ell_n(x) by more than 1e-8."""
@@ -506,8 +544,10 @@ def _weighted_sum(w: list[float] | np.ndarray, fvals: Sequence[float] | np.ndarr
         return float(acc)  # fvals may be numpy scalars
     import numpy as np
 
+    if not isinstance(fvals, np.ndarray):  # a list of floats, without np.asarray's type discovery
+        fvals = np.fromiter(fvals, float, len(fvals))
     with np.errstate(all="ignore"):  # inf and nan arise silently, as in float arithmetic
-        return float(0.0 + np.cumsum(np.asarray(fvals) * w)[-1])
+        return float(0.0 + np.cumsum(fvals * w)[-1])
 
 
 def evaluate(spec: OperatorSpec, f: RealFunction, x: float) -> float:

@@ -464,6 +464,19 @@ class TestExitCodes:
         assert out == ""
         assert "node 1 overflows" in err
 
+    @pytest.mark.parametrize("argv, err", [
+        (["eval", "--n", "200", "--p", "0.5", "--q", "0.01", "--registry", "one_", "--x", "1"],
+         "pqbbh: node 156 overflows: its denominator q^156 [45] = "
+         "1e-312 * 5.800348863347755e-14 is 0.0 (p=0.5, q=0.01)\n"),
+        (["represent", "--n", "200", "--p", "0.9", "--q", "0.01", "--registry", "one_",
+          "--x", "1"],
+         "pqbbh: node 158 overflows: its denominator q^158 [43] = "
+         "1e-316 * 0.012107037825062733 is 1.210703e-318 (p=0.9, q=0.01)\n"),
+    ], ids=["eval", "represent"])
+    def test_array_degree_node_refusal_shows_plain_floats(self, argv, err, capsys):
+        # above operators._SCALAR_DEGREE the powers are arrays; the message reads them as floats
+        assert run(argv, capsys) == (3, "", err)
+
     def test_normalizer_drift_names_the_subnormal_factor(self, capsys):
         code, out, err = run(
             ["eval", "--n", "1110", "--p", "0.518", "--q", "0.513", "--registry", "exp_neg",
@@ -571,6 +584,14 @@ class TestWithoutNumpy:
         want = run(argv, capsys)
         assert want[0] == 0
         proc = self.child(self.BLOCKED + "from pqbbh.cli import main; sys.exit(main())", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+    @pytest.mark.parametrize("argv", ONE_POINT.values(), ids=ONE_POINT.keys())
+    def test_well_formed_command_runs_with_argparse_blocked(self, argv, capsys):
+        # the flag table reads it; argparse is for --help and usage errors only
+        want = run(argv, capsys)
+        proc = self.child("import sys; sys.modules['argparse'] = None; "
+                          "from pqbbh.cli import main; sys.exit(main())", *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == want
 
     def test_array_degree_imports_numpy_and_answers(self, capsys):
