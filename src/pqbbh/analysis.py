@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
+
+from ._record import Record, _set
 
 # weights is unused here; bench/test_spans.py::test_every_namespace_sees_the_wrapper_and_uninstall_restores_it reads it
 from .operators import OperatorSpec, RealFunction, weights
@@ -25,20 +26,24 @@ if TYPE_CHECKING:
 class ParamSchedule:
     """A rule n -> (p_n, q_n) with both parameters tending to 1."""
 
+    __slots__ = ()
+
     def params_for(self, n: int) -> PqParams:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class HarmonicSchedule(ParamSchedule):
+class HarmonicSchedule(ParamSchedule, Record):
     """p_n = 1 - a/n, q_n = 1 - b/n with 0 < a < b < 1."""
 
+    __slots__ = _fields = ("a", "b")
     a: float
     b: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.a < self.b < 1.0:
-            raise ValueError(f"require 0 < a < b < 1, got a={self.a}, b={self.b}")
+    def __init__(self, a: float, b: float) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
+        if not 0.0 < a < b < 1.0:
+            raise ValueError(f"require 0 < a < b < 1, got a={a}, b={b}")
 
     def params_for(self, n: int) -> PqParams:
         if not isinstance(n, int) or n < 1:
@@ -51,17 +56,18 @@ def param_schedule(schedule: ParamSchedule, n: int) -> PqParams:
     return schedule.params_for(n)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Sorted nonnegative sample points standing in for the sup over the half line."""
 
+    __slots__ = _fields = ("xs",)
     xs: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if not self.xs:
+    def __init__(self, xs: tuple[float, ...]) -> None:
+        _set(self, "xs", xs)
+        if not xs:
             raise ValueError("grid must be nonempty")
         prev = -math.inf
-        for x in self.xs:
+        for x in xs:
             if not math.isfinite(x) or x < 0:
                 raise ValueError(f"grid points must be finite and >= 0, got {x!r}")
             if x < prev:
@@ -97,17 +103,17 @@ class GridSpec:
         return self.x_max / (1.0 + self.x_max)
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Record):
     """Finite union of closed intervals in [0, inf]; normalized on construction."""
 
+    __slots__ = _fields = ("intervals",)
     intervals: tuple[tuple[float, float], ...]
 
-    def __post_init__(self) -> None:
-        if not self.intervals:
+    def __init__(self, intervals: tuple[tuple[float, float], ...]) -> None:
+        if not intervals:
             raise ValueError("point set must be nonempty")
         cleaned = []
-        for lo, hi in self.intervals:
+        for lo, hi in intervals:
             lo, hi = float(lo), float(hi)
             if math.isnan(lo) or math.isnan(hi):
                 raise ValueError("interval endpoints must not be NaN")
@@ -122,7 +128,7 @@ class PointSet:
                 merged[-1] = (mlo, max(mhi, hi))
             else:
                 merged.append((lo, hi))
-        object.__setattr__(self, "intervals", tuple(merged))
+        _set(self, "intervals", tuple(merged))
 
     @classmethod
     def nonneg_reals(cls) -> "PointSet":
@@ -133,33 +139,42 @@ class PointSet:
         return cls(tuple((float(v), float(v)) for v in values))
 
 
-@dataclass(frozen=True)
-class LipschitzClass:
+class LipschitzClass(Record):
     """Hoelder-type class in the half-line metric: constant M, exponent alpha, reference set E."""
 
+    __slots__ = _fields = ("M", "alpha", "E")
     M: float
     alpha: float
     E: PointSet
 
-    def __post_init__(self) -> None:
-        if not self.M > 0:
-            raise ValueError(f"M must be positive, got {self.M!r}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+    def __init__(self, M: float, alpha: float, E: PointSet) -> None:
+        _set(self, "M", M)
+        _set(self, "alpha", alpha)
+        _set(self, "E", E)
+        if not M > 0:
+            raise ValueError(f"M must be positive, got {M!r}")
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class RatePoint(Record):
     """One grid point of a rate-bound check: |L_n f - f| against 2 omega(f, sqrt(delta_n))."""
 
+    __slots__ = _fields = ("x", "lhs", "rhs", "passed")
     x: float
     lhs: float
     rhs: float
     passed: bool
 
+    def __init__(self, x: float, lhs: float, rhs: float, passed: bool) -> None:
+        _set(self, "x", x)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "passed", passed)
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+
+class ConvergenceRow(Record):
+    __slots__ = _fields = ("n", "p", "q", "disc0", "disc1", "disc2", "sup_delta")
     n: int
     p: float
     q: float
@@ -168,12 +183,25 @@ class ConvergenceRow:
     disc2: float
     sup_delta: float
 
+    def __init__(self, n: int, p: float, q: float, disc0: float, disc1: float, disc2: float,
+                 sup_delta: float) -> None:
+        _set(self, "n", n)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "disc0", disc0)
+        _set(self, "disc1", disc1)
+        _set(self, "disc2", disc2)
+        _set(self, "sup_delta", sup_delta)
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+
+class ConvergenceReport(Record):
     """Per-degree Korovkin discrepancies and delta_n suprema along a schedule."""
 
+    __slots__ = _fields = ("rows",)
     rows: tuple[ConvergenceRow, ...]
+
+    def __init__(self, rows: tuple[ConvergenceRow, ...]) -> None:
+        _set(self, "rows", rows)
 
 
 class _ClosedForms:
@@ -458,8 +486,7 @@ def lipschitz_constant_estimate(
     return best
 
 
-@dataclass(frozen=True)
-class StancuBoundReport:
+class StancuBoundReport(Record):
     """The three max terms of the shifted-variant bound, evaluated verbatim.
 
     The third term can come out negative (e.g. p = q = 1, n = 2 gives
@@ -467,10 +494,18 @@ class StancuBoundReport:
     a nonpositive max term rather than silently patching it.
     """
 
+    __slots__ = _fields = ("terms", "max_term", "bound", "degenerate")
     terms: tuple[float, float, float]
     max_term: float
     bound: float
     degenerate: bool
+
+    def __init__(self, terms: tuple[float, float, float], max_term: float, bound: float,
+                 degenerate: bool) -> None:
+        _set(self, "terms", terms)
+        _set(self, "max_term", max_term)
+        _set(self, "bound", bound)
+        _set(self, "degenerate", degenerate)
 
 
 def stancu_bound_report(

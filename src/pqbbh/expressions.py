@@ -24,10 +24,10 @@ import math
 import operator
 import re
 from math import isfinite
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Union
 
+from ._record import Record, _set
 from .pq_core import DomainError
 
 FUNCTIONS: dict[str, Callable[[float], float]] = {
@@ -61,32 +61,46 @@ class ExpressionDomainError(DomainError):
     """Evaluation left the reals; names the offending node and the value of t."""
 
 
-@dataclass(frozen=True)
-class Number:
+class Number(Record):
+    __slots__ = _fields = ("value",)
     value: float
 
-
-@dataclass(frozen=True)
-class Variable:
-    pass
+    def __init__(self, value: float) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Negate:
-    operand: "ExprAst"
+class Variable(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Binary:
+class Negate(Record):
+    __slots__ = _fields = ("operand",)
+    operand: ExprAst
+
+    def __init__(self, operand: ExprAst) -> None:
+        _set(self, "operand", operand)
+
+
+class Binary(Record):
+    __slots__ = _fields = ("op", "left", "right")
     op: str
-    left: "ExprAst"
-    right: "ExprAst"
+    left: ExprAst
+    right: ExprAst
+
+    def __init__(self, op: str, left: ExprAst, right: ExprAst) -> None:
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
+    __slots__ = _fields = ("func", "arg")
     func: str
-    arg: "ExprAst"
+    arg: ExprAst
+
+    def __init__(self, func: str, arg: ExprAst) -> None:
+        _set(self, "func", func)
+        _set(self, "arg", arg)
 
 
 ExprAst = Union[Number, Variable, Negate, Binary, Call]

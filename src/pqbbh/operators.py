@@ -10,10 +10,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+from ._record import Record, _set
 from .pq_core import DomainError, PqParams, pq_integers
 
 if TYPE_CHECKING:
@@ -55,35 +55,41 @@ class EvaluationError(DomainError):
     """A function returned a non-finite value at one of its sample points."""
 
 
-@dataclass(frozen=True)
-class StancuShift:
+class StancuShift(Record):
     """Node shift (gamma, beta) selecting the Stancu-type variant.
 
     gamma may be any finite real; beta must be nonnegative so that the
     shifted denominators q^k [n-k+1] + beta stay positive.
     """
 
+    __slots__ = _fields = ("gamma", "beta")
     gamma: float
-    beta: float = 0.0
+    beta: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and math.isfinite(self.beta)):
+    def __init__(self, gamma: float, beta: float = 0.0) -> None:
+        _set(self, "gamma", gamma)
+        _set(self, "beta", beta)
+        if not (math.isfinite(gamma) and math.isfinite(beta)):
             raise ValueError("gamma and beta must be finite")
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        if beta < 0:
+            raise ValueError(f"beta must be nonnegative, got {beta}")
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(Record):
     """Degree, parameter pair and variant; fully determines one operator."""
 
+    _fields = ("n", "params", "stancu")
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached _ints
     n: int
     params: PqParams
-    stancu: StancuShift | None = None
+    stancu: StancuShift | None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"operator degree must be an integer >= 1, got {self.n!r}")
+    def __init__(self, n: int, params: PqParams, stancu: StancuShift | None = None) -> None:
+        _set(self, "n", n)
+        _set(self, "params", params)
+        _set(self, "stancu", stancu)
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"operator degree must be an integer >= 1, got {n!r}")
 
     @functools.cached_property
     def _ints(self) -> list[float]:
@@ -91,8 +97,7 @@ class OperatorSpec:
         return pq_integers(self.n + 1, self.params)
 
 
-@dataclass(frozen=True)
-class NodeTable:
+class NodeTable(Record):
     """Operator nodes t_{n,0}..t_{n,n} in ascending k order.
 
     ``negative`` lists indices of nodes below zero, which can occur only
@@ -100,8 +105,13 @@ class NodeTable:
     half line the target function is guaranteed on.
     """
 
+    __slots__ = _fields = ("values", "negative")
     values: tuple[float, ...]
-    negative: tuple[int, ...] = ()
+    negative: tuple[int, ...]
+
+    def __init__(self, values: tuple[float, ...], negative: tuple[int, ...] = ()) -> None:
+        _set(self, "values", values)
+        _set(self, "negative", negative)
 
     @property
     def max_node(self) -> float:
@@ -109,12 +119,16 @@ class NodeTable:
         return max(self.values)
 
 
-@dataclass(frozen=True)
-class WeightTable:
+class WeightTable(Record):
     """Probability weights w_0..w_n of the operator kernel at a point x."""
 
+    __slots__ = _fields = ("x", "weights")
     x: float
     weights: tuple[float, ...]
+
+    def __init__(self, x: float, weights: tuple[float, ...]) -> None:
+        _set(self, "x", x)
+        _set(self, "weights", weights)
 
 
 def _powers(base: float, exponents: Iterable[float]) -> Iterator[float]:

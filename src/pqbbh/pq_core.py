@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
 from typing import Iterable
+
+from ._record import Record, _set
 
 
 class DomainError(ValueError):
     """An argument lies outside an operation's mathematical domain."""
 
 
-@dataclass(frozen=True)
-class PqParams:
+class PqParams(Record):
     """Validated parameter pair with 0 < q <= p <= 1.
 
     q == p is the degenerate diagonal where the defining quotient
@@ -30,14 +30,17 @@ class PqParams:
     params are marked ``limit_mode`` (the classical case p = q = 1 included).
     """
 
+    __slots__ = _fields = ("p", "q")
     p: float
     q: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and math.isfinite(self.q)):
+    def __init__(self, p: float, q: float) -> None:
+        _set(self, "p", p)
+        _set(self, "q", q)
+        if not (math.isfinite(p) and math.isfinite(q)):
             raise ValueError("p and q must be finite")
-        if not 0.0 < self.q <= self.p <= 1.0:
-            raise ValueError(f"require 0 < q <= p <= 1, got p={self.p}, q={self.q}")
+        if not 0.0 < q <= p <= 1.0:
+            raise ValueError(f"require 0 < q <= p <= 1, got p={p}, q={q}")
 
     @property
     def limit_mode(self) -> bool:

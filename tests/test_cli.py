@@ -604,6 +604,71 @@ class TestWithoutNumpy:
         assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
+class TestLazyImports:
+    """The package loads a submodule on first use, and no command imports dataclasses."""
+
+    child = TestWithoutNumpy.child
+    ONE_POINT = TestWithoutNumpy.ONE_POINT
+
+    @pytest.mark.parametrize("argv", ONE_POINT.values(), ids=ONE_POINT.keys())
+    def test_one_point_command_runs_with_dataclasses_blocked(self, argv, capsys):
+        want = run(argv, capsys)
+        proc = self.child("import sys; sys.modules['dataclasses'] = None; "
+                          "from pqbbh.cli import main; sys.exit(main())", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+    def test_import_loads_no_submodule(self):
+        proc = self.child("import sys, pqbbh; print(sorted(m for m in sys.modules "
+                          "if m.startswith('pqbbh')))")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['pqbbh']\n", "")
+
+    @pytest.mark.parametrize("name", ["eval", "eval_stancu", "represent"])
+    def test_eval_and_represent_load_no_analysis(self, name, capsys):
+        argv = self.ONE_POINT[name]
+        want = run(argv, capsys)
+        proc = self.child("import sys; from pqbbh.cli import main; code = main(); "
+                          "sys.exit(code or 'pqbbh.analysis' in sys.modules)", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+    def test_every_public_name_resolves_and_is_listed(self):
+        # a fresh interpreter, where no submodule is loaded yet
+        proc = self.child(
+            "import pqbbh\n"
+            "names = set(pqbbh.__all__)\n"
+            "assert names <= set(dir(pqbbh))\n"
+            "star = {}\n"
+            "exec('from pqbbh import *', star)\n"
+            "assert star.keys() - {'__builtins__'} == names\n"
+            "assert all(star[name] is getattr(pqbbh, name) for name in names)\n"
+            "assert not names & vars(pqbbh).keys(), 'a public name was copied into pqbbh'\n"
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_a_wrapper_set_on_a_submodule_is_what_callers_get(self, capsys, monkeypatch):
+        # the span tracer in bench/spans.py swaps module attributes this way
+        import pqbbh.analysis
+
+        calls = []
+        original = pqbbh.analysis.moment_closed
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pqbbh.analysis, "moment_closed", counting)
+        assert pqbbh.moment_closed is counting
+        assert run(self.ONE_POINT["moments"], capsys)[0] == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert pqbbh.moment_closed is original
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'pqbbh' has no attribute 'nope'"):
+            pqbbh.nope
+        with pytest.raises(ImportError):
+            from pqbbh import nope  # noqa: F401
+
+
 class TestParserReuse:
     PLAIN = ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "t/(1+t)", "--x", "1"]
     CALLS = [
