@@ -45,7 +45,7 @@ def layers(n: int, fmt: str) -> dict:
     """The zero-argument callables to time for one call, by layer name."""
     argv = ["rate", "--schedule", SCHEDULE, "--n", str(n), "--registry", FUNCTION,
             "--format", fmt]
-    args = cli.build_parser().parse_args(argv)
+    args = cli._parse_args(argv)  # the flag-table namespace, as cli.main reads argv
     spec = OperatorSpec(n, HarmonicSchedule(0.25, 0.5).params_for(n))
     f = REGISTRY[FUNCTION]
     grid = GridSpec.default()

@@ -8,7 +8,8 @@ wrapper set on the submodule's attribute is what ``pqbbh`` hands out.
 
 from importlib import import_module
 
-# Each public name and the submodule that defines it.
+# Each public name and the submodule that defines it, declared here only:
+# __all__ is this table's keys.
 _SUBMODULE_OF = {
     **dict.fromkeys((
         "ConvergenceReport",
@@ -72,6 +73,7 @@ _SUBMODULE_OF = {
         "pq_log_factorial",
     ), "pq_core"),
 }
+__all__ = sorted(_SUBMODULE_OF)
 
 
 def __getattr__(name: str):
@@ -83,61 +85,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
-
-
-__all__ = [
-    "ConvergenceReport",
-    "ConvergenceRow",
-    "DomainError",
-    "EvaluationError",
-    "ExpressionDomainError",
-    "ExpressionError",
-    "ExpressionSyntaxError",
-    "GridSpec",
-    "HarmonicSchedule",
-    "LipschitzClass",
-    "NodeTable",
-    "OperatorSpec",
-    "ParamSchedule",
-    "PointSet",
-    "PqParams",
-    "RatePoint",
-    "RealFunction",
-    "REGISTRY",
-    "StancuBoundReport",
-    "StancuShift",
-    "WeightTable",
-    "as_function",
-    "convergence_report",
-    "delta_n",
-    "distance_to_set",
-    "divided_difference",
-    "euler_coefficients",
-    "eval_expression",
-    "evaluate",
-    "evaluate_stancu",
-    "format_expression",
-    "korovkin_discrepancy",
-    "lipschitz_bound",
-    "lipschitz_constant_estimate",
-    "log_pochhammer_ell",
-    "modulus_estimate",
-    "moment_closed",
-    "nodes",
-    "param_schedule",
-    "parse_expression",
-    "pochhammer_ell",
-    "pq_binomial",
-    "pq_factorial",
-    "pq_integer",
-    "pq_integers",
-    "pq_log_factorial",
-    "rate_bound_check",
-    "registry_function",
-    "representation_rhs",
-    "stancu_bound",
-    "stancu_bound_report",
-    "stancu_nodes",
-    "sup_delta",
-    "weights",
-]

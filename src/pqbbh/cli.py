@@ -154,46 +154,6 @@ def _output_flags(format_default: str | None = "csv") -> tuple[_Flag, ...]:
             _Flag("--output", default="-", help="output path, '-' for stdout"))
 
 
-# Every subcommand's help and flags, declared once.  The flags' order is
-# their order in --help and in the JSON "meta" echo.
-_SUBCOMMANDS: dict[str, tuple[str, tuple[_Flag, ...]]] = {
-    "eval": ("evaluate the operator at a point", (
-        *_OPERATOR_FLAGS,
-        _Flag("--gamma", _finite_float),
-        _Flag("--beta", _finite_float),
-        *_FUNCTION_FLAGS,
-        _X,
-        *_output_flags(format_default=None),  # bare value unless a format is requested
-    )),
-    "moments": ("closed-form and brute-force moments side by side", (
-        *_OPERATOR_FLAGS, _NU, _X, *_output_flags(),
-    )),
-    "converge": ("Korovkin discrepancies along a schedule", (
-        _SCHEDULE,
-        _Flag("--n-list", required=True, help="comma-separated degrees"),
-        _NU,
-        _Flag("--x-max", _finite_float, default=50.0),
-        _Flag("--points", int, default=2001),
-        *_output_flags(),
-    )),
-    "rate": ("per-point rate-bound check on the default grid", (
-        _SCHEDULE, _Flag("--n", int, required=True), *_FUNCTION_FLAGS, *_output_flags(),
-    )),
-    "represent": ("divided-difference representation check", (
-        *_OPERATOR_FLAGS, *_FUNCTION_FLAGS, _X, *_output_flags(),
-    )),
-    "stancu-bound": ("verbatim three-term bound for the shifted variant", (
-        *_OPERATOR_FLAGS,
-        *(_Flag(name, _finite_float, required=True)
-          for name in ("--gamma", "--beta", "--alpha", "--m")),
-        *_output_flags(),
-    )),
-}
-# subcommand -> {flag name: flag}, in declaration order
-_FLAG_TABLE = {command: {flag.name: flag for flag in flags}
-               for command, (_, flags) in _SUBCOMMANDS.items()}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """A new parser of the command line on every call, built from _SUBCOMMANDS."""
     import argparse
@@ -203,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-parameter Bleimann-Butzer-Hahn operators and convergence tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in _SUBCOMMANDS.items():
+    for command, (help_text, flags, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         groups = {}
         for flag in flags:
@@ -406,14 +366,44 @@ def _cmd_stancu_bound(args) -> str:
     return _emit(args, header, rows)
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "moments": _cmd_moments,
-    "converge": _cmd_converge,
-    "rate": _cmd_rate,
-    "represent": _cmd_represent,
-    "stancu-bound": _cmd_stancu_bound,
+# Every subcommand's help, flags and handler, declared once.  The flags'
+# order is their order in --help and in the JSON "meta" echo.
+_SUBCOMMANDS: dict[str, tuple[str, tuple[_Flag, ...], Callable[..., str]]] = {
+    "eval": ("evaluate the operator at a point", (
+        *_OPERATOR_FLAGS,
+        _Flag("--gamma", _finite_float),
+        _Flag("--beta", _finite_float),
+        *_FUNCTION_FLAGS,
+        _X,
+        *_output_flags(format_default=None),  # bare value unless a format is requested
+    ), _cmd_eval),
+    "moments": ("closed-form and brute-force moments side by side", (
+        *_OPERATOR_FLAGS, _NU, _X, *_output_flags(),
+    ), _cmd_moments),
+    "converge": ("Korovkin discrepancies along a schedule", (
+        _SCHEDULE,
+        _Flag("--n-list", required=True, help="comma-separated degrees"),
+        _NU,
+        _Flag("--x-max", _finite_float, default=50.0),
+        _Flag("--points", int, default=2001),
+        *_output_flags(),
+    ), _cmd_converge),
+    "rate": ("per-point rate-bound check on the default grid", (
+        _SCHEDULE, _Flag("--n", int, required=True), *_FUNCTION_FLAGS, *_output_flags(),
+    ), _cmd_rate),
+    "represent": ("divided-difference representation check", (
+        *_OPERATOR_FLAGS, *_FUNCTION_FLAGS, _X, *_output_flags(),
+    ), _cmd_represent),
+    "stancu-bound": ("verbatim three-term bound for the shifted variant", (
+        *_OPERATOR_FLAGS,
+        *(_Flag(name, _finite_float, required=True)
+          for name in ("--gamma", "--beta", "--alpha", "--m")),
+        *_output_flags(),
+    ), _cmd_stancu_bound),
 }
+# subcommand -> {flag name: flag}, in declaration order
+_FLAG_TABLE = {command: {flag.name: flag for flag in flags}
+               for command, (_, flags, _) in _SUBCOMMANDS.items()}
 
 
 def _write(path: str, text: str) -> None:
@@ -432,7 +422,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse prints its own diagnostics
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        text = _COMMANDS[args.command](args)
+        text = _SUBCOMMANDS[args.command][2](args)
     except (DomainError, ArithmeticError) as exc:
         print(f"pqbbh: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

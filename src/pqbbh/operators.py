@@ -175,17 +175,14 @@ class _Kernel:
     def _build_arrays(self) -> None:
         """The tables of the array path and of every grid, as numpy arrays.
 
-        The powers go straight into their arrays, except on the scalar
-        path, whose lists already hold them.
+        The powers go straight into their arrays on either path: the scalar
+        path's lists hold the same doubles.
         """
         import numpy as np
 
         n = self.spec.n
-        if self.scalar:
-            ppow, qpow = self.ppow, self.qpow
-        else:
-            exponents = np.arange(n + 2.0).tolist()  # 0.0..n+1, shared by p and q
-            ppow, qpow = _powers(self.p, exponents), _powers(self.q, exponents)
+        exponents = np.arange(n + 2.0).tolist()  # 0.0..n+1, shared by p and q
+        ppow, qpow = _powers(self.p, exponents), _powers(self.q, exponents)
         ia, pa, qa = (np.fromiter(values, float, n + 2) for values in (self.ints, ppow, qpow))
         self._ints, self._ppow, self._qpow = ia, pa, qa
         self.num = qa[:n] * ia[n:0:-1]

@@ -870,6 +870,15 @@ class TestFlagTable:
         assert args is not None
         assert list(vars(args))[0] == "command"
 
+    def test_every_subcommand_has_a_benchmark_shaped_argv(self):
+        assert self.BENCHMARK_SHAPED.keys() == pqbbh.cli._SUBCOMMANDS.keys()
+
+    @pytest.mark.parametrize("argv", BENCHMARK_SHAPED.values(), ids=BENCHMARK_SHAPED.keys())
+    def test_benchmark_shaped_argv_runs(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "t", "--x=1.5"],
         ["eval", "--n", "2", "--p", "1", "--q", "1", "--fn", "t", "--x", "1", "--form", "json"],

@@ -787,20 +787,23 @@ def test_scalar_path_matches_the_array_path(n, p, r, shift, x, seed):
 
 @property_settings(60)
 @given(
-    n=st.integers(pqbbh.operators._SCALAR_DEGREE + 1, 2500),
+    n=st.integers(1, 2500),
     p=box_p,
     r=box_r | st.just(1.0),
 )
 @example(n=2500, p=1.0, r=1.0)  # p = q = 1: every power is 1.0
 @example(n=400, p=0.93, r=1.0)  # the diagonal p = q
 @example(n=300, p=0.5, r=0.02)  # q = 0.01: q^j is subnormal from j = 154 and 0.0 from j = 162
+@example(n=1, p=0.9, r=0.5)  # the smallest scalar degree
+@example(n=64, p=0.93, r=0.7)  # the largest scalar degree
 def test_array_tables_match_python_powers(n, p, r):
     q = p * r
     if q == 0.0:
         return
     params = PqParams(p, q)
     kernel = _Kernel(OperatorSpec(n, params))
-    assert not kernel.scalar
+    if kernel.scalar:
+        kernel._build_arrays()  # as weighted_sums builds them at a scalar degree
     for base, table, floats in ((p, kernel._ppow, kernel.ppow), (q, kernel._qpow, kernel.qpow)):
         want = [(base ** j).hex() for j in range(n + 2)]
         assert [v.hex() for v in table.tolist()] == want
