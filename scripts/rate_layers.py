@@ -1,10 +1,12 @@
-"""Time the benchmark's three rate calls in process, layer by layer.
+"""Time the benchmark's three rate calls and one at n = 2048 in process, layer by layer.
 
-The calls have the shape of one ``rate_kernel`` pass: ``rate`` at n = 256
-with CSV and with JSON output and at n = 1024 with JSON, on the default
-2001-point grid, here with the fixed schedule harmonic:0.25,0.5 and
-``sin_damped``.  Each call is timed whole (``cli.main``, stdout captured)
-and by layer:
+The first three calls have the shape of one ``rate_kernel`` pass: ``rate``
+at n = 256 with CSV and with JSON output and at n = 1024 with JSON, on the
+default 2001-point grid, here with the fixed schedule harmonic:0.25,0.5 and
+``sin_damped``.  The fourth, n = 2048 with JSON, is one where most
+(rescale, point) pairs of the kernel are replayed after the stepping
+(``operators._replay_rescales``); at n = 256 none are.  Each call is timed
+whole (``cli.main``, stdout captured) and by layer:
 
 - ``kernel``: ``_Kernel`` built and ``weighted_sums`` over the grid;
 - ``moduli_sample``: f at the modulus grid's 8,001 points
@@ -38,7 +40,7 @@ from pqbbh.functions import REGISTRY
 
 SCHEDULE = "harmonic:0.25,0.5"
 FUNCTION = "sin_damped"
-CALLS = ((256, "csv"), (256, "json"), (1024, "json"))
+CALLS = ((256, "csv"), (256, "json"), (1024, "json"), (2048, "json"))
 
 
 def layers(n: int, fmt: str) -> dict:
@@ -50,7 +52,7 @@ def layers(n: int, fmt: str) -> dict:
     f = REGISTRY[FUNCTION]
     grid = GridSpec.default()
     fvals = np.array([f(t) for t in nodes(spec).values])
-    deltas = [math.sqrt(analysis._ClosedForms(spec).delta(x)) for x in grid.xs]
+    deltas = np.sqrt(analysis._ClosedForms(spec).delta(np.array(grid.xs))).tolist()
     size = analysis._MODULUS_POINTS
     samples = analysis._modulus_samples(f, grid.u_max, size)
     h = grid.u_max / (size - 1)  # the widest window, as analysis._moduli takes it

@@ -333,7 +333,8 @@ _MODULUS_POINTS = 8001
 
 
 def _moduli(
-    f: RealFunction, deltas: list[float], u_max: float, points: int = _MODULUS_POINTS
+    f: RealFunction, deltas: Sequence[float] | np.ndarray, u_max: float,
+    points: int = _MODULUS_POINTS,
 ) -> list[float]:
     """Grid omega(f, delta) for each delta, from one sample of f and one table.
 
@@ -349,7 +350,12 @@ def _moduli(
             f"transformed grid end {u_max!r} leaves a modulus grid step of 0.0 "
             f"over {points - 1} steps"
         )
-    widths = [int(min(delta / h + 1e-12, points - 1)) for delta in deltas]
+    import numpy as np
+
+    # int(min(delta / h + 1e-12, points - 1)) for each delta, in one pass:
+    # the quotients are >= 0, where astype truncates as int() does
+    with np.errstate(over="ignore"):  # a quotient beyond the doubles is inf, as in float arithmetic
+        widths = np.minimum(np.asarray(deltas) / h + 1e-12, points - 1).astype(int).tolist()
     w_top = max(widths)
     ranges = _window_ranges(_modulus_samples(f, u_max, points), w_top)
     return [ranges[w] for w in widths]
@@ -415,15 +421,19 @@ def rate_bound_check(
     _variant(spec, False, "rate_bound_check")
     kernel = _Kernel(spec)
     forms = _ClosedForms(spec)
-    omegas = _moduli(f, [math.sqrt(forms.delta(x)) for x in grid.xs], grid.u_max)
+    # the float formula on an array: the same + - * / element by element, and
+    # np.sqrt rounds correctly as math.sqrt does
+    with np.errstate(all="ignore"):
+        sqrt_deltas = np.sqrt(forms.delta(np.array(grid.xs)))
+    omegas = _moduli(f, sqrt_deltas, grid.u_max)
     fvals = np.array(_sample(f, kernel.nodes().values, "node"))
     fxs = _sample(f, grid.xs, "grid point")
-    out = []
-    for x, approx, fx, omega in zip(grid.xs, kernel.weighted_sums(grid.xs, fvals), fxs, omegas):
-        lhs = abs(approx - fx)
-        rhs = 2.0 * omega
-        out.append(RatePoint(x=x, lhs=lhs, rhs=rhs, passed=lhs <= rhs + slack))
-    return out
+    approx = kernel.weighted_sums(grid.xs, fvals)
+    with np.errstate(all="ignore"):  # a difference beyond the doubles is inf, as in float arithmetic
+        lhs = np.abs(np.array(approx) - np.array(fxs))
+        rhs = 2.0 * np.array(omegas)
+        passed = lhs <= rhs + slack
+    return list(map(RatePoint, grid.xs, lhs.tolist(), rhs.tolist(), passed.tolist()))
 
 
 def distance_to_set(x: float, e: PointSet) -> float:

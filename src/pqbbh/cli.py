@@ -64,10 +64,13 @@ def _json_cell(value, column: str):
 
 
 def _column(values: tuple, column: str, json_out: bool) -> list:
-    """One column's cells: finite Python floats in one pass, any other cell by cell."""
-    if set(map(type, values)) == {float} and all(map(math.isfinite, values)):
+    """One column's cells: finite Python floats or bools in one pass, any other cell by cell."""
+    types = set(map(type, values))
+    if types == {float} and all(map(math.isfinite, values)):
         texts = _float_texts(values)
         return list(map(float, texts)) if json_out else texts
+    if types == {bool}:  # as _fmt and _json_cell give them
+        return list(values) if json_out else [("false", "true")[v] for v in values]
     cell = _json_cell if json_out else _fmt
     return [cell(v, column) for v in values]
 

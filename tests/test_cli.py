@@ -137,6 +137,10 @@ STDOUT_DIGESTS = [
     ("stancu-bound --n 10 --p 0.9 --q 0.7 --gamma 0.5 --beta 1.0 --alpha 0.5 --m 2.0 "
      "--format json",
      "77feedf4dcc86b7458358e2c9f9238095b3e1f847176c9786644300fbce0bf46"),
+    # the grid's points from x = 2.375 up rescale five times or more (16 times
+    # at x = 50), so their weight rows hold rows that end at exactly 0.0
+    ("rate --schedule harmonic:0.25,0.5 --n 1024 --registry sin_damped --format json",
+     "ac0f2a156baa5ef9e4740babcf6a875f2ac67ca99a213262975831a6c62929bb"),
 ]
 
 
@@ -144,7 +148,8 @@ STDOUT_DIGESTS = [
     "argv,digest",
     STDOUT_DIGESTS,
     ids=["rate_csv", "rate_json", "moments", "represent", "eval_stancu", "converge_nu2",
-         "eval_json", "moments_json", "converge_json", "represent_json", "stancu_bound_json"],
+         "eval_json", "moments_json", "converge_json", "represent_json", "stancu_bound_json",
+         "rate_n1024_json"],
 )
 def test_stdout_digest(argv, digest, capsys):
     code, out, err = run(argv.split(), capsys)

@@ -58,6 +58,7 @@ from oracles import (
     mp_weights,
     q_bbh_evaluate,
     q_bbh_moment,
+    sequential_integers,
     sequential_nodes,
     sequential_rhs,
     sequential_sum,
@@ -681,6 +682,24 @@ BLOCK_EXAMPLES = (
     # den_0 = p^619 [1] is 0 and num_0 x is 0 at 5e-324, so row 0 holds a nan
     # ratio where the bound of the stretch starts
     (620, 0.3, 0.25, (5e-324, 0.5, 5e-324)),
+    # the rate command's grid at n = 2048, where most (rescale, point) pairs
+    # come after a point's fourth rescale and are replayed after the stepping
+    (2048, 1.0 - 0.25 / 2048, 1.0 - 0.5 / 2048, RATE_GRID),
+    # at k = 299 the two outer points take their fourth rescale and the middle
+    # one its fifth: one event divides two columns that are not side by side
+    # and leaves the third to the replay
+    (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024,
+     (3.172933803617731, 6.921094010885347, 3.172933803617731)),
+    # unsorted: the three 40.0 points rescale 15 times at the same rows, not
+    # side by side, with 1.0 and 2.0 (two and four rescales) between them
+    (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024, (40.0, 1.0, 40.0, 2.0, 40.0)),
+    # a full block and one of 3 points, every point rescaling 13 times or
+    # more, its first and last columns included
+    (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024,
+     tuple(50.0 - 0.1 * i for i in range(block_width(1024) + 3))),
+    # 1e15 and 1e18 rescale 5 and 7 times and are replayed, then 1e36 drifts,
+    # so row() answers the block
+    (1024, 0.53, 0.34, (1e15, 1e18, 1e36)),
 )
 
 
@@ -713,6 +732,58 @@ def test_grid_sums_match_the_per_row_path(n, p, r, xs, seed):
         assert [v.hex() for v in got] == [v.hex() for v in want]
     else:
         assert (type(error), str(error)) == (type(want_error), str(want_error))
+
+
+def test_grid_sums_see_the_rows_that_rescales_made_tiny():
+    # Node values 1 / w_k(40), at most 1e300, weigh the rows near x = 40
+    # alike, so weights many rescales down move the sums as much as the
+    # largest: replaying a point's rescales out of order changes their bits.
+    # The 40.0 point rescales 15 times.
+    kernel = _Kernel(OperatorSpec(1024, PqParams(1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024)))
+    fvals = np.array([1e300 if v < 1e-300 else 1.0 / v for v in kernel.row(40.0).tolist()])
+    xs = tuple(40.0 * (1.0 + 1e-4 * i) for i in range(-20, 21))
+    want = [_weighted_sum(kernel.row(x), fvals).hex() for x in xs]
+    assert [v.hex() for v in kernel.weighted_sums(xs, fvals)] == want
+
+
+def rescale_rows(n, p, q, x):
+    """Each k at which the plain-float ratio loop rescales: term k+1 passed 1e100."""
+    ints = sequential_integers(n, p, q)
+    rows, term = [], 1.0
+    for k in range(n):
+        term *= q ** k * ints[n - k] * x / (p ** (n - 1 - k) * ints[k + 1])
+        if term > 1e100:
+            rows.append(k)
+            term = 1.0
+    return rows
+
+
+@property_settings(40)
+@given(
+    n=st.integers(1, 4096),
+    p=box_p,
+    r=box_r,
+    x=st.floats(0.0, 60.0) | st.floats(-5.0, 70.0).map(math.exp),
+)
+@example(n=1024, p=1.0 - 0.25 / 1024, r=(1.0 - 0.5 / 1024) / (1.0 - 0.25 / 1024), x=50.0)
+@example(n=4096, p=1.0 - 0.25 / 4096, r=(1.0 - 0.5 / 4096) / (1.0 - 0.25 / 4096), x=50.0)
+@example(n=2048, p=1.0 - 0.25 / 2048, r=(1.0 - 0.5 / 2048) / (1.0 - 0.25 / 2048), x=0.865)
+@example(n=64, p=0.9, r=0.8 / 0.9, x=1e30)  # the scalar path, 16 rescales
+@example(n=40, p=0.9, r=0.5 / 0.9, x=1e40)  # the scalar path, 12 rescales
+def test_rows_at_or_below_the_fifth_last_rescale_are_zero(n, p, r, x):
+    # Each stored term is at most 1e100 and each rescale divides it by more,
+    # so five divisions leave 0.0: _block_sums sets those rows to 0.0 and
+    # replays a point's later rescales only above them.
+    q = p * r
+    if q == 0.0:
+        return
+    row, error = outcome(lambda: _Kernel(OperatorSpec(n, PqParams(p, q))).row(x))
+    if error is not None:
+        return
+    rows = rescale_rows(n, p, q, x)
+    if len(rows) >= pqbbh.operators._ZERO_AFTER:
+        z = rows[-pqbbh.operators._ZERO_AFTER]
+        assert [v for v in row[: z + 1] if v != 0.0] == []
 
 
 def test_grid_sums_keep_one_row_a_block_where_a_row_passes_the_block(monkeypatch):
