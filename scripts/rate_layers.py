@@ -11,10 +11,13 @@ whole (``cli.main``, stdout captured) and by layer:
 - ``kernel``: ``_Kernel`` built and ``weighted_sums`` over the grid;
 - ``moduli_sample``: f at the modulus grid's 8,001 points
   (``analysis._modulus_samples``);
-- ``moduli_window``: the running max and min over those samples, one pass
-  per window width up to the widest sqrt(delta_n) needs
+- ``moduli_window``: the largest difference of those samples at each
+  window width up to the widest sqrt(delta_n) needs, one pass per width
   (``analysis._window_ranges``);
-- ``emit``: ``cli._emit`` of the call's rows.
+- ``records``: the rest of ``analysis._rate_columns``, with the kernel's
+  sums and the moduli already computed: delta_n on the grid, f at the
+  nodes and the grid points, and the four columns built;
+- ``emit``: ``cli._emit_columns`` of those columns, to the printed text.
 
 The layers and calls take turns until the time budget is spent, so that a
 slow phase of the host hits them all, and each figure is the best time
@@ -31,6 +34,8 @@ import io
 import json
 import math
 import time
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
@@ -57,8 +62,16 @@ def layers(n: int, fmt: str) -> dict:
     samples = analysis._modulus_samples(f, grid.u_max, size)
     h = grid.u_max / (size - 1)  # the widest window, as analysis._moduli takes it
     w_top = max(int(min(delta / h + 1e-12, size - 1)) for delta in deltas)
-    points = analysis.rate_bound_check(spec, f, grid)
-    rows = [[pt.x, pt.lhs, pt.rhs, pt.passed] for pt in points]
+    kernel = operators._Kernel(spec)
+    table, sums = kernel.nodes(), kernel.weighted_sums(grid.xs, fvals)
+    done = SimpleNamespace(nodes=lambda: table, weighted_sums=lambda xs, fvals: sums)
+    omegas = analysis._moduli(f, deltas, grid.u_max)
+    columns = analysis._rate_columns(spec, f, grid)
+
+    def records() -> None:  # the kernel and the moduli replaced by their results
+        with mock.patch.multiple(analysis, _Kernel=lambda spec: done,
+                                 _moduli=lambda f, deltas, u_max: omegas):
+            analysis._rate_columns(spec, f, grid)
 
     def total() -> None:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -68,7 +81,8 @@ def layers(n: int, fmt: str) -> dict:
         "kernel": lambda: operators._Kernel(spec).weighted_sums(grid.xs, fvals),
         "moduli_sample": lambda: analysis._modulus_samples(f, grid.u_max, size),
         "moduli_window": lambda: analysis._window_ranges(samples, w_top),
-        "emit": lambda: cli._emit(args, ["x", "lhs", "rhs", "pass"], rows,
+        "records": records,
+        "emit": lambda: cli._emit_columns(args, ["x", "lhs", "rhs", "pass"], columns,
                                   fn=f"registry:{FUNCTION}"),
         "total": total,
     }

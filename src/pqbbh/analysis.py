@@ -91,7 +91,7 @@ class GridSpec(Record):
             head = np.linspace(0.0, knee, n_uniform)
             tail = np.geomspace(knee, x_max, points - n_uniform + 1)[1:]
             xs = np.concatenate([head, tail])
-        return cls(tuple(float(x) for x in xs))
+        return cls(tuple(xs.tolist()))
 
     @property
     def x_max(self) -> float:
@@ -370,19 +370,24 @@ def _modulus_samples(f: RealFunction, u_max: float, points: int) -> np.ndarray:
 
 
 def _window_ranges(g: np.ndarray, w_top: int) -> list[float]:
-    """ranges[w] = max |g_i - g_j| over |i - j| <= w, for w = 0..w_top: one pass per width."""
+    """ranges[w] = max |g_i - g_j| over |i - j| <= w, for w = 0..w_top: one pass per width.
+
+    ranges[w] is the larger of ranges[w-1] and the largest |g[i+w] - g[i]|,
+    read as max(d) and -min(d) of d = g[w:] - g[:-w].  Rounding is monotone
+    and fl(-x) = -fl(x), so this is the rounded largest exact difference,
+    as a running max minus a running min gives it, inf on overflow included.
+    """
     import numpy as np
 
     points = len(g)
-    # mx[i] and mn[i] run over g[i..i+w], in place: the first points - w are live
-    mx, mn, span = g.copy(), g.copy(), np.empty(points)
+    diff = np.empty(points)
     ranges = [0.0] * (w_top + 1)
+    top = 0.0
     with np.errstate(over="ignore"):  # a range beyond the doubles is inf
         for w in range(1, w_top + 1):
-            m = points - w
-            np.maximum(mx[:m], g[w:], out=mx[:m])
-            np.minimum(mn[:m], g[w:], out=mn[:m])
-            ranges[w] = float(np.subtract(mx[:m], mn[:m], out=span[:m]).max())
+            d = np.subtract(g[w:], g[:-w], out=diff[: points - w])
+            top = max(top, float(d.max()), -float(d.min()))
+            ranges[w] = top
     return ranges
 
 
@@ -416,6 +421,13 @@ def rate_bound_check(
     The modulus is tabulated once on the refined transformed grid and read
     off per point; the slack absorbs the grid estimate's downward bias.
     """
+    return list(map(RatePoint, *_rate_columns(spec, f, grid, slack)))
+
+
+def _rate_columns(
+    spec: OperatorSpec, f: RealFunction, grid: GridSpec, slack: float = 1e-6
+) -> tuple[list[float], list[float], list[float], list[bool]]:
+    """rate_bound_check's x, lhs, rhs and passed, one list each, in grid order."""
     import numpy as np
 
     _variant(spec, False, "rate_bound_check")
@@ -433,7 +445,7 @@ def rate_bound_check(
         lhs = np.abs(np.array(approx) - np.array(fxs))
         rhs = 2.0 * np.array(omegas)
         passed = lhs <= rhs + slack
-    return list(map(RatePoint, grid.xs, lhs.tolist(), rhs.tolist(), passed.tolist()))
+    return list(grid.xs), lhs.tolist(), rhs.tolist(), passed.tolist()
 
 
 def distance_to_set(x: float, e: PointSet) -> float:

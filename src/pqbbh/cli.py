@@ -57,52 +57,81 @@ def _float_texts(values) -> list[str]:
     return [f"{v + 0.0:.12g}" for v in values]
 
 
+def _json_numbers(texts: list[str]) -> list[str]:
+    """json.dumps(float(t)) for each text t of _float_texts, mostly without a float.
+
+    A .12g text of a normal double has at most 12 significant digits, so it
+    is the one decimal of at most 15 digits that rounds to its double, and
+    float.__repr__, which json uses, prints the same digits.  Only the
+    layout can differ: an integral text needs ".0"; .12g goes scientific
+    from 1e12, repr only from 1e16; and repr shortens a subnormal.  So a
+    text whose exponent starts e+1 (e+12..e+15) or e-3 (every subnormal)
+    goes through repr, as a few others that need not do.
+    """
+    return [repr(float(t)) if "e+1" in t or "e-3" in t
+            else t if "." in t or "e" in t else t + ".0"
+            for t in texts]
+
+
 def _json_cell(value, column: str):
     if isinstance(value, (bool, int)) or value is None or isinstance(value, str):
         return value
     return float(_fmt(value, column))
 
 
-def _column(values: tuple, column: str, json_out: bool) -> list:
-    """One column's cells: finite Python floats or bools in one pass, any other cell by cell."""
-    types = set(map(type, values))
-    if types == {float} and all(map(math.isfinite, values)):
-        texts = _float_texts(values)
-        return list(map(float, texts)) if json_out else texts
-    if types == {bool}:  # as _fmt and _json_cell give them
-        return list(values) if json_out else [("false", "true")[v] for v in values]
-    cell = _json_cell if json_out else _fmt
-    return [cell(v, column) for v in values]
-
-
-def _cells(header: list[str], rows: list[list], json_out: bool) -> list:
-    """The table's cells as _fmt (CSV) or _json_cell (JSON) gives them, row by row.
-
-    A table of more than one row is formatted column by column.  Where a
-    cell is refused, the table goes again cell by cell in row order, so the
-    error names the first such cell.
-    """
-    if len(rows) > 1:
-        try:
-            return list(zip(*(_column(col, name, json_out)
-                              for name, col in zip(header, zip(*rows)))))
-        except DomainError:
-            pass
-    cell = _json_cell if json_out else _fmt
-    return [[cell(c, name) for c, name in zip(row, header)] for row in rows]
+def _meta(args, overrides: dict) -> dict:
+    """JSON "meta": every flag in declaration order, --fn/--registry as "fn", then overrides."""
+    meta = {k: v for k, v in vars(args).items() if k != "registry"}
+    meta.update(overrides)
+    return meta
 
 
 def _emit(args, header: list[str], rows: list[list], **overrides) -> str:
+    """The table as the command prints it, through _fmt and csv or _json_cell and json.
+
+    Cells go in row order, so a refusal names the first bad cell in row order.
+    """
     if args.format == "json":
-        # "meta" echoes every flag in declaration order, --fn/--registry as "fn"
-        meta = {k: v for k, v in vars(args).items() if k != "registry"}
-        meta.update(overrides)
-        return json.dumps({"meta": meta, "rows": _cells(header, rows, True)}) + "\n"
+        cells = [[_json_cell(c, name) for c, name in zip(row, header)] for row in rows]
+        return json.dumps({"meta": _meta(args, overrides), "rows": cells}) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(_cells(header, rows, False))
+    writer.writerows([_fmt(c, name) for c, name in zip(row, header)] for row in rows)
     return buf.getvalue()
+
+
+def _column_texts(values: Sequence, json_out: bool) -> list[str] | None:
+    """The printed text of each cell of a column of finite floats, bools or ints, else None."""
+    types = set(map(type, values))
+    if types == {float}:
+        if not all(map(math.isfinite, values)):
+            return None
+        texts = _float_texts(values)
+        return _json_numbers(texts) if json_out else texts
+    if types == {bool}:  # as _fmt gives them, and json
+        return [("false", "true")[v] for v in values]
+    if types == {int}:
+        return list(map(str, values))
+    return None  # an empty column too
+
+
+def _emit_columns(args, header: list[str], columns: list[Sequence], **overrides) -> str:
+    """_emit of the rows these columns hold, one column per header name.
+
+    Where _column_texts reads every column, the rows are joined from those
+    texts; csv would quote none of them, and the header is plain names.
+    Otherwise the rows go to _emit, so a refusal names the first bad cell
+    in row order.
+    """
+    json_out = args.format == "json"
+    texts = [_column_texts(col, json_out) for col in columns]
+    if None in texts:
+        return _emit(args, header, list(zip(*columns)), **overrides)
+    if json_out:
+        rows = "], [".join(map(", ".join, zip(*texts)))
+        return f'{{"meta": {json.dumps(_meta(args, overrides))}, "rows": [[{rows}]]}}\n'
+    return "\n".join([",".join(header), *map(",".join, zip(*texts)), ""])
 
 
 def _finite_float(text: str) -> float:
@@ -331,11 +360,9 @@ def _cmd_converge(args) -> str:
     grid = analysis.GridSpec.default(args.x_max, args.points)
     report = analysis.convergence_report(schedule, n_list, grid)
     header = ["n", "p", "q", "nu", "discrepancy", "sup_delta"]
-    rows = []
-    for row in report.rows:
-        disc = (row.disc0, row.disc1, row.disc2)[args.nu]
-        rows.append([row.n, row.p, row.q, args.nu, disc, row.sup_delta])
-    return _emit(args, header, rows, n_list=n_list)
+    rows = [[r.n, r.p, r.q, args.nu, (r.disc0, r.disc1, r.disc2)[args.nu], r.sup_delta]
+            for r in report.rows]  # one or more: n_list is never empty
+    return _emit_columns(args, header, list(zip(*rows)), n_list=n_list)
 
 
 def _cmd_rate(args) -> str:
@@ -343,10 +370,8 @@ def _cmd_rate(args) -> str:
     schedule = _parse_schedule(args.schedule)
     spec = OperatorSpec(args.n, schedule.params_for(args.n))
     f, fname = _resolve_function(args)
-    points = analysis.rate_bound_check(spec, f, analysis.GridSpec.default())
-    header = ["x", "lhs", "rhs", "pass"]
-    rows = [[pt.x, pt.lhs, pt.rhs, pt.passed] for pt in points]
-    return _emit(args, header, rows, fn=fname)
+    columns = analysis._rate_columns(spec, f, analysis.GridSpec.default())
+    return _emit_columns(args, ["x", "lhs", "rhs", "pass"], columns, fn=fname)
 
 
 def _cmd_represent(args) -> str:

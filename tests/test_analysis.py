@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+import pqbbh.analysis
 import pqbbh.cli
 import pqbbh.operators
 from pqbbh import (
@@ -272,7 +273,62 @@ class TestModulus:
             modulus_estimate(math.sin, delta, grid)
 
 
+def window_ranges_brute(g: list[float], w_top: int) -> list[float]:
+    """max |g_i - g_j| over |i - j| <= w for w = 0..w_top, pair by pair in Python floats."""
+    size = len(g)
+    return [max(abs(g[j] - g[i]) for i in range(size) for j in range(i, min(i + w + 1, size)))
+            for w in range(w_top + 1)]
+
+
+class TestWindowRanges:
+    """analysis._window_ranges against an O(N W) brute force, bit for bit."""
+
+    @staticmethod
+    def check(g: list[float], w_top: int) -> list[float]:
+        import numpy as np
+
+        got = pqbbh.analysis._window_ranges(np.array(g), w_top)
+        assert list(map(float.hex, got)) == list(map(float.hex, window_ranges_brute(g, w_top)))
+        return got
+
+    def test_random_arrays(self):
+        rng = random.Random(24)
+        for _ in range(60):
+            size = rng.randint(2, 40)
+            scale = 10.0 ** rng.randint(-300, 300)
+            g = [rng.gauss(0.0, 1.0) * scale for _ in range(size)]
+            self.check(g, rng.randint(0, size - 1))
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 3.5, -1e308])
+    def test_constant_arrays(self, value):
+        self.check([value] * 9, 8)
+
+    @pytest.mark.parametrize("g", [[1.0, 2.5], [2.5, 1.0], [-1e-320, 1e-320], [0.0, -0.0]])
+    def test_two_points(self, g):
+        self.check(g, 1)
+
+    def test_widest_window_is_the_whole_array(self):
+        self.check([math.sin(i) * 1e3 for i in range(31)], 30)
+
+    def test_differences_beyond_the_doubles_are_inf(self):
+        big = 1.7e308
+        g = [big, -big, 0.5 * big, -0.9 * big, big, 1.0, -big, big * 0.99]
+        assert self.check(g, len(g) - 1)[1] == math.inf
+
+
 class TestRateBound:
+    @pytest.mark.parametrize("f", [REGISTRY["sin_damped"], REGISTRY["exp_neg"], bbh_metric])
+    def test_records_are_the_columns(self, f):
+        spec = OperatorSpec(96, HarmonicSchedule(0.25, 0.5).params_for(96))
+        grid = GridSpec.default(x_max=30.0, points=301)
+        points = rate_bound_check(spec, f, grid)
+        columns = pqbbh.analysis._rate_columns(spec, f, grid)
+        assert list(map(len, columns)) == [len(points)] * 4
+        for pt, row in zip(points, zip(*columns)):
+            assert list(map(type, row)) == [float, float, float, bool]
+            assert list(map(float.hex, row[:3])) == [pt.x.hex(), pt.lhs.hex(), pt.rhs.hex()]
+            assert pt.passed is row[3]
+
     def test_constant_is_flat(self):
         grid = GridSpec.default(x_max=8.0, points=101)
         spec = OperatorSpec(5, PqParams(0.95, 0.9))

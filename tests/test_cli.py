@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -10,7 +11,7 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pqbbh.cli
@@ -977,9 +978,28 @@ class TestTableCells:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_columns_give_the_per_cell_bytes(self, fmt):
         args = argparse.Namespace(format=fmt)
-        got = pqbbh.cli._emit(args, self.HEADER, self.rows())
+        got = pqbbh.cli._emit_columns(args, self.HEADER, list(zip(*self.rows())))
         assert got == self.per_cell(fmt, self.HEADER, self.rows())
         assert got == self.EXPECTED[fmt]
+
+    # an all-float table with an int column: every column reads as text, so the
+    # rows are joined from column texts, not passed to csv or json
+    NUMBERS_HEADER = ["big", "small", "count"]
+    NUMBERS = [
+        [1.5e13, 5e-324, 0],
+        [123456789012.0, -0.0, -3],
+        [1e16, 2.2250738585072014e-308, 10**20],
+        [-0.0, 1e-05, 7],
+        [999999999999.9, 4.94065645841e-320, 1],
+    ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_float_and_int_columns_give_the_per_cell_bytes(self, fmt):
+        columns = list(zip(*self.NUMBERS))
+        assert None not in [pqbbh.cli._column_texts(col, fmt == "json") for col in columns]
+        args = argparse.Namespace(format=fmt)
+        got = pqbbh.cli._emit_columns(args, self.NUMBERS_HEADER, columns)
+        assert got == self.per_cell(fmt, self.NUMBERS_HEADER, self.NUMBERS)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_first_non_finite_cell_in_row_order_is_named(self, fmt):
@@ -987,4 +1007,85 @@ class TestTableCells:
         rows = [[1.0, float("inf")], [float("nan"), 2.0]]
         args = argparse.Namespace(format=fmt)
         with pytest.raises(DomainError, match=r"^b = inf is not a finite number$"):
-            pqbbh.cli._emit(args, ["a", "b"], rows)
+            pqbbh.cli._emit_columns(args, ["a", "b"], list(zip(*rows)))
+
+
+def column_cell(value: float, json_out: bool) -> str:
+    """The cell text a float column of many rows gives value."""
+    texts = pqbbh.cli._column_texts([value, 0.5], json_out)
+    assert texts is not None
+    return texts[0]
+
+
+def assert_number_texts(value: float) -> None:
+    text = pqbbh.cli._fmt(value)
+    assert column_cell(value, False) == text
+    assert column_cell(value, True) == json.dumps(float(text))
+
+
+class TestJsonNumberText:
+    """A float column's JSON text, taken from the .12g text, is what json.dumps prints."""
+
+    SMALLEST_NORMAL = 2.2250738585072014e-308
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-SMALLEST_NORMAL, max_value=SMALLEST_NORMAL),  # subnormals
+        st.floats(min_value=SMALLEST_NORMAL / 16, max_value=SMALLEST_NORMAL * 16),
+        st.floats(min_value=1e11, max_value=1e17),
+        st.floats(min_value=-1e17, max_value=-1e11),
+        st.integers(min_value=-(10**17), max_value=10**17).map(float),
+    ))
+    @example(5e-324)
+    @example(-0.0)
+    @example(999999999999.5)  # .12g rounds it up to 1e+12
+    @example(9999999999999998.0)  # the largest double below 1e16
+    @example(1e16)
+    @example(SMALLEST_NORMAL)
+    @example(math.nextafter(SMALLEST_NORMAL, 0.0))
+    def test_property(self, value):
+        assert_number_texts(value)
+
+    def test_exponent_sweep(self):
+        for exponent in range(-330, 331):
+            for mantissa in ("1", "-1", "1.5", "9.99999999999", "-1.23456789012", "4.94065645841"):
+                value = float(f"{mantissa}e{exponent}")
+                if not math.isfinite(value):
+                    continue
+                for v in (value, math.nextafter(value, math.inf),
+                          math.nextafter(value, -math.inf)):
+                    if math.isfinite(v):
+                        assert_number_texts(v)
+
+
+class TestRateRefusal:
+    """rate writes nothing and exits 3 where a cell is not finite, naming the first in row order."""
+
+    ARGV = ["rate", "--schedule", "harmonic:0.25,0.5", "--n", "64", "--fn"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_function(self, fmt, capsys):
+        # lhs overflows from grid point 1438 on, rhs from point 1: row order names rhs
+        code, out, err = run(self.ARGV + ["1.7e308*sin(t)", "--format", fmt], capsys)
+        assert (code, out, err) == (3, "", "pqbbh: rhs = inf is not a finite number\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("cells, named", [
+        ([("lhs", 700, math.inf)], "lhs = inf"),
+        ([("lhs", 700, math.inf), ("rhs", 699, math.nan)], "rhs = nan"),
+        ([("lhs", 5, math.nan), ("rhs", 5, math.inf)], "lhs = nan"),
+    ])
+    def test_poisoned_columns(self, fmt, cells, named, capsys, monkeypatch):
+        analysis = pqbbh.cli._analysis()
+        real = analysis._rate_columns
+
+        def poisoned(*args):
+            columns = dict(zip(("x", "lhs", "rhs", "pass"), real(*args)))
+            for name, i, value in cells:
+                columns[name][i] = value
+            return tuple(columns.values())
+
+        monkeypatch.setattr(analysis, "_rate_columns", poisoned)
+        code, out, err = run(self.ARGV + ["exp(-t)", "--format", fmt], capsys)
+        assert (code, out, err) == (3, "", f"pqbbh: {named} is not a finite number\n")
