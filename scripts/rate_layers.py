@@ -9,6 +9,10 @@ default 2001-point grid, here with the fixed schedule harmonic:0.25,0.5 and
 whole (``cli.main``, stdout captured) and by layer:
 
 - ``kernel``: ``_Kernel`` built and ``weighted_sums`` over the grid;
+- ``drift``: the part of ``kernel`` that screens row()'s drift check,
+  ``_Kernel._drift_screen`` of each block (log ell_n(x) from the grouped
+  products, their coefficients rebuilt, the margin E and the one test),
+  on the totals and log scales the stepping left;
 - ``moduli_sample``: f at the modulus grid's 8,001 points
   (``analysis._modulus_samples``);
 - ``moduli_window``: the largest difference of those samples at each
@@ -63,7 +67,22 @@ def layers(n: int, fmt: str) -> dict:
     h = grid.u_max / (size - 1)  # the widest window, as analysis._moduli takes it
     w_top = max(int(min(delta / h + 1e-12, size - 1)) for delta in deltas)
     kernel = operators._Kernel(spec)
-    table, sums = kernel.nodes(), kernel.weighted_sums(grid.xs, fvals)
+    blocks = []  # each block's points, totals and log scales, as the stepping leaves them
+    screen = operators._Kernel._drift_screen
+
+    def keep(self, x, total, log_scale, buf):
+        blocks.append((x.copy(), total.copy(), log_scale.copy()))
+        return screen(self, x, total, log_scale, buf)
+
+    with mock.patch.object(operators._Kernel, "_drift_screen", keep):
+        table, sums = kernel.nodes(), kernel.weighted_sums(grid.xs, fvals)
+    buf = np.empty((n + 1) * len(blocks[0][0]))
+
+    def drift() -> None:
+        kernel._groups.clear()  # coefficients are built once per kernel
+        for x, total, log_scale in blocks:
+            value, error = kernel._drift_screen(x, total, log_scale, buf)
+            assert (np.abs(value) <= 1e-8 - error).all()
     done = SimpleNamespace(nodes=lambda: table, weighted_sums=lambda xs, fvals: sums)
     omegas = analysis._moduli(f, deltas, grid.u_max)
     columns = analysis._rate_columns(spec, f, grid)
@@ -79,6 +98,7 @@ def layers(n: int, fmt: str) -> dict:
 
     return {
         "kernel": lambda: operators._Kernel(spec).weighted_sums(grid.xs, fvals),
+        "drift": drift,
         "moduli_sample": lambda: analysis._modulus_samples(f, grid.u_max, size),
         "moduli_window": lambda: analysis._window_ranges(samples, w_top),
         "records": records,

@@ -43,6 +43,13 @@ _BLOCK_BYTES = 1 << 21
 # a term divided this many times is exactly 0.0 (1e100 -> 1 -> ... -> 1e-300 -> 0).
 _ZERO_AFTER = 5
 
+# Most factors p^s + q^s x of the rising product that the drift screen
+# multiplies out before it takes a log (_Kernel._log_ell).
+_GROUP = 16
+
+# The unit roundoff of a double, in the drift screen's error bound.
+_UNIT_ROUNDOFF = 2.0 ** -53
+
 # Largest degree whose kernel takes the scalar path: Python floats for the
 # nodes and one weight row, so that a one-point query imports no numpy.
 # Above it, and on every grid, the array path runs.  It was the largest power
@@ -193,6 +200,7 @@ class _Kernel:
         self.den = pa[n - 1::-1] * ia[1:n + 1]
         # p^s and q^s, s = 0..n-1: the factors p^s + q^s x of the rising product
         self.ell_p, self.ell_q = pa[:n], qa[:n]
+        self._groups: dict[int, np.ndarray] = {}  # _group_coefficients by group size
 
     @functools.cached_property
     def ppow(self) -> list[float]:
@@ -346,11 +354,15 @@ class _Kernel:
         (see _block_sums).  A rescale divides a point's earlier rows in one
         of two places: inside the stepping loop for its first four rescales,
         and after the loop for its later ones, which skip the rows that five
-        divisions have made exactly 0.0.  A block that _block_sums cannot
-        finish is redone by row() one point at a time, which gives its sums
-        or raises the first refusal in grid order.  At any degree the
-        lockstep runs on the array tables, which a scalar-path kernel builds
-        here.
+        divisions have made exactly 0.0.  row()'s drift check is screened
+        for the whole block at once, with a margin E that bounds how far the
+        screen's drift can be from row()'s (_drift_screen): a point within
+        1e-8 - E passes in row() too.  A block that _block_sums cannot
+        finish, or whose screen leaves a point above 1e-8 - E, is redone by
+        row() one point at a time, which gives its sums or raises the first
+        refusal in grid order, so the output is row()'s either way.  At any
+        degree the lockstep runs on the array tables, which a scalar-path
+        kernel builds here.
 
         xs must be finite and >= 0, as a GridSpec's points are.
         """
@@ -381,12 +393,11 @@ class _Kernel:
         by row k.  A row that the product of its ratios' maxima cannot prove
         below _RESCALE_AT takes one max(), which finds the points whose term
         passed it; those alone get row()'s rescale.  The running totals add
-        the terms in row()'s order, the weighted sum adds the rows of the
-        buffer in order, and the drift reference is a row-wise sum over a
-        C-contiguous (B, n) view of the same buffer, which matches the array
-        row()'s 1-D sum (see _scalar_row for the scalar one).  None for a
-        block of one point, whose one column numpy would sum pairwise, for a
-        term that is not finite and for a normalizer that drifts.
+        the terms in row()'s order and the weighted sum adds the rows of the
+        buffer in order.  None for a block of one point, whose one column
+        numpy would sum pairwise, for a term that is not finite and for a
+        point whose drift the screen cannot prove within 1e-8
+        (_drift_screen).
 
         The rescale's prefix division is the one step taken elsewhere.  A
         point's first _ZERO_AFTER - 1 rescales divide its rows 0..k in the
@@ -411,14 +422,14 @@ class _Kernel:
         x = np.array(xs, dtype=float)
         w = buf[: (n + 1) * b].reshape(n + 1, b)
         total = np.ones(b)
-        log_scale = [0.0] * b
+        events_j: list[int] = []  # the point and the term t of each (rescale, point) pair
+        events_t: list[float] = []
         row_max = np.maximum.reduce
-        log = math.log
         with np.errstate(all="ignore"):  # a zero den_k or a failing term gives inf or nan
             w[0] = 1.0
             np.multiply.outer(self.num, x, out=w[1:])
             w[1:] /= self.den[:, None]
-            ratio_max = w[1:].max(axis=1)  # each row's largest ratio, nan if any is nan
+            ratio_max = self._ratio_max(x)
             rmax = ratio_max.tolist()
             # Rescales split a point's rows into stretches whose ratios multiply
             # past _RESCALE_AT, so no point rescales _ZERO_AFTER times unless a
@@ -441,8 +452,8 @@ class _Kernel:
                     total += col
                     continue
                 # row()'s rescale for the points whose term passed _RESCALE_AT;
-                # bound is the row's max here, nan if any term is nan
-                if bound != bound:
+                # bound is the row's max here, nan or inf if any term is
+                if not bound < math.inf:
                     return None
                 found = (col > _RESCALE_AT).nonzero()[0]
                 js = found.tolist()
@@ -450,15 +461,12 @@ class _Kernel:
                 at = slice(js[0], js[-1] + 1) if js[-1] - js[0] == len(js) - 1 else found
                 t = col[at]  # a view of col for a slice: col is reset last
                 ts = t.tolist()
-                if not all(map(math.isfinite, ts)):
-                    return None
+                events_j += js
+                events_t += ts
                 if rescales is None:
-                    for j, tj in zip(js, ts):
-                        log_scale[j] += log(tj)
                     _divide_prefix(w, k, at, t)
                 else:
                     for j, tj in zip(js, ts):
-                        log_scale[j] += log(tj)
                         rescales[j].append((k, tj))
                     # a point's first rescales divide here, its later ones in _replay_rescales
                     now = [len(rescales[j]) < _ZERO_AFTER for j in js]
@@ -478,14 +486,155 @@ class _Kernel:
             v *= fvals[low:, None]
             # down axis 0 of two or more columns numpy adds one row at a time, in cumsum's order
             sums = (0.0 + np.add.reduce(v, axis=0)).tolist()
-            ell = buf[: b * n].reshape(b, n)
-            np.multiply.outer(x, self.ell_q, out=ell)
-            ell += self.ell_p
-            np.log(ell, out=ell)
-            log_ell = ell.sum(axis=1).tolist()
-        if any(map(self._drifted, total.tolist(), log_scale, log_ell)):
-            return None
+            log_scale = np.bincount(events_j, np.log(events_t), b) if events_j else np.zeros(b)
+            drift, error = self._drift_screen(x, total, log_scale, buf)
+            if not (np.abs(drift) <= 1e-8 - error).all():
+                return None
         return sums
+
+    def _ratio_max(self, x: np.ndarray) -> np.ndarray:
+        """Each row's largest ratio num_k x / den_k over the points x, nan if any is nan.
+
+        The rounded ratio fl(fl(num_k x) / den_k) is monotone in x >= 0, so
+        the largest is the one at max(x), and a row holds a nan exactly where
+        den_k is 0 and fl(num_k min(x)) is 0: two products of n, not n x B.
+        """
+        import numpy as np
+
+        return np.maximum(self.num * x.max() / self.den, self.num * x.min() / self.den)
+
+    def _drift_screen(
+        self, x: np.ndarray, total: np.ndarray, log_scale: np.ndarray, buf: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's screened drift and E, a bound on its distance from the drift row() takes.
+
+        row() refuses a point whose |log(total) + log_scale + log c_0 - log
+        ell_n(x)| is over 1e-8.  The screen takes the same four terms for
+        every point at once: numpy's log of the block's totals, a bincount
+        of numpy's logs of the rescaled terms (log_scale), and _log_ell's
+        log ell_n(x).  _block_sums passes a block whose every point has
+        |drift| <= 1e-8 - E, which row() passes as well; any other block,
+        and one with a drift that is not finite, goes to row().  With u =
+        2^-53, A = log(total) >= 0, B = log_scale >= 0 and D = log ell_n(x),
+
+            E = E_ell + u (22 A + (22 + B / 115) B + 6 |log c_0| + 6 |D|),
+
+        where E_ell bounds the two log ell_n(x) apart (see _log_ell).  The
+        rest is first order in u, its constants rounded up.  Each log is
+        taken as within 4 ulp <= 8u|y| of its value y (numpy's and the C
+        library's differed by at most 1 ulp over 6 million draws), so:
+
+        - the two log(total) are at most 16 u A apart;
+        - the two log_scale add the same k terms log t > log _RESCALE_AT =
+          230.26, each pair 16 u log t apart, and each sum is within
+          (k - 1) u B of the exact one: at most (16 + 2 B / 230) u B apart;
+        - each side rounds three additions, each by at most u (A + B +
+          |log c_0| + |D|).
+        """
+        import numpy as np
+
+        log_ell, ell_error = self._log_ell(x, buf)
+        log_total = np.log(total)
+        drift = log_total + log_scale + self.log_c0 - log_ell
+        error = ell_error + _UNIT_ROUNDOFF * (
+            22.0 * log_total + (22.0 + log_scale / 115.0) * log_scale
+            + 6.0 * abs(self.log_c0) + 6.0 * np.abs(log_ell)
+        )
+        return drift, error
+
+    def _log_ell(self, x: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log ell_n at each point of x, and E_ell, a bound on its distance from row()'s.
+
+        ell_n(x) is the product of the n factors p^s + q^s x.  Here they go
+        in G groups of m, the last padded with factors 1 + 0 x.  Each
+        group's product is a polynomial of degree m whose coefficients are
+        built once per m (_group_coefficients).  One matmul of the powers
+        x^0..x^m (a cumprod) with them gives every group's value at every
+        point, in a (B, G) view of buf, and log ell_n(x) is the row sum of
+        their logs: G = n/m logs a point instead of n.  _group_size picks
+        the largest m up to _GROUP at which every power, coefficient and
+        partial sum is a normal double.  At m = 1 the table is row()'s, and
+        so is log ell_n(x), bit for bit.
+
+        Let u = 2^-53, R the exact sum of the logs of the factors as row()
+        rounds them, and S = n log(1 + x) + sum_s |log p^s|, which is at
+        least sum_s |log factor_s| since each factor lies in [p^s, 1 + x].
+        Each log is within 8u|y| of its value y, as in _drift_screen.
+
+        - The array row() rounds each of its n logs at most 28 + log2 n times
+          in numpy's pairwise sum, and _scalar_row n - 1 times in its left
+          fold: row()'s log ell_n(x) is within (8 + P) u S of R, with P that
+          count.
+        - The screen's groups are products of exact factors.  row() rounds a
+          normal factor by at most 3u, 3nu in all.  A group's coefficients
+          take 2(m - 1) roundings, its powers m - 1 and the matmul's
+          products and sums of positive terms 2(m + 1), underflow included
+          since every group value is at least (q^(n-1))^m >= 2^-1022: at
+          most 5m u a group, 10 n u in all.  Its G logs and pairwise sum add
+          (36 + log2 n) u S.
+
+        So E_ell = (44 + log2 n + P) u S + 13 n u.
+        """
+        import numpy as np
+
+        n, b = self.spec.n, x.size
+        m = self._group_size(x)
+        if m == 1:
+            g = buf[: b * n].reshape(b, n)
+            np.multiply.outer(x, self.ell_q, out=g)
+            g += self.ell_p
+        else:
+            c = self._group_coefficients(m)  # row i: the coefficient of x^i of each group
+            powers = np.empty((b, m + 1))
+            powers[:, 0] = 1.0
+            np.cumprod(np.broadcast_to(x[:, None], (b, m)), axis=1, out=powers[:, 1:])
+            g = buf[: b * c.shape[1]].reshape(b, -1)
+            np.matmul(powers, c, out=g)
+        np.log(g, out=g)
+        rounds = n - 1.0 if self.scalar else 28.0 + math.log2(n)  # row()'s sum, as P above
+        with np.errstate(divide="ignore"):  # a p^s of 0.0 makes S and the bound inf
+            s = n * np.log1p(x) - np.log(self.ell_p).sum()
+        return g.sum(axis=1), _UNIT_ROUNDOFF * ((44.0 + math.log2(n) + rounds) * s + 13.0 * n)
+
+    def _group_size(self, x: np.ndarray) -> int:
+        """The factors a group of _log_ell multiplies at the points x: at most _GROUP.
+
+        The largest m with max(2, 1 + x)^m <= 2^1020 at every x, and with
+        m-th powers of q^(n-1) and of every positive x of at least 2^-1022.
+        Then the powers of x, the coefficients, the group values and the
+        matmul's partial sums are normal and finite: none exceeds its
+        group's value <= (1 + x)^m or the sum of its coefficients <= 2^m,
+        and each coefficient but the padded zeros is a sum of products of m
+        numbers p^s and q^s, none below q^(n-1).  1 where no m > 1 fits.
+        """
+        top = math.log2(max(2.0, 1.0 + float(x.max())))
+        positive = x[x > 0.0]
+        smallest = min(float(self.ell_q[-1]), float(positive.min()) if positive.size else 1.0)
+        low = -math.log2(smallest) if smallest >= sys.float_info.min else math.inf
+        m = min(_GROUP, self.spec.n)
+        while m > 1 and not (m * top <= 1020.0 and m * low <= 1022.0):
+            m -= 1
+        return m
+
+    def _group_coefficients(self, m: int) -> np.ndarray:
+        """(m + 1, G) array, row i the coefficients of x^i in each group's product of m factors."""
+        import numpy as np
+
+        c = self._groups.get(m)
+        if c is None:
+            n = self.spec.n
+            size = -(-n // m)
+            ps, qs = np.ones(size * m), np.zeros(size * m)  # padded with 1 + 0 x
+            ps[:n], qs[:n] = self.ell_p, self.ell_q
+            ps, qs = ps.reshape(size, m).T, qs.reshape(size, m).T  # row j: each group's factor j
+            c = np.zeros((m + 1, size))
+            c[0], c[1] = ps[0], qs[0]
+            for j in range(1, m):
+                # times p^s + q^s x: c_i p^s + c_(i-1) q^s, every group at once
+                c[1 : j + 2] = c[1 : j + 2] * ps[j] + c[: j + 1] * qs[j]
+                c[0] *= ps[j]
+            self._groups[m] = c
+        return c
 
     def _check_stop(self, k: int, t: float, x: float) -> None:
         """Raises row()'s refusal where term k+1 = t is past _RESCALE_AT and cannot be rescaled."""

@@ -796,6 +796,124 @@ def test_grid_sums_keep_one_row_a_block_where_a_row_passes_the_block(monkeypatch
     assert [v.hex() for v in kernel.weighted_sums(xs, fvals)] == want
 
 
+# -- the drift screen of the grid path ----------------------------------------
+
+
+def factor_log_sum(kernel, x):
+    """math.fsum of the logs of the factors p^s + q^s x as row() rounds them, or None at a 0.0."""
+    factors = [p + q * x for p, q in zip(kernel.ell_p.tolist(), kernel.ell_q.tolist())]
+    return math.fsum(map(math.log, factors)) if min(factors) > 0.0 else None
+
+
+def array_kernel(n, p, q):
+    kernel = _Kernel(OperatorSpec(n, PqParams(p, q)))
+    if kernel.scalar:
+        kernel._build_arrays()  # as weighted_sums does
+    return kernel
+
+
+screen_points = st.one_of(
+    st.floats(0.0, 60.0),
+    st.floats(-745.0, 690.8).map(math.exp),  # 5e-324 .. 1e300
+    st.sampled_from((0.0, 5e-324, 1e300)),
+)
+
+
+@property_settings(120)
+@given(
+    n=st.integers(65, 4096) | st.integers(1, 64),
+    p=box_p,
+    r=box_r,
+    xs=st.lists(screen_points, min_size=1, max_size=3),
+)
+# p^1109 [1] is subnormal: the products would leave the normal doubles, so m = 1
+@example(n=1110, p=0.518, r=0.513 / 0.518, xs=[0.0, 0.5, 21.9, 60.0])
+@example(n=1298, p=0.5912, r=0.1823 / 0.5912, xs=[0.4, 1.99e26])  # subnormal q^k [n-k]
+@example(n=1024, p=1.0 - 0.25 / 1024, r=(1.0 - 0.5 / 1024) / (1.0 - 0.25 / 1024),
+         xs=[0.0, 0.0025, 21.9, 50.0])  # the rate command's spec, m = 16
+@example(n=4096, p=0.999, r=0.999, xs=[5e-324, 1e300])
+@example(n=64, p=0.9, r=0.8 / 0.9, xs=[1e30, 2.0])  # the scalar path's fold
+def test_screened_log_ell_is_within_its_bound(n, p, r, xs):
+    q = p * r
+    if q == 0.0:
+        return
+    kernel = array_kernel(n, p, q)
+    with np.errstate(divide="ignore"):
+        log_ell, bound = kernel._log_ell(np.array(xs), np.empty(n * len(xs)))
+    for x, got, e in zip(xs, log_ell.tolist(), bound.tolist()):
+        want = factor_log_sum(kernel, x)
+        if want is None:  # p^s is 0.0, as row() would take it: its log is -inf
+            assert got == -math.inf
+        else:
+            assert abs(got - want) <= e, (x, got, want, e)
+
+
+@pytest.mark.parametrize(
+    "n, p, q, xs, m",
+    [
+        (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024, (0.0, 0.0025, 50.0), 16),
+        (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024, (1.0, 1e100), 3),  # 3 * 332.2 <= 1020
+        (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024, (1e-100, 1.0), 3),  # 3 * 332.2 <= 1022
+        (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024, (5e-324, 1.0), 1),
+        (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024, (0.0, 1e300), 1),
+        (1110, 0.518, 0.513, (0.0, 0.5, 21.9, 60.0), 1),  # q^1109 is subnormal
+        (10, 0.9, 0.8, (1.0, 2.0), 10),  # no more factors than the degree
+    ],
+)
+def test_group_size_keeps_the_products_normal(n, p, q, xs, m):
+    kernel = array_kernel(n, p, q)
+    x = np.array(xs)
+    assert kernel._group_size(x) == m
+    if m == 1:  # then the table and its sums are row()'s, bit for bit
+        want = [np.log(kernel.ell_p + kernel.ell_q * v).sum().hex() for v in xs]
+        assert [v.hex() for v in kernel._log_ell(x, np.empty(n * len(xs)))[0]] == want
+
+
+def test_a_screened_drift_within_the_margin_sends_the_block_to_row(monkeypatch):
+    # Both paths add log c_0, so moving it moves both drifts: here the
+    # screened one to 1e-8 - E/2, which row() still passes.
+    kernel = _Kernel(OperatorSpec(1024, PqParams(1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024)))
+    fvals = node_values(1024, 0)
+    xs = (21.9, 21.9)
+    screened = []
+    screen, row = _Kernel._drift_screen, _Kernel.row
+    monkeypatch.setattr(_Kernel, "_drift_screen",
+                        lambda self, *args: screened.append(screen(self, *args)) or screened[-1])
+    sums = kernel.weighted_sums(xs, fvals)
+    [(drift, error)] = screened
+    assert (np.abs(drift) <= 1e-8 - error).all()  # the block passed the screen
+    kernel.log_c0 += 1e-8 - error[0] / 2 - drift[0]
+    rows = []
+    monkeypatch.setattr(_Kernel, "row", lambda self, x: rows.append(x) or row(self, x))
+    got = kernel.weighted_sums(xs, fvals)
+    drift, error = screened[-1]
+    assert (1e-8 - error < drift).all() and (drift <= 1e-8).all()
+    assert rows == list(xs)  # row() answered the block, and passed both points
+    assert [v.hex() for v in got] == [v.hex() for v in sums]
+    assert [v.hex() for v in got] == [_weighted_sum(row(kernel, x), fvals).hex() for x in xs]
+
+
+def test_ratio_maxima_match_the_full_table():
+    # max over a row of fl(fl(num_k x) / den_k): bit for bit, nan for nan and inf for inf
+    seen = set()
+    for n, p, q, xs in BLOCK_EXAMPLES:
+        kernel = array_kernel(n, p, q)
+        width = block_width(n)
+        for start in range(0, len(xs), width):
+            x = np.array(xs[start:start + width])
+            with np.errstate(all="ignore"):
+                want = (np.multiply.outer(kernel.num, x) / kernel.den[:, None]).max(axis=1)
+                got = kernel._ratio_max(x)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+            seen.update(v.hex() for v in got.tolist() if not math.isfinite(v))
+    assert seen == {"nan", "inf"}  # the zero-denominator examples reach both
+
+
+def test_an_overflowing_term_sends_the_block_to_row():
+    kernel = array_kernel(2, 0.9, 0.5)
+    assert kernel._block_sums((0.0, 1.0, 1.7e308), np.ones(3), np.empty(9)) is None
+
+
 # -- the scalar path against the array path, bit for bit ---------------------
 
 
