@@ -3,16 +3,19 @@
 The first three calls have the shape of one ``rate_kernel`` pass: ``rate``
 at n = 256 with CSV and with JSON output and at n = 1024 with JSON, on the
 default 2001-point grid, here with the fixed schedule harmonic:0.25,0.5 and
-``sin_damped``.  The fourth, n = 2048 with JSON, is one where most
-(rescale, point) pairs of the kernel are replayed after the stepping
-(``operators._replay_rescales``); at n = 256 none are.  Each call is timed
-whole (``cli.main``, stdout captured) and by layer:
+``sin_damped``.  The fourth, n = 2048 with JSON, is one where 1,828 of the
+2,001 points rescale five times or more, so that the kernel's second pass
+divides 37% of its (row, point) terms by inf alone; at n = 256 no point
+rescales five times.  Each call is timed whole (``cli.main``, stdout
+captured) and by layer:
 
 - ``kernel``: ``_Kernel`` built and ``weighted_sums`` over the grid;
-- ``drift``: the part of ``kernel`` that screens row()'s drift check,
-  ``_Kernel._drift_screen`` of each block (log ell_n(x) from the grouped
-  products, their coefficients rebuilt, the margin E and the one test),
-  on the totals and log scales the stepping left;
+- ``totals``: the kernel's first pass, ``_Kernel._step_totals`` (each
+  point's running total and its rescales), and the screen of row()'s drift
+  check, ``_Kernel._screen`` (log ell_n(x) from the grouped products, their
+  coefficients rebuilt, the margin E and the one test, chunk by chunk);
+- ``sums``: the kernel's second pass, ``_Kernel._step_sums``, on the
+  totals and rescales the first one left;
 - ``moduli_sample``: f at the modulus grid's 8,001 points
   (``analysis._modulus_samples``);
 - ``moduli_window``: the largest difference of those samples at each
@@ -67,22 +70,20 @@ def layers(n: int, fmt: str) -> dict:
     h = grid.u_max / (size - 1)  # the widest window, as analysis._moduli takes it
     w_top = max(int(min(delta / h + 1e-12, size - 1)) for delta in deltas)
     kernel = operators._Kernel(spec)
-    blocks = []  # each block's points, totals and log scales, as the stepping leaves them
-    screen = operators._Kernel._drift_screen
+    table, sums = kernel.nodes(), kernel.weighted_sums(grid.xs, fvals)
+    x = np.array(grid.xs)
+    with np.errstate(all="ignore"):
+        stepped = kernel._step_totals(x)  # the totals, the events and their pairs
 
-    def keep(self, x, total, log_scale, buf):
-        blocks.append((x.copy(), total.copy(), log_scale.copy()))
-        return screen(self, x, total, log_scale, buf)
-
-    with mock.patch.object(operators._Kernel, "_drift_screen", keep):
-        table, sums = kernel.nodes(), kernel.weighted_sums(grid.xs, fvals)
-    buf = np.empty((n + 1) * len(blocks[0][0]))
-
-    def drift() -> None:
+    def totals() -> None:
         kernel._groups.clear()  # coefficients are built once per kernel
-        for x, total, log_scale in blocks:
-            value, error = kernel._drift_screen(x, total, log_scale, buf)
-            assert (np.abs(value) <= 1e-8 - error).all()
+        with np.errstate(all="ignore"):
+            running, _, pts, ts = kernel._step_totals(x)
+            assert kernel._screen(x, running, pts, ts).all()
+
+    def second() -> None:
+        with np.errstate(all="ignore"):
+            assert kernel._step_sums(x, fvals, *stepped) == sums
     done = SimpleNamespace(nodes=lambda: table, weighted_sums=lambda xs, fvals: sums)
     omegas = analysis._moduli(f, deltas, grid.u_max)
     columns = analysis._rate_columns(spec, f, grid)
@@ -98,7 +99,8 @@ def layers(n: int, fmt: str) -> dict:
 
     return {
         "kernel": lambda: operators._Kernel(spec).weighted_sums(grid.xs, fvals),
-        "drift": drift,
+        "totals": totals,
+        "sums": second,
         "moduli_sample": lambda: analysis._modulus_samples(f, grid.u_max, size),
         "moduli_window": lambda: analysis._window_ranges(samples, w_top),
         "records": records,

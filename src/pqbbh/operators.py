@@ -30,17 +30,13 @@ COLLISION_RTOL = 1e-9
 # push them over double overflow.
 _RESCALE_AT = 1e100
 
-# Bytes of the (n+1) x B float64 buffer in which _Kernel.weighted_sums steps
-# B grid rows together (B = 1020 at n = 256, 255 at n = 1024, and at least 1).
-# A wider block spreads each numpy call over more rows: on a 2-vCPU host the
-# 2001-point rate grid at n = 1024 took 129 ms in 0.5 MiB blocks, 109 ms in
-# 1 MiB, 83 ms in 2 MiB and 80 ms in 4 MiB (n = 256: 11-12 ms at each size).
-# 2 MiB costs about 1 MB of peak RSS over 1 MiB, a small part of the
-# benchmark's 10% bound.
-_BLOCK_BYTES = 1 << 21
+# Bytes of the float64 buffer in which _Kernel.weighted_sums screens the drift
+# of a chunk of grid points: at most n logged groups a point (_log_ell), so a
+# chunk holds _SCREEN_BYTES / (8 n) points (256 at n = 1024), and at least 1.
+_SCREEN_BYTES = 1 << 21
 
-# A stored term is at most _RESCALE_AT and each rescale divides it by more, so
-# a term divided this many times is exactly 0.0 (1e100 -> 1 -> ... -> 1e-300 -> 0).
+# A term is at most _RESCALE_AT and each rescale divides it by more, so a term
+# divided this many times is exactly 0.0 (1e100 -> 1 -> ... -> 1e-300 -> 0).
 _ZERO_AFTER = 5
 
 # Most factors p^s + q^s x of the rising product that the drift screen
@@ -350,147 +346,195 @@ class _Kernel:
     def weighted_sums(self, xs: Sequence[float], fvals: np.ndarray) -> list[float]:
         """[_weighted_sum(self.row(x), fvals) for x in xs], bit for bit, raising what that raises.
 
-        The points step together in blocks of B, in an (n+1) x B buffer
-        (see _block_sums).  A rescale divides a point's earlier rows in one
-        of two places: inside the stepping loop for its first four rescales,
-        and after the loop for its later ones, which skip the rows that five
-        divisions have made exactly 0.0.  row()'s drift check is screened
-        for the whole block at once, with a margin E that bounds how far the
+        A grid of two or more points steps all of them together, in two
+        passes over the weight index k that hold one row of the grid's terms
+        at a time.  _step_totals gives each point's running total and records
+        its rescales.  row()'s drift check is then screened for every point,
+        in chunks of _SCREEN_BYTES, with a margin E that bounds how far the
         screen's drift can be from row()'s (_drift_screen): a point within
-        1e-8 - E passes in row() too.  A block that _block_sums cannot
-        finish, or whose screen leaves a point above 1e-8 - E, is redone by
-        row() one point at a time, which gives its sums or raises the first
-        refusal in grid order, so the output is row()'s either way.  At any
-        degree the lockstep runs on the array tables, which a scalar-path
-        kernel builds here.
+        1e-8 - E passes in row() too.  _step_sums steps the rows again and
+        adds up each point's weighted terms.  Each point the screen cannot
+        pass is redone by row(), in grid order, so that the first refusal is
+        row()'s, and a term that is not finite sends the whole grid to row():
+        the output is row()'s either way.  A grid of one point takes row()
+        alone.  At any degree the passes run on the array tables, which a
+        scalar-path kernel builds here.
 
         xs must be finite and >= 0, as a GridSpec's points are.
         """
         import numpy as np
 
+        fvals = np.asarray(fvals)
+        if len(xs) < 2:
+            return [_weighted_sum(self.row(x), fvals) for x in xs]
         if self.scalar:
             self._build_arrays()
-        n = self.spec.n
-        width = max(1, _BLOCK_BYTES // (8 * (n + 1)))
-        fvals = np.asarray(fvals)
-        buf = np.empty((n + 1) * min(width, len(xs)))
-        out: list[float] = []
-        for start in range(0, len(xs), width):
-            block = xs[start:start + width]
-            sums = self._block_sums(block, fvals, buf)
-            if sums is None:
-                sums = [_weighted_sum(self.row(x), fvals) for x in block]
-            out += sums
-        return out
+        x = np.array(xs, dtype=float)
+        with np.errstate(all="ignore"):  # a zero den_k or a failing term gives inf or nan
+            stepped = self._step_totals(x)
+            if stepped is None:
+                return [_weighted_sum(self.row(v), fvals) for v in xs]
+            total, events, pts, ts = stepped
+            passed = self._screen(x, total, pts, ts)
+            sums = self._step_sums(x, fvals, total, events, pts, ts)
+        for i in np.flatnonzero(~passed).tolist():
+            sums[i] = _weighted_sum(self.row(xs[i]), fvals)
+        return sums
 
-    def _block_sums(
-        self, xs: Sequence[float], fvals: np.ndarray, buf: np.ndarray
-    ) -> list[float] | None:
-        """weighted_sums over one block of two or more points, or None where row() must answer.
+    def _step_totals(self, x: np.ndarray) -> tuple[np.ndarray, list, np.ndarray, np.ndarray] | None:
+        """Pass 1: each point's running total and its rescales, or None at a term not finite.
 
-        Row k of the buffer holds the weights w_k of the block's points: row
-        k+1 starts as the ratios num_k x / den_k and is multiplied in place
-        by row k.  A row that the product of its ratios' maxima cannot prove
-        below _RESCALE_AT takes one max(), which finds the points whose term
-        passed it; those alone get row()'s rescale.  The running totals add
-        the terms in row()'s order and the weighted sum adds the rows of the
-        buffer in order.  None for a block of one point, whose one column
-        numpy would sum pairwise, for a term that is not finite and for a
-        point whose drift the screen cannot prove within 1e-8
-        (_drift_screen).
-
-        The rescale's prefix division is the one step taken elsewhere.  A
-        point's first _ZERO_AFTER - 1 rescales divide its rows 0..k in the
-        loop (_divide_prefix); from its _ZERO_AFTER-th on the loop records
-        (k, t), and _replay_rescales applies them after the loop.  The bits
-        are row()'s: the stepping never reads a divided row, each element
-        takes its in-loop divisions before its replayed ones, both in event
-        order, and an element divided _ZERO_AFTER times is exactly 0.0.  So
-        the rows at or below a point's fifth-last rescale end at 0.0, the
-        replay divides only the rows above them, and the weighted sums skip
-        the rows that are 0.0 in every column.  A block whose running sum of
-        log(rmax) never reaches _ZERO_AFTER log(_RESCALE_AT) has no point
-        that rescales that often, and keeps no record.  Points that pass
-        _RESCALE_AT side by side, as on a sorted grid, are reached by a
-        slice instead of an index array.
+        Row k+1 of the terms is the ratio row fl(fl(num_k x) / den_k) times
+        row k, as in row(), and only the last row is kept.  A row that the
+        product of its ratios' maxima cannot prove below _RESCALE_AT takes
+        one max(), which finds the points whose term passed it; those alone
+        get row()'s rescale of the total, and their term restarts at 1.0.
+        The totals add the terms in row()'s order.  Each event is (k, the
+        points as an index array, the same points as a slice where they sit
+        side by side, as on a sorted grid, or as that array, and their
+        terms t).  Returns the totals, the events, and the point and term of
+        every (event, point) pair, in event order.
         """
         import numpy as np
 
-        n, b = self.spec.n, len(xs)
-        if b < 2:
-            return None
-        x = np.array(xs, dtype=float)
-        w = buf[: (n + 1) * b].reshape(n + 1, b)
+        n, b = self.spec.n, x.size
+        num, den, rmax = self.num.tolist(), self.den.tolist(), self._ratio_max(x).tolist()
         total = np.ones(b)
-        events_j: list[int] = []  # the point and the term t of each (rescale, point) pair
-        events_t: list[float] = []
+        prev, col = np.ones(b), np.empty(b)
+        events: list[tuple[int, np.ndarray, slice | np.ndarray, np.ndarray]] = []
         row_max = np.maximum.reduce
-        with np.errstate(all="ignore"):  # a zero den_k or a failing term gives inf or nan
-            w[0] = 1.0
-            np.multiply.outer(self.num, x, out=w[1:])
-            w[1:] /= self.den[:, None]
-            ratio_max = self._ratio_max(x)
-            rmax = ratio_max.tolist()
-            # Rescales split a point's rows into stretches whose ratios multiply
-            # past _RESCALE_AT, so no point rescales _ZERO_AFTER times unless a
-            # running sum of log(rmax) reaches that many log(_RESCALE_AT).  The
-            # test only spares the record: every split gives the same bits.
-            deep = not np.log(ratio_max).cumsum().max() < _ZERO_AFTER * math.log(_RESCALE_AT)
-            rescales = [[] for _ in range(b)] if deep else None  # each point's (k, t)
-            bound = 1.0  # no term of the row before exceeds it
-            prev = w[0]
-            for k, col in enumerate(w[1:]):
-                col *= prev
-                prev = col
-                # Terms and ratios are >= 0 and rounding is monotone, so no
-                # term of this row exceeds the product; a nan or inf ratio
-                # makes it fail the test.  Only then does the row take a max().
-                bound *= rmax[k]
-                if not bound <= _RESCALE_AT:
-                    bound = float(row_max(col))
-                if bound <= _RESCALE_AT:
-                    total += col
-                    continue
-                # row()'s rescale for the points whose term passed _RESCALE_AT;
+        bound = 1.0  # no term of the row before exceeds it
+        for k in range(n):
+            np.multiply(x, num[k], out=col)
+            col /= den[k]
+            col *= prev
+            # Terms and ratios are >= 0 and rounding is monotone, so no term
+            # of this row exceeds the product; a nan or inf ratio makes it
+            # fail the test.  Only then does the row take a max().
+            bound *= rmax[k]
+            if not bound <= _RESCALE_AT:
+                bound = float(row_max(col))
+            if not bound <= _RESCALE_AT:
                 # bound is the row's max here, nan or inf if any term is
                 if not bound < math.inf:
                     return None
                 found = (col > _RESCALE_AT).nonzero()[0]
-                js = found.tolist()
-                # a run of side-by-side points takes slices, which cost less than an index array
-                at = slice(js[0], js[-1] + 1) if js[-1] - js[0] == len(js) - 1 else found
-                t = col[at]  # a view of col for a slice: col is reset last
-                ts = t.tolist()
-                events_j += js
-                events_t += ts
-                if rescales is None:
-                    _divide_prefix(w, k, at, t)
-                else:
-                    for j, tj in zip(js, ts):
-                        rescales[j].append((k, tj))
-                    # a point's first rescales divide here, its later ones in _replay_rescales
-                    now = [len(rescales[j]) < _ZERO_AFTER for j in js]
-                    if all(now):
-                        _divide_prefix(w, k, at, t)
-                    elif any(now):
-                        _divide_prefix(w, k, found[now], t[now])
+                first, last = int(found[0]), int(found[-1])
+                at = slice(first, last + 1) if last - first + 1 == found.size else found
+                t = col[at].copy()
+                events.append((k, found, at, t))
                 total[at] /= t  # then + 1.0 from the restarted term, as in row()
                 col[at] = 1.0
-                total += col
                 bound = _RESCALE_AT
-            # rows below low are 0.0 in every column, and add nothing but the
-            # sign of a zero sum, which 0.0 + sets
-            low = 0 if rescales is None else _replay_rescales(w, rescales)
-            v = w[low:]
-            v /= total
-            v *= fvals[low:, None]
-            # down axis 0 of two or more columns numpy adds one row at a time, in cumsum's order
-            sums = (0.0 + np.add.reduce(v, axis=0)).tolist()
-            log_scale = np.bincount(events_j, np.log(events_t), b) if events_j else np.zeros(b)
-            drift, error = self._drift_screen(x, total, log_scale, buf)
-            if not (np.abs(drift) <= 1e-8 - error).all():
-                return None
-        return sums
+            total += col
+            prev, col = col, prev
+        if not events:
+            return total, events, np.zeros(0, dtype=int), np.zeros(0)
+        pts = np.concatenate([found for _, found, _, _ in events])
+        return total, events, pts, np.concatenate([t for *_, t in events])
+
+    def _screen(
+        self, x: np.ndarray, total: np.ndarray, pts: np.ndarray, ts: np.ndarray
+    ) -> np.ndarray:
+        """Whether _drift_screen passes each point: |drift| <= 1e-8 - E.
+
+        log_scale is one bincount of the logs of the rescaled terms.  The
+        points go in chunks of _SCREEN_BYTES / (8 n), the most that _log_ell's
+        buffer holds at up to n groups a point.
+        """
+        import numpy as np
+
+        n, b = self.spec.n, x.size
+        log_scale = np.bincount(pts, np.log(ts), b)
+        width = max(1, _SCREEN_BYTES // (8 * n))
+        buf = np.empty(n * min(width, b))
+        passed = np.empty(b, dtype=bool)
+        for start in range(0, b, width):
+            at = slice(start, start + width)
+            drift, error = self._drift_screen(x[at], total[at], log_scale[at], buf)
+            passed[at] = np.abs(drift) <= 1e-8 - error
+        return passed
+
+    def _step_sums(
+        self, x: np.ndarray, fvals: np.ndarray, total: np.ndarray, events: list,
+        pts: np.ndarray, ts: np.ndarray,
+    ) -> list[float]:
+        """Pass 2: each point's weighted sum, from the same rows and restarts as _step_totals.
+
+        Row j of a point is divided by the terms t of its rescales at k >= j,
+        in event order, then by its total, and multiplied by f_j, as row()
+        and _weighted_sum do.  The divisions come from pending, a table of
+        _ZERO_AFTER - 1 ranks: a point with fewer rescales to come has them
+        there in order, 1.0 in the ranks left over (x / 1.0 is exact).  A
+        point with _ZERO_AFTER or more has inf in rank 0 and 1.0 in the
+        others: five divisions leave its row at exactly 0.0, and so does one
+        by inf, without the five divisions' subnormal quotients (on a 2-vCPU
+        host a division of 2001 subnormals took 27 µs against 2 µs, and this
+        pass at n = 1024 on the rate grid 27 ms with five ranks, 18 ms with
+        inf).  A point's column is replaced once the rows pass one of its
+        events, and the ranks that no point needs any more are skipped.  The
+        sums add the rows in order from 0.0, so each ends as 0.0 + cumsum's
+        last value.
+        """
+        import numpy as np
+
+        n, b = self.spec.n, x.size
+        num, den, f = self.num.tolist(), self.den.tolist(), fvals.tolist()
+        ranks = _ZERO_AFTER - 1
+        # by_point: the pairs' terms sorted by point, each point's in event
+        # order, its pairs from index first on, count of them; after: how
+        # many rescales each pair's point has after it
+        count = np.bincount(pts, minlength=b)
+        order = np.argsort(pts, kind="stable")
+        by_point = ts[order]
+        first = np.cumsum(count) - count
+        place = np.empty_like(pts)  # each pair's index in by_point
+        place[order] = np.arange(pts.size)
+        after = first[pts] + count[pts] - 1 - place
+
+        def columns(start: np.ndarray, left: np.ndarray) -> np.ndarray:
+            """pending's columns for points with left rescales to come, from by_point[start]."""
+            c = np.ones((ranks, start.size))
+            for r in range(ranks):
+                has = (r < left) & (left < _ZERO_AFTER)
+                c[r, has] = by_point[start[has] + r]
+            c[0, left >= _ZERO_AFTER] = math.inf
+            return c
+
+        pending = columns(first, count)
+        shifted = columns(place + 1, after)  # a pair's point's column once the rows pass it
+        # needed[r]: the last row at which some point has more than r rescales to come
+        ks = np.repeat([e[0] for e in events], [e[1].size for e in events]).astype(int)
+        needed = np.full(ranks, -1)
+        end = after < ranks
+        np.maximum.at(needed, after[end], ks[end])
+        needed = needed.tolist()
+        depth = sum(r >= 0 for r in needed)
+        marks = iter(events)
+        mark = next(marks, None)
+        start = 0  # mark's first pair
+        acc = np.zeros(b)
+        cur, nxt = np.ones(b), np.empty(b)
+        for j in range(n + 1):
+            if j < n:
+                np.multiply(x, num[j], out=nxt)
+                nxt /= den[j]
+                nxt *= cur
+            while depth and needed[depth - 1] < j:
+                depth -= 1
+            for r in range(depth):
+                cur /= pending[r]
+            cur /= total
+            cur *= f[j]
+            acc += cur
+            if mark is not None and mark[0] == j:
+                _, found, at, _ = mark
+                nxt[at] = 1.0
+                pending[:, at] = shifted[:, start:start + found.size]
+                start += found.size
+                mark = next(marks, None)
+            cur, nxt = nxt, cur
+        return acc.tolist()
 
     def _ratio_max(self, x: np.ndarray) -> np.ndarray:
         """Each row's largest ratio num_k x / den_k over the points x, nan if any is nan.
@@ -510,11 +554,11 @@ class _Kernel:
 
         row() refuses a point whose |log(total) + log_scale + log c_0 - log
         ell_n(x)| is over 1e-8.  The screen takes the same four terms for
-        every point at once: numpy's log of the block's totals, a bincount
+        every point at once: numpy's log of the points' totals, a bincount
         of numpy's logs of the rescaled terms (log_scale), and _log_ell's
-        log ell_n(x).  _block_sums passes a block whose every point has
-        |drift| <= 1e-8 - E, which row() passes as well; any other block,
-        and one with a drift that is not finite, goes to row().  With u =
+        log ell_n(x).  weighted_sums keeps the sum of a point with |drift|
+        <= 1e-8 - E, which row() passes as well; any other point, and one
+        with a drift that is not finite, goes to row().  With u =
         2^-53, A = log(total) >= 0, B = log_scale >= 0 and D = log ell_n(x),
 
             E = E_ell + u (22 A + (22 + B / 115) B + 6 |log c_0| + 6 |D|),
@@ -666,47 +710,6 @@ class _Kernel:
         else:
             return msg
         return f"{msg}: ratio {cause} is subnormal at k={k} (p={self.p}, q={self.q})"
-
-
-def _divide_prefix(w: np.ndarray, k: int, cols: slice | np.ndarray, t: np.ndarray) -> None:
-    """w[: k + 1, cols] /= t.
-
-    A slice of columns is divided through its transposed view in C order,
-    one point's rows at a time: fewer, longer inner loops than the
-    row-major order an index array takes.  On the rate grid weighted_sums
-    took 9.46 against 9.69 ms at n = 256 and 65.5 against 68.1 ms at
-    n = 1024 (best of 40 on a 2-vCPU host).
-    """
-    import numpy as np
-
-    if isinstance(cols, slice):
-        v = w[: k + 1, cols].T
-        np.divide(v, t[:, None], out=v, order="C")
-    else:
-        w[: k + 1, cols] /= t
-
-
-def _replay_rescales(w: np.ndarray, rescales: list[list[tuple[int, float]]]) -> int:
-    """Each point's rescales from its _ZERO_AFTER-th on, which the loop only recorded.
-
-    Rows at or below the fifth-last rescale of such a point take that
-    rescale and the four after it, so they end at 0.0; each recorded
-    rescale above them divides the rows between them and its own k, in
-    event order.  Returns low, the lowest such top row over all columns,
-    plus one: rows below it end at 0.0 in every column and are left as they
-    are, for the caller to skip; the other zero rows are set to 0.0.  The
-    columns are divided in place: copying 32-64 of them into a contiguous
-    scratch and back was no faster.
-    """
-    tops = [marks[-_ZERO_AFTER][0] if len(marks) >= _ZERO_AFTER else -1 for marks in rescales]
-    low = min(tops) + 1
-    for col, marks, top in zip(w.T, rescales, tops):
-        if top < 0:
-            continue
-        col[low : top + 1] = 0.0
-        for k, t in marks[max(_ZERO_AFTER - 1, len(marks) - _ZERO_AFTER + 1) :]:
-            col[top + 1 : k + 1] /= t
-    return low
 
 
 def _variant(spec: OperatorSpec, shifted: bool, what: str) -> None:

@@ -652,26 +652,22 @@ def node_values(n, seed):
                      for _ in range(n + 1)])
 
 
-def block_width(n):
-    """Points in a full block of weighted_sums at degree n."""
-    return max(1, pqbbh.operators._BLOCK_BYTES // (8 * (n + 1)))
-
-
 RATE_GRID = GridSpec.default().xs
+# The sizes 201, 255 and 124 at n = 1298, 1024 and 2100 were the 2 MiB
+# blocks of an earlier grid kernel; the grids keep them.
 BLOCK_EXAMPLES = (
     (1000, 0.3, 0.2, (0.0, 1.0, 2.0)),  # zero ratio denominator
     (1110, 0.518, 0.513, (0.0, 0.5, 21.9, 60.0)),  # drift: p^1109 [1] is subnormal
     (2, 0.9, 0.5, (0.0, 1.0, 1.7e308)),  # term overflow
-    # good points fill the first block and 49 more start the second, where
-    # the drift of the subnormal numerators q^k [n-k] fails the last point
-    (1298, 0.5912, 0.1823, tuple(0.4 * i for i in range(block_width(1298) + 50)) + (1.99e26,)),
-    # x = 0 inside a block whose third point drifts: the whole block takes row()
+    # good points, then the drift of the subnormal numerators q^k [n-k]
+    # fails the last point; screen chunks of 201 and 51 points
+    (1298, 0.5912, 0.1823, tuple(0.4 * i for i in range(201 + 50)) + (1.99e26,)),
+    # x = 0 before a point that drifts
     (1298, 0.5912, 0.1823, (0.4, 0.0, 1.99e26, 0.8)),
     (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024, RATE_GRID),  # the rate command's grid
-    # a full block and one of 1 point, a column numpy's sum would add pairwise
-    (1024, 0.99, 0.98, tuple(0.05 * i for i in range(1, block_width(1024) + 2))),
-    # a full block and one of 7 points
-    (2100, 0.999, 0.998, tuple(0.5 * i for i in range(block_width(2100) + 8))),
+    # 256 points, one full screen chunk
+    (1024, 0.99, 0.98, tuple(0.05 * i for i in range(1, 255 + 2))),
+    (2100, 0.999, 0.998, tuple(0.5 * i for i in range(124 + 8))),  # chunks of 124 and 8
     # the per-row path is the scalar one here; the terms rescale at 1e12 and 1e30
     (16, 0.7, 0.3, (0.0, 5e-324, 0.5, 21.9, 1e12, 1e30)),
     # unsorted: the three 40.0 points pass _RESCALE_AT at one k, not side by
@@ -682,24 +678,25 @@ BLOCK_EXAMPLES = (
     # den_0 = p^619 [1] is 0 and num_0 x is 0 at 5e-324, so row 0 holds a nan
     # ratio where the bound of the stretch starts
     (620, 0.3, 0.25, (5e-324, 0.5, 5e-324)),
-    # the rate command's grid at n = 2048, where most (rescale, point) pairs
-    # come after a point's fourth rescale and are replayed after the stepping
+    # the rate command's grid at n = 2048, where 1,828 of the 2,001 points
+    # rescale five times or more
     (2048, 1.0 - 0.25 / 2048, 1.0 - 0.5 / 2048, RATE_GRID),
     # at k = 299 the two outer points take their fourth rescale and the middle
-    # one its fifth: one event divides two columns that are not side by side
-    # and leaves the third to the replay
+    # one its fifth: one event whose points are not side by side
     (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024,
      (3.172933803617731, 6.921094010885347, 3.172933803617731)),
     # unsorted: the three 40.0 points rescale 15 times at the same rows, not
     # side by side, with 1.0 and 2.0 (two and four rescales) between them
     (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024, (40.0, 1.0, 40.0, 2.0, 40.0)),
-    # a full block and one of 3 points, every point rescaling 13 times or
-    # more, its first and last columns included
+    # every point rescales 13 times or more, its first and last included;
+    # screen chunks of 256 and 2 points
     (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024,
-     tuple(50.0 - 0.1 * i for i in range(block_width(1024) + 3))),
-    # 1e15 and 1e18 rescale 5 and 7 times and are replayed, then 1e36 drifts,
-    # so row() answers the block
+     tuple(50.0 - 0.1 * i for i in range(255 + 3))),
+    # 1e15 and 1e18 rescale 5 and 7 times, then 1e36 drifts, so row() answers it
     (1024, 0.53, 0.34, (1e15, 1e18, 1e36)),
+    # the larger points rescale 11 to 67 times, so their pending rescales
+    # move up through the table's ranks many times over
+    (4096, 1.0 - 0.25 / 4096, 1.0 - 0.5 / 4096, tuple(np.geomspace(0.01, 50.0, 12).tolist())),
 )
 
 
@@ -771,9 +768,9 @@ def rescale_rows(n, p, q, x):
 @example(n=64, p=0.9, r=0.8 / 0.9, x=1e30)  # the scalar path, 16 rescales
 @example(n=40, p=0.9, r=0.5 / 0.9, x=1e40)  # the scalar path, 12 rescales
 def test_rows_at_or_below_the_fifth_last_rescale_are_zero(n, p, r, x):
-    # Each stored term is at most 1e100 and each rescale divides it by more,
-    # so five divisions leave 0.0: _block_sums sets those rows to 0.0 and
-    # replays a point's later rescales only above them.
+    # Each term is at most 1e100 and each rescale divides it by more, so five
+    # divisions leave 0.0: _step_sums keeps at most four pending rescales a
+    # point and divides a row with five or more still to come by inf alone.
     q = p * r
     if q == 0.0:
         return
@@ -786,14 +783,19 @@ def test_rows_at_or_below_the_fifth_last_rescale_are_zero(n, p, r, x):
         assert [v for v in row[: z + 1] if v != 0.0] == []
 
 
-def test_grid_sums_keep_one_row_a_block_where_a_row_passes_the_block(monkeypatch):
-    # from n = 131072 up one row alone takes more than _BLOCK_BYTES
-    monkeypatch.setattr(pqbbh.operators, "_BLOCK_BYTES", 8)
+def test_grid_sums_screen_one_point_a_chunk_where_a_point_passes_the_budget(monkeypatch):
+    # above n = 262144 one point's n factors alone take more than _SCREEN_BYTES
+    monkeypatch.setattr(pqbbh.operators, "_SCREEN_BYTES", 8)
     kernel = _Kernel(OperatorSpec(300, PqParams(0.99, 0.98)))
     fvals = node_values(300, 0)
     xs = (0.0, 0.5, 0.5, 21.9, 3e5)
     want = [_weighted_sum(kernel.row(x), fvals).hex() for x in xs]
+    chunks = []
+    screen = _Kernel._drift_screen
+    monkeypatch.setattr(_Kernel, "_drift_screen",
+                        lambda self, x, *args: chunks.append(x.tolist()) or screen(self, x, *args))
     assert [v.hex() for v in kernel.weighted_sums(xs, fvals)] == want
+    assert chunks == [[x] for x in xs]
 
 
 # -- the drift screen of the grid path ----------------------------------------
@@ -881,14 +883,14 @@ def test_a_screened_drift_within_the_margin_sends_the_block_to_row(monkeypatch):
                         lambda self, *args: screened.append(screen(self, *args)) or screened[-1])
     sums = kernel.weighted_sums(xs, fvals)
     [(drift, error)] = screened
-    assert (np.abs(drift) <= 1e-8 - error).all()  # the block passed the screen
+    assert (np.abs(drift) <= 1e-8 - error).all()  # the grid passed the screen
     kernel.log_c0 += 1e-8 - error[0] / 2 - drift[0]
     rows = []
     monkeypatch.setattr(_Kernel, "row", lambda self, x: rows.append(x) or row(self, x))
     got = kernel.weighted_sums(xs, fvals)
     drift, error = screened[-1]
     assert (1e-8 - error < drift).all() and (drift <= 1e-8).all()
-    assert rows == list(xs)  # row() answered the block, and passed both points
+    assert rows == list(xs)  # row() answered both points, and passed them
     assert [v.hex() for v in got] == [v.hex() for v in sums]
     assert [v.hex() for v in got] == [_weighted_sum(row(kernel, x), fvals).hex() for x in xs]
 
@@ -898,20 +900,49 @@ def test_ratio_maxima_match_the_full_table():
     seen = set()
     for n, p, q, xs in BLOCK_EXAMPLES:
         kernel = array_kernel(n, p, q)
-        width = block_width(n)
-        for start in range(0, len(xs), width):
-            x = np.array(xs[start:start + width])
-            with np.errstate(all="ignore"):
-                want = (np.multiply.outer(kernel.num, x) / kernel.den[:, None]).max(axis=1)
-                got = kernel._ratio_max(x)
-            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
-            seen.update(v.hex() for v in got.tolist() if not math.isfinite(v))
+        x = np.array(xs)
+        with np.errstate(all="ignore"):
+            want = (np.multiply.outer(kernel.num, x) / kernel.den[:, None]).max(axis=1)
+            got = kernel._ratio_max(x)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+        seen.update(v.hex() for v in got.tolist() if not math.isfinite(v))
     assert seen == {"nan", "inf"}  # the zero-denominator examples reach both
 
 
-def test_an_overflowing_term_sends_the_block_to_row():
+def test_an_overflowing_term_sends_the_grid_to_row(monkeypatch):
     kernel = array_kernel(2, 0.9, 0.5)
-    assert kernel._block_sums((0.0, 1.0, 1.7e308), np.ones(3), np.empty(9)) is None
+    xs = (0.0, 1.0, 1.7e308, 2.0)
+    with np.errstate(all="ignore"):
+        assert kernel._step_totals(np.array(xs)) is None
+    rows = []
+    row = _Kernel.row
+    monkeypatch.setattr(_Kernel, "row", lambda self, x: rows.append(x) or row(self, x))
+    with pytest.raises(DomainError, match="weight term 1 overflows"):
+        kernel.weighted_sums(xs, np.ones(3))
+    assert rows == [0.0, 1.0, 1.7e308]  # every point up to the refusal, in grid order
+
+
+@pytest.mark.parametrize("x", [2.5e20, 1.99e26])
+def test_only_the_point_the_screen_cannot_pass_goes_to_row(monkeypatch, x):
+    # Subnormal numerators q^k [n-k] make the drift grow with x: at 2.5e20
+    # it is about 7.3e-9, which row() passes but the screen, with E = 5.8e-9,
+    # cannot; at 1.99e26 row() refuses it.  The points around it keep the
+    # grid's sums.
+    kernel = _Kernel(OperatorSpec(1298, PqParams(0.5912, 0.1823)))
+    fvals = node_values(1298, 0)
+    xs = tuple(0.4 * i for i in range(1, 60)) + (x,) + tuple(0.4 * i for i in range(60, 120))
+    rows = []
+    row = _Kernel.row
+    monkeypatch.setattr(_Kernel, "row", lambda self, v: rows.append(v) or row(self, v))
+    got, error = outcome(lambda: kernel.weighted_sums(xs, fvals))
+    assert rows == [x]
+    want, want_error = outcome(lambda: [_weighted_sum(row(kernel, v), fvals) for v in xs])
+    if want_error is None:
+        assert error is None, error
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+    else:
+        assert x == 1.99e26
+        assert (type(error), str(error)) == (type(want_error), str(want_error))
 
 
 # -- the scalar path against the array path, bit for bit ---------------------
