@@ -16,8 +16,6 @@ captured) and by layer:
   coefficients rebuilt, the margin E and the one test, chunk by chunk);
 - ``sums``: the kernel's second pass, ``_Kernel._step_sums``, on the
   totals and rescales the first one left;
-- ``moduli_sample``: f at the modulus grid's 8,001 points
-  (``analysis._modulus_samples``);
 - ``moduli_window``: the largest difference of those samples at each
   window width up to the widest sqrt(delta_n) needs, one pass per width
   (``analysis._window_ranges``);
@@ -25,6 +23,13 @@ captured) and by layer:
   sums and the moduli already computed: delta_n on the grid, f at the
   nodes and the grid points, and the four columns built;
 - ``emit``: ``cli._emit_columns`` of those columns, to the printed text.
+
+The samplings of f in a call are timed apart, for each of the five registry
+functions (``sample <name>``), each on its float64 array as
+``operators._sample`` takes it: ``modulus``, the modulus grid's 8,001
+points (``analysis._modulus_samples``); ``grid``, the 2,001 grid points;
+and ``nodes``, the n + 1 nodes at n = 256.  A registry function runs once
+on the whole array; exp and sin still take one C-library call a point.
 
 The layers and calls take turns until the time budget is spent, so that a
 slow phase of the host hits them all, and each figure is the best time
@@ -101,7 +106,6 @@ def layers(n: int, fmt: str) -> dict:
         "kernel": lambda: operators._Kernel(spec).weighted_sums(grid.xs, fvals),
         "totals": totals,
         "sums": second,
-        "moduli_sample": lambda: analysis._modulus_samples(f, grid.u_max, size),
         "moduli_window": lambda: analysis._window_ranges(samples, w_top),
         "records": records,
         "emit": lambda: cli._emit_columns(args, ["x", "lhs", "rhs", "pass"], columns,
@@ -110,11 +114,25 @@ def layers(n: int, fmt: str) -> dict:
     }
 
 
+def samplings(name: str) -> dict:
+    """The zero-argument callables sampling one registry function, by sampling."""
+    f = REGISTRY[name]
+    grid = GridSpec.default()
+    xs = np.array(grid.xs)
+    ts = np.array(nodes(OperatorSpec(256, HarmonicSchedule(0.25, 0.5).params_for(256))).values)
+    return {
+        "modulus": lambda: analysis._modulus_samples(f, grid.u_max, analysis._MODULUS_POINTS),
+        "grid": lambda: operators._sample(f, xs, "grid point"),
+        "nodes": lambda: operators._sample(f, ts, "node"),
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seconds", type=float, default=20.0, help="time budget")
     budget = parser.parse_args().seconds
     timed = {f"n={n} {fmt}": layers(n, fmt) for n, fmt in CALLS}
+    timed.update({f"sample {name}": samplings(name) for name in REGISTRY})
     best = {call: dict.fromkeys(fns, math.inf) for call, fns in timed.items()}
     rounds = 0
     end = time.perf_counter() + budget

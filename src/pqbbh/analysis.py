@@ -366,7 +366,7 @@ def _modulus_samples(f: RealFunction, u_max: float, points: int) -> np.ndarray:
     import numpy as np
 
     us = np.linspace(0.0, u_max, points)
-    return np.array(_sample(f, (us / (1.0 - us)).tolist(), "modulus grid point"))
+    return _sample(f, us / (1.0 - us), "modulus grid point")
 
 
 def _window_ranges(g: np.ndarray, w_top: int) -> list[float]:
@@ -433,16 +433,17 @@ def _rate_columns(
     _variant(spec, False, "rate_bound_check")
     kernel = _Kernel(spec)
     forms = _ClosedForms(spec)
+    xs = np.array(grid.xs)
     # the float formula on an array: the same + - * / element by element, and
     # np.sqrt rounds correctly as math.sqrt does
     with np.errstate(all="ignore"):
-        sqrt_deltas = np.sqrt(forms.delta(np.array(grid.xs)))
+        sqrt_deltas = np.sqrt(forms.delta(xs))
     omegas = _moduli(f, sqrt_deltas, grid.u_max)
-    fvals = np.array(_sample(f, kernel.nodes().values, "node"))
-    fxs = _sample(f, grid.xs, "grid point")
+    fvals = _sample(f, np.array(kernel.nodes().values), "node")
+    fxs = _sample(f, xs, "grid point")
     approx = kernel.weighted_sums(grid.xs, fvals)
     with np.errstate(all="ignore"):  # a difference beyond the doubles is inf, as in float arithmetic
-        lhs = np.abs(np.array(approx) - np.array(fxs))
+        lhs = np.abs(np.array(approx) - fxs)
         rhs = 2.0 * np.array(omegas)
         passed = lhs <= rhs + slack
     return list(grid.xs), lhs.tolist(), rhs.tolist(), passed.tolist()
@@ -493,7 +494,7 @@ def lipschitz_constant_estimate(
         raise ValueError("need at least 2 grid points")
     xs = np.asarray(grid.xs)
     us = xs / (1.0 + xs)
-    fv = np.array(_sample(f, xs.tolist(), "grid point"))
+    fv = _sample(f, xs, "grid point")
     best = 0.0
     with np.errstate(over="ignore"):  # a difference beyond the doubles is inf
         for i in range(len(xs) - 1):

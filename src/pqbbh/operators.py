@@ -302,7 +302,7 @@ class _Kernel:
                 total += 1.0
                 s = k + 1
             log_ell = float(np.log(self.ell_p + self.ell_q * x).sum())
-        w /= total
+            w /= total  # tiny weights underflow to subnormals or 0.0, as in float arithmetic
         if self._drifted(total, log_scale, log_ell):
             raise ArithmeticError(self._drift_message(x))
         return w
@@ -763,21 +763,41 @@ def weights(spec: OperatorSpec, x: float) -> WeightTable:
     return WeightTable(float(x) if x else 0.0, tuple(values))
 
 
-def _sample(f: RealFunction, ts: Sequence[float], what: str) -> list[float]:
+def _sample(
+    f: RealFunction, ts: Sequence[float] | np.ndarray, what: str
+) -> list[float] | np.ndarray:
     """f(t) as a float for each t in order: the one place a user function is called.
 
-    One pass calls f once per point, in order; an expression from
-    as_function takes the whole list through its at_points.  One more pass
-    looks for a value that is not finite and names the first.  Where f
-    raises, a value before that point that is not finite is refused
-    instead, as a loop that stopped there would have done.
+    On a list or tuple, one pass calls f once per point, in order; an
+    expression from as_function takes the whole list through its
+    at_points.  One more pass looks for a value that is not finite and
+    names the first.  Where f raises, a value before that point that is not
+    finite is refused instead, as a loop that stopped there would have done.
+
+    A float64 array gives an array.  A registry function, which is its own
+    at_points, runs once on the whole array and gives each point's float
+    bits; where it raises or a value is not finite, and for any other f,
+    the list of the array's points takes the path above, so every refusal
+    is the list's.
     """
     at_points = getattr(f, "at_points", None)
+    if not isinstance(ts, (list, tuple)):
+        import numpy as np
+
+        if at_points is f:
+            try:
+                with np.errstate(all="ignore"):  # inf and nan arise silently, then go to the list
+                    vals = f(ts)
+                if np.isfinite(vals).all():
+                    return vals
+            except Exception:  # noqa: BLE001 -- the list path raises the first refusal
+                pass
+        return np.array(_sample(f, ts.tolist(), what))
     vals: list[float] = []
     try:
-        if at_points is not None:
+        if at_points is not None and at_points is not f:
             vals = at_points(ts)
-        else:
+        else:  # a plain callable, or a registry function on a list
             vals.extend(map(float, map(f, ts)))  # on a raise, vals keeps the values before it
     finally:
         # finite only if every value is: a running sum that meets inf or nan

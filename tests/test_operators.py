@@ -18,7 +18,8 @@ from pqbbh import (
     stancu_nodes,
     weights,
 )
-from pqbbh.expressions import as_function, parse_expression
+from pqbbh.expressions import ExpressionDomainError, as_function, parse_expression
+from pqbbh.functions import REGISTRY
 from pqbbh.operators import _sample
 from oracles import brute_operator, classical_bbh_evaluate, q_bbh_evaluate
 
@@ -164,6 +165,16 @@ class TestWeights:
     def test_rejects_negative_point(self):
         with pytest.raises(DomainError):
             weights(OperatorSpec(2, MIXED), -1.0)
+
+    @pytest.mark.parametrize("n, p, q, x", [(256, 0.26, 0.21, 30.0), (375, 0.7658, 0.3677, 1e-3)])
+    def test_a_caller_raising_on_underflow_gets_the_same_row(self, n, p, q, x):
+        # the rows hold subnormal weights, which the final division makes
+        np = pytest.importorskip("numpy")
+        spec = OperatorSpec(n, PqParams(p, q))
+        want = weights(spec, x).weights
+        with np.errstate(all="raise"):
+            got = weights(spec, x).weights
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
 
     def test_zero_ratio_denominator_raises(self):
         # p^999 underflows to 0
@@ -398,6 +409,76 @@ class TestSample:
         f = as_function(parse_expression("cos(t)*exp(-t/4)+log(1+t)/(2+t)^2"))
         got = _sample(f, self.TS, "node")
         assert list(map(float.hex, got)) == [float.hex(f(t)) for t in self.TS]
+
+
+class TestSampleArray:
+    """_sample on a float64 array: the values and the first refusal of the same list."""
+
+    TS = [0.0, 5e-324, 0.5, 1.0, 2.5, 30.0, 1e300]
+
+    @staticmethod
+    def outcome(f, ts):
+        calls = []
+
+        def traced(t):
+            calls.append(t)
+            return f(t)
+
+        if hasattr(f, "at_points"):
+            traced.at_points = f.at_points if f.at_points is not f else traced
+        try:
+            vals = _sample(traced, ts, "node")
+        except Exception as exc:  # noqa: BLE001 -- the refusal is the outcome
+            return type(exc), str(exc), calls
+        vals = vals.tolist() if hasattr(vals, "tolist") else vals
+        return list(map(float.hex, vals)), calls
+
+    @pytest.fixture(autouse=True)
+    def numpy(self):
+        self.np = pytest.importorskip("numpy")
+
+    def same_as_the_list(self, f, ts):
+        on_list = self.outcome(f, ts)
+        on_array = self.outcome(f, self.np.array(ts))
+        assert on_array[:-1] == on_list[:-1]
+        return on_array, on_list
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_registry_function_gives_the_list_bits_in_one_call(self, name):
+        (values, calls), _ = self.same_as_the_list(REGISTRY[name], self.TS)
+        assert len(calls) == 1 and len(values) == len(self.TS)
+
+    @pytest.mark.parametrize("name, ts, error", [
+        ("bbh_metric", [0.5, -1.0, 2.0, -1.0], ZeroDivisionError),
+        ("bbh_metric_sq", [0.5, 2.0, -1.0], ZeroDivisionError),
+        ("sin_damped", [0.5, -1.0], ZeroDivisionError),
+        ("exp_neg", [0.5, -800.0, -1e300], OverflowError),
+    ])
+    def test_registry_refusal_is_the_lists_first(self, name, ts, error):
+        on_array, on_list = self.same_as_the_list(REGISTRY[name], ts)
+        assert on_array[0] is error
+        assert on_array[2][-len(on_list[2]):] == on_list[2]  # the list's calls, after the array's
+
+    def test_callable_without_array_support_sees_each_float_once(self):
+        f = lambda t: 1.0 / (t - 2.5)  # noqa: E731
+        on_array, on_list = self.same_as_the_list(f, self.TS)
+        assert on_array[0] is ZeroDivisionError
+        assert on_array[2] == on_list[2] == self.TS[:5]
+        assert all(type(t) is float for t in on_array[2])
+        (values, calls), _ = self.same_as_the_list(lambda t: t * t, self.TS[:4])
+        assert calls == self.TS[:4]
+
+    def test_callable_returning_nan_is_named_as_on_the_list(self):
+        f = lambda t: math.nan if t == 2.5 else t  # noqa: E731
+        on_array, _ = self.same_as_the_list(f, self.TS)
+        assert on_array[:2] == (EvaluationError, "function returned nan at node 4 (t=2.5)")
+
+    def test_expression_refusal_is_the_lists_first(self):
+        f = as_function(parse_expression("log(t-1)"))
+        on_array, _ = self.same_as_the_list(f, self.TS)
+        assert on_array[:2] == (
+            ExpressionDomainError, "log of -1.0 is undefined in 'log(t-1.0)' at t=0.0")
+        self.same_as_the_list(f, self.TS[5:])
 
 
 class TestRepresentation:
