@@ -16,8 +16,9 @@ layer:
 - ``closed`` (``moments`` only): ``moment_closed`` on a new spec, its
   deformed integers included;
 - ``sample``: the function resolved (an expression parsed and compiled,
-  or the moment's (t/(1+t))^nu) and sampled at the nodes by
-  ``operators._sample``;
+  or ``cli._metric_power``, the moment's (t/(1+t))^nu) and sampled at the
+  nodes by ``operators._sample``, as ``evaluate`` passes them: the node
+  tuple up to ``operators._SCALAR_DEGREE``, the node array above it;
 - ``points`` (``--fn`` calls only): the compiled expression called once
   per node, ``list(map(f, values))``, the path a single ``f(t)`` takes;
 - ``row_sum``: ``_Kernel.row`` at x and ``_weighted_sum``;
@@ -63,15 +64,16 @@ def layers(argv: list[str]) -> dict:
     spec = cli._build_spec(args)
     kernel = operators._Kernel(spec)
     values = kernel.nodes().values
+    ts = values if kernel.scalar else kernel.node_array()  # what evaluate samples
     moments = args.command == "moments"
 
     def resolve():
         if moments:  # the moment that cli._cmd_moments samples
-            return lambda t: (t / (1.0 + t)) ** args.nu
+            return cli._metric_power(args.nu)
         return cli._resolve_function(args)[0]
 
     f = resolve()
-    fvals = operators._sample(f, values, "node")
+    fvals = operators._sample(f, ts, "node")
     value = operators._weighted_sum(kernel.row(args.x), fvals)
     if moments:
         closed = analysis.moment_closed(cli._build_spec(args), args.nu, args.x)
@@ -100,7 +102,7 @@ def layers(argv: list[str]) -> dict:
         "tables": lambda: operators._Kernel(spec),
         "nodes": kernel.nodes,
         "closed": lambda: analysis.moment_closed(cli._build_spec(args), args.nu, args.x),
-        "sample": lambda: operators._sample(resolve(), values, "node"),
+        "sample": lambda: operators._sample(resolve(), ts, "node"),
         "points": lambda: list(map(f, values)),
         "row_sum": lambda: operators._weighted_sum(kernel.row(args.x), fvals),
         "emit": emit,

@@ -33,7 +33,11 @@ on the whole array; exp and sin still take one C-library call a point.
 
 The layers and calls take turns until the time budget is spent, so that a
 slow phase of the host hits them all, and each figure is the best time
-seen, in ms.  Prints one JSON object.
+seen, in ms.  The first round takes the layers in call order, and each
+later round in a new seeded random order, so that no layer always runs
+right after the same one: the n = 2048 call leaves the caches cold, and
+``sample one_``'s ``modulus`` read about 4x its time alone when it always
+ran right after that call.  Prints one JSON object.
 
     PYTHONPATH=src python3 scripts/rate_layers.py [--seconds 20]
 """
@@ -45,6 +49,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import time
 from types import SimpleNamespace
 from unittest import mock
@@ -136,12 +141,14 @@ def main() -> None:
     best = {call: dict.fromkeys(fns, math.inf) for call, fns in timed.items()}
     rounds = 0
     end = time.perf_counter() + budget
+    pairs = [(call, layer, fn) for call, fns in timed.items() for layer, fn in fns.items()]
+    shuffle = random.Random(0).shuffle
     while rounds == 0 or time.perf_counter() < end:
-        for call, fns in timed.items():
-            for layer, fn in fns.items():
-                start = time.perf_counter()
-                fn()
-                best[call][layer] = min(best[call][layer], time.perf_counter() - start)
+        for call, layer, fn in pairs:
+            start = time.perf_counter()
+            fn()
+            best[call][layer] = min(best[call][layer], time.perf_counter() - start)
+        shuffle(pairs)
         rounds += 1
     print(json.dumps({
         "schedule": SCHEDULE, "function": FUNCTION, "seconds": budget, "rounds": rounds,

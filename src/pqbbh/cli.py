@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .expressions import as_function, parse_expression
-from .functions import registry_function
+from .functions import _pointwise, registry_function
 from .operators import OperatorSpec, StancuShift, _representation, evaluate
 from .pq_core import DomainError, PqParams
 
@@ -339,15 +339,34 @@ def _cmd_eval(args) -> str:
     return _emit(args, header, rows, fn=fname, gamma=gamma, beta=beta)
 
 
+def _metric_power(nu: int) -> Callable:
+    """t -> (t/(1+t))^nu, the moment's test function, and its own ``at_points``.
+
+    It takes a float, or a float64 array for its value at every point with
+    the same bits, as the registry functions do: the C library's pow over
+    u at each point, as u ** nu takes it, since numpy's power (and u*u)
+    need not round as pow does.  A division by zero raises on an array,
+    where pow(-inf, 0) = 1.0 would hide it, so the list names it.
+    """
+
+    def metric_power(t):
+        if not hasattr(t, "ndim"):
+            return (t / (1.0 + t)) ** nu
+        import numpy as np
+
+        with np.errstate(divide="raise"):
+            u = t / (1.0 + t)
+        return _pointwise(math.pow, u, nu)
+
+    metric_power.at_points = metric_power
+    return metric_power
+
+
 def _cmd_moments(args) -> str:
     spec = _build_spec(args)
     nu = args.nu
     closed = _analysis().moment_closed(spec, nu, args.x)
-
-    def metric_power(t: float) -> float:
-        return (t / (1.0 + t)) ** nu
-
-    brute = evaluate(spec, metric_power, args.x)
+    brute = evaluate(spec, _metric_power(nu), args.x)
     header = ["n", "p", "q", "nu", "x", "closed", "brute_force", "abs_diff"]
     rows = [[args.n, args.p, args.q, nu, args.x, closed, brute, abs(closed - brute)]]
     return _emit(args, header, rows)

@@ -28,6 +28,7 @@ from itertools import repeat
 from typing import Callable, Union
 
 from ._record import Record, _set
+from .functions import _pointwise
 from .pq_core import DomainError
 
 FUNCTIONS: dict[str, Callable[[float], float]] = {
@@ -319,12 +320,15 @@ def as_function(ast: ExprAst) -> Callable[[float], float]:
     leaves the reals names its node.  A message shows t as the caller
     passed it; the arithmetic runs on float(t).
 
-    Its attribute ``at_points(ts)`` gives [f(t) for t in ts] with the same
-    bits, running the same compiled tree once over the whole list (see
-    _compile).  Where that meets an exception or a value that is not
+    Its attribute ``at_points(ts)`` gives f at every point with the same
+    bits, running the same compiled tree once over all of them (see
+    _compile).  On a sequence of numbers, which it reads more than once,
+    it gives a list; where that meets an exception or a value that is not
     finite, it goes back to f one point at a time, which raises the first
-    refusal in point order.  ts is a sequence of numbers, which at_points
-    reads more than once.
+    refusal in point order.  On a float64 array it gives a new array of
+    its shape, and where any point's value at any node is not finite it
+    raises instead, with no message to show: the list of the array's
+    points names the refusal (see operators._sample).
     """
     body = _compile(ast)
 
@@ -340,6 +344,8 @@ def as_function(ast: ExprAst) -> Callable[[float], float]:
             ) from None
 
     def at_points(ts):
+        if hasattr(ts, "ndim"):
+            return _on_array(body, ts)
         try:
             if not all(map(isfinite, ts)):
                 raise ArithmeticError
@@ -352,6 +358,21 @@ def as_function(ast: ExprAst) -> Callable[[float], float]:
     return f
 
 
+def _on_array(body, ts):
+    """body on the float64 array ts, as a new array; raises where a value is not finite.
+
+    A node of + - * / or sqrt meets inf or nan only where numpy raises one
+    of these flags, and a node that maps math raises itself.
+    """
+    import numpy as np
+
+    ts = np.asarray(ts, dtype=float)
+    if not np.isfinite(ts).all():
+        raise ArithmeticError("t must be finite")
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        return np.full(ts.shape, body(ts))  # a copy also where body gives ts or one float
+
+
 class _Refusal(Exception):
     """A node's value left the reals at one t; args are the node and the reason."""
 
@@ -360,8 +381,8 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
            "^": math.pow}
 
 
-def _compile(node: ExprAst) -> Callable[[float | list[float]], float | list[float]]:
-    """One function per node, of one float t or of the list of float(t): children first.
+def _compile(node: ExprAst) -> Callable:
+    """One function per node, of a float t, a list of floats or a float64 array: children first.
 
     Each element gets the tree walk's operations, left child before right.
     A subtree without t gives one float, which a binary node broadcasts
@@ -372,9 +393,14 @@ def _compile(node: ExprAst) -> Callable[[float | list[float]], float | list[floa
     finite only if every term is: once the running sum meets inf or nan it
     stays there, with or without Python 3.12's compensation.  A sum of
     finite terms that overflows sends the list back for nothing but time.
+
+    On an array, numpy takes + - * /, negation, sqrt and abs, which it
+    rounds as Python floats do, and raises on a value that is not finite
+    under _on_array's np.errstate; exp, log, sin, cos and ^ map the math
+    function over the points (functions._pointwise), which raises itself.
     """
     if isinstance(node, Number):
-        value = node.value
+        value = float(node.value)  # so that type() tells one point from a list or an array
         return lambda ts: value
     if isinstance(node, Variable):
         return lambda ts: ts
@@ -391,29 +417,31 @@ def _compile(node: ExprAst) -> Callable[[float | list[float]], float | list[floa
 
         def call(ts):
             arg = arg_of(ts)
+            if type(arg) is float:
+                try:
+                    value = func(arg)
+                except (ValueError, OverflowError):
+                    raise _Refusal(node, f"{name} of {arg!r} is undefined") from None
+                if isfinite(value):
+                    return value
+                raise _Refusal(node, "non-finite result")
             if type(arg) is list:
                 values = list(map(func, arg))
                 if isfinite(sum(values)):
                     return values
                 raise ArithmeticError
-            try:
-                value = func(arg)
-            except (ValueError, OverflowError):
-                raise _Refusal(node, f"{name} of {arg!r} is undefined") from None
-            if isfinite(value):
-                return value
-            raise _Refusal(node, "non-finite result")
+            if name == "sqrt":  # a float64 array from here on
+                import numpy as np
+
+                return np.sqrt(arg)
+            return abs(arg) if func is abs else _pointwise(func, arg)
 
         return call
     left, right, combine = _compile(node.left), _compile(node.right), _BINARY[node.op]
 
     def binary(ts):
         a, b = left(ts), right(ts)
-        if type(a) is list:
-            values = list(map(combine, a, b if type(b) is list else repeat(b)))
-        elif type(b) is list:
-            values = list(map(combine, repeat(a), b))
-        else:
+        if type(a) is float and type(b) is float:
             try:
                 value = combine(a, b)
             except ZeroDivisionError:
@@ -423,6 +451,12 @@ def _compile(node: ExprAst) -> Callable[[float | list[float]], float | list[floa
             if isfinite(value):
                 return value
             raise _Refusal(node, "non-finite result")
+        if type(a) is list:
+            values = list(map(combine, a, b if type(b) is list else repeat(b)))
+        elif type(b) is list:
+            values = list(map(combine, repeat(a), b))
+        else:  # one is a float64 array
+            return _pointwise(combine, a, b) if combine is math.pow else combine(a, b)
         if isfinite(sum(values)):
             return values
         raise ArithmeticError

@@ -11,15 +11,22 @@ a whole array; a caller that passes a list goes point by point.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 
-def _pointwise(fn, t):
-    """fn(t) for a number, and fn at each point of an array, as an array of that shape."""
-    if not getattr(t, "ndim", 0):
-        return fn(t)
+def _pointwise(fn, *args):
+    """fn(*args) for numbers, and fn at each point of the arrays among args, as an array.
+
+    The arrays share one shape, which the result takes; a number among
+    them stands at every point.
+    """
+    shaped = [a for a in args if getattr(a, "ndim", 0)]
+    if not shaped:
+        return fn(*args)
     import numpy as np
 
-    return np.fromiter(map(fn, t.ravel().tolist()), float, t.size).reshape(t.shape)
+    columns = [a.ravel().tolist() if getattr(a, "ndim", 0) else repeat(a) for a in args]
+    return np.fromiter(map(fn, *columns), float, shaped[0].size).reshape(shaped[0].shape)
 
 
 def one_(t: float) -> float:

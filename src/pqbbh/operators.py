@@ -214,21 +214,33 @@ class _Kernel:
         Node k is (p^m [k] + gamma) / (q^k [m] + beta) with m = n-k+1; the
         base nodes are the shifted ones at gamma = beta = 0, bit for bit.
         """
-        shift = self.spec.stancu
-        gamma, beta = (shift.gamma, shift.beta) if shift is not None else (0.0, 0.0)
         if self.scalar:
-            return self._scalar_nodes(gamma, beta)
+            return self._scalar_nodes(*self._shift())
         import numpy as np
 
-        n = self.spec.n
+        vals = self.node_array()
+        negative = np.flatnonzero(vals < 0).tolist() if self.spec.stancu is not None else ()
+        return NodeTable(tuple(vals.tolist()), tuple(negative))
+
+    def node_array(self) -> np.ndarray:
+        """The values of nodes() as a float64 array, above _SCALAR_DEGREE, with its refusals."""
+        import numpy as np
+
+        (gamma, beta), n = self._shift(), self.spec.n
         ia, pa, qa = self._ints, self._ppow, self._qpow
         with np.errstate(all="ignore"):  # a zero denominator makes a non-finite node
             den = qa[:n + 1] * ia[n + 1:0:-1] + beta
             vals = (pa[n + 1:0:-1] * ia[:n + 1] + gamma) / den
-        if not (np.isfinite(vals).all() and (shift is not None or (vals[:-1] < vals[1:]).all())):
-            return self._scalar_nodes(gamma, beta)  # the same nodes, so it raises the refusal
-        negative = np.flatnonzero(vals < 0).tolist() if shift is not None else ()
-        return NodeTable(tuple(vals.tolist()), tuple(negative))
+        shifted = self.spec.stancu is not None
+        if not (np.isfinite(vals).all() and (shifted or (vals[:-1] < vals[1:]).all())):
+            # the same nodes, so it raises the refusal
+            return np.array(self._scalar_nodes(gamma, beta).values)
+        return vals
+
+    def _shift(self) -> tuple[float, float]:
+        """(gamma, beta) of the spec's shift, (0.0, 0.0) for the base variant."""
+        shift = self.spec.stancu
+        return (shift.gamma, shift.beta) if shift is not None else (0.0, 0.0)
 
     def _scalar_nodes(self, gamma: float, beta: float) -> NodeTable:
         """nodes() on the lists, one node at a time, and every refusal of either path."""
@@ -774,21 +786,24 @@ def _sample(
     names the first.  Where f raises, a value before that point that is not
     finite is refused instead, as a loop that stopped there would have done.
 
-    A float64 array gives an array.  A registry function, which is its own
-    at_points, runs once on the whole array and gives each point's float
-    bits; where it raises or a value is not finite, and for any other f,
-    the list of the array's points takes the path above, so every refusal
-    is the list's.
+    A float64 array gives an array.  An f with ``at_points`` (an
+    expression, or a registry function, which is its own) runs it once on
+    the whole array, and the result is kept if it is a float64 array of
+    the same shape whose every value is finite; at_points gives each
+    point's float bits.  Where at_points raises or its result is not kept,
+    and for any other f, the list of the array's points takes the path
+    above, so every refusal is the list's.
     """
     at_points = getattr(f, "at_points", None)
     if not isinstance(ts, (list, tuple)):
         import numpy as np
 
-        if at_points is f:
+        if at_points is not None:
             try:
                 with np.errstate(all="ignore"):  # inf and nan arise silently, then go to the list
-                    vals = f(ts)
-                if np.isfinite(vals).all():
+                    vals = at_points(ts)
+                if (isinstance(vals, np.ndarray) and vals.dtype == np.float64
+                        and vals.shape == ts.shape and np.isfinite(vals).all()):
                     return vals
             except Exception:  # noqa: BLE001 -- the list path raises the first refusal
                 pass
@@ -838,8 +853,8 @@ def evaluate(spec: OperatorSpec, f: RealFunction, x: float) -> float:
             p[n]/q^n, grows rapidly for small q; see NodeTable.max_node).
     """
     kernel = _Kernel(spec)
-    table = kernel.nodes()
-    return _weighted_sum(kernel.row(x), _sample(f, table.values, "node"))
+    ts = kernel.nodes().values if kernel.scalar else kernel.node_array()
+    return _weighted_sum(kernel.row(x), _sample(f, ts, "node"))
 
 
 def evaluate_stancu(spec: OperatorSpec, f: RealFunction, x: float) -> float:

@@ -121,6 +121,30 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec((-1.0, 0.5))
 
+    @pytest.mark.parametrize("xs, message", [
+        ((), "grid must be nonempty"),
+        ((0.0, 1.0, math.inf), "grid points must be finite and >= 0, got inf"),
+        ((0.0, math.nan, 1.0), "grid points must be finite and >= 0, got nan"),
+        ((0.5, -0.25, 1.0), "grid points must be finite and >= 0, got -0.25"),
+        ((0.0, 2.0, 1.0, -1.0), "grid points must be sorted ascending"),  # the first bad point
+        ((0.0, 1.0, 3.0, -1.0), "grid points must be finite and >= 0, got -1.0"),
+    ])
+    def test_refusal_names_the_first_bad_point(self, xs, message):
+        with pytest.raises(ValueError) as info:
+            GridSpec(xs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("xs", [(-0.0, 0.0, 1.0, 1.0), (0.0, 1e308, 1.7e308)],
+                             ids=["ties-and-negative-zero", "sum-overflows"])
+    def test_accepts_a_valid_grid(self, xs):
+        assert GridSpec(xs).xs == xs
+
+    def test_a_point_that_is_no_number_is_refused_where_the_loop_meets_it(self):
+        with pytest.raises(ValueError, match="sorted"):
+            GridSpec((1.0, 0.5, "x"))
+        with pytest.raises(TypeError):
+            GridSpec((0.5, "x", 0.25))
+
 
 class TestMoments:
     def test_partition(self):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import pqbbh.cli
 from pqbbh.cli import build_parser, main
 from pqbbh.functions import registry_function
-from pqbbh.pq_core import DomainError
+from pqbbh.operators import OperatorSpec, _sample, evaluate
+from pqbbh.pq_core import DomainError, PqParams
 
 GOLDEN_EVAL = "0.333333333333\n"
 
@@ -217,6 +218,32 @@ class TestSchemas:
         )
         assert (code, out) == (3, "")
         assert message in err
+
+    @pytest.mark.parametrize("n", [8, 64, 65, 150, 1024])
+    @pytest.mark.parametrize("nu", [0, 1, 2])
+    def test_moments_brute_force_keeps_the_float_bits(self, nu, n, capsys):
+        # the array form above the scalar degree, and the float form up to it,
+        # give the bits of the plain (t/(1+t))**nu at every node
+        spec = OperatorSpec(n, PqParams(1.0 - 0.25 / n, 1.0 - 0.5 / n))
+        plain = evaluate(spec, lambda t: (t / (1.0 + t)) ** nu, 0.7)
+        assert float.hex(evaluate(spec, pqbbh.cli._metric_power(nu), 0.7)) == float.hex(plain)
+        code, out, _ = run(["moments", "--n", str(n), "--p", repr(spec.params.p),
+                            "--q", repr(spec.params.q), "--nu", str(nu), "--x", "0.7"], capsys)
+        assert code == 0 and out.splitlines()[1].split(",")[6] == pqbbh.cli._fmt(plain)
+
+    def test_moment_power_array_form(self):
+        np = pytest.importorskip("numpy")
+        power = pqbbh.cli._metric_power(0)  # pow(-inf, 0) is 1.0: the array must not hide t = -1
+        ts = np.array([0.5, -1.0, 2.0])
+        assert power.at_points is power
+        with pytest.raises(FloatingPointError):
+            power(ts)
+        with pytest.raises(ZeroDivisionError):
+            _sample(power, ts, "node")
+        # at 9.707462555075702, glibc's pow(u, 2.0) is one ulp below u*u, which numpy's power gives
+        ts = (0.0, 0.5, 3.0, 9.707462555075702, 1e300)
+        values = pqbbh.cli._metric_power(2)(np.array(ts))
+        assert values.tolist() == [(t / (1.0 + t)) ** 2 for t in ts]
 
     def test_rate_columns_and_passes(self, capsys):
         code, out, _ = run(
@@ -571,6 +598,9 @@ class TestWithoutNumpy:
                         "--format", "json"],
         "moments": ["moments", "--n", "8", "--p", "0.95", "--q", "0.7", "--nu", "2",
                     "--x", "3"],
+        # the scalar degree: the moment power's array form stays off this path
+        "moments_scalar_degree": ["moments", "--n", "64", "--p", "0.99", "--q", "0.95",
+                                  "--nu", "2", "--x", "3"],
         "represent": ["represent", "--n", "8", "--p", "0.9", "--q", "0.6",
                       "--registry", "sin_damped", "--x", "0.7"],
         "stancu_bound": ["stancu-bound", "--n", "1024", "--p", "0.9998", "--q", "0.9995",

@@ -21,6 +21,7 @@ from pqbbh.expressions import (
     format_expression,
     parse_expression,
 )
+from pqbbh.operators import _sample
 from oracles import walk_expression
 
 
@@ -339,3 +340,58 @@ def test_compiled_expressions_match_the_tree_walk(ast, t, others):
     ts = others[: len(others) // 2] + [t] + others[len(others) // 2:]
     assert outcomes(f.at_points, ts) == outcomes(
         lambda ts: [walk_expression(ast, t) for t in ts], ts)
+
+
+# -- the compiled tree on a float64 array, against the list of its points -----
+
+def sampled(f, ts):
+    """("values", hex of each double) or (error type, message) of operators._sample."""
+    try:
+        values = _sample(f, ts, "node")
+    except Exception as exc:  # noqa: BLE001 -- the array must raise what the list raises
+        return type(exc), str(exc)
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    return "values", list(map(float.hex, values))
+
+
+finite_points = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1.0, -1.0, 2.0, 3.0, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(ast=expression_trees(7), ts=st.lists(finite_points, min_size=1, max_size=6))
+@example(ast=Binary("^", Number(2.0), Number(3.0)), ts=[1.0, 2.0])
+@example(ast=Negate(Variable()), ts=[0.0, -0.0, 1.0])
+def test_array_form_matches_the_list(ast, ts):
+    f = as_function(ast)
+    array = np.array(ts)
+    assert sampled(f, array) == sampled(f, ts)
+    try:
+        values = f.at_points(array)
+    except Exception:  # noqa: BLE001 -- a raise leaves the refusal to the list
+        return
+    assert type(values) is np.ndarray and values.dtype == float and values.shape == array.shape
+    assert values is not array
+
+
+@pytest.mark.parametrize("text, ts", [
+    ("1/(t*1e300*1e300)", [0.5, 1.0, 2.0]),  # t*1e300*1e300 is inf, 1/inf would read 0.0
+    ("1/(1/(t-t))", [0.5, 1.0]),  # 1/(t-t) is inf, 1/inf would read 0.0
+    ("1/(t-1)", [0.5, 1.0, 2.0]),
+    ("log(t)", [1.0, 0.0, 2.0]),
+    ("sqrt(t-3)", [4.0, 5.0, 2.0]),
+    ("exp(1000*t)", [0.0, 0.5, 1.0]),
+    ("(-2)^t", [1.0, 2.0, 0.5]),
+    ("(t-3)^0.5", [4.0, 2.0]),
+], ids=["masked-overflow", "masked-division", "division-by-zero", "log-of-zero",
+        "sqrt-of-negative", "exp-overflow", "negative-base", "negative-base-node"])
+def test_array_refusal_is_the_lists(text, ts):
+    f = as_function(parse_expression(text))
+    want = sampled(f, ts)
+    assert want[0] is ExpressionDomainError
+    assert sampled(f, np.array(ts)) == want
+    with pytest.raises((ArithmeticError, ValueError)) as info:  # it raises, not falls back
+        f.at_points(np.array(ts))
+    assert "float64" not in str(info.value)

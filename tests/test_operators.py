@@ -481,6 +481,57 @@ class TestSampleArray:
         self.same_as_the_list(f, self.TS[5:])
 
 
+# the expressions of the benchmark's point queries
+POOL = ("t/(1+t)", "abs(sin(t))/(1+t)", "exp(-t)", "1/(1+t^2)", "sqrt(t)/(1+t)",
+        "cos(t)*exp(-t/4)+log(1+t)/(2+t)^2")
+
+
+class TestArrayDegreeEvaluate:
+    """Above _SCALAR_DEGREE evaluate samples f on the node array, with a plain callable's bits."""
+
+    @staticmethod
+    def outcome(spec, f, x):
+        try:
+            return float.hex(evaluate(spec, f, x))
+        except Exception as exc:  # noqa: BLE001 -- the refusal is the outcome
+            return type(exc), str(exc)
+
+    def same_as_plain(self, spec, f, xs=(0.0, 0.7, 12.0)):
+        plain = lambda t: f(t)  # noqa: E731 -- no at_points: one float at a time
+        got = [self.outcome(spec, f, x) for x in xs]
+        assert got == [self.outcome(spec, plain, x) for x in xs]
+        return got
+
+    @pytest.mark.parametrize("shift", [None, StancuShift(0.5, 1.5)], ids=["base", "stancu"])
+    @pytest.mark.parametrize("n", [65, 150, 1024])
+    @pytest.mark.parametrize("name", [*POOL, *(f"registry:{r}" for r in sorted(REGISTRY))])
+    def test_same_bits_as_a_plain_callable(self, name, n, shift):
+        f = (REGISTRY[name[9:]] if name.startswith("registry:")
+             else as_function(parse_expression(name)))
+        spec = OperatorSpec(n, PqParams(1.0 - 0.25 / n, 1.0 - 0.5 / n), shift)
+        assert all(isinstance(v, str) for v in self.same_as_plain(spec, f))
+
+    @pytest.mark.parametrize("n, kind", [(64, tuple), (65, "ndarray"), (1024, "ndarray")])
+    def test_at_points_sees_the_nodes_once(self, n, kind):
+        f, seen = as_function(parse_expression("t/(1+t)")), []
+        traced = lambda t: f(t)  # noqa: E731
+        traced.at_points = lambda ts: seen.append(ts) or f.at_points(ts)
+        spec = OperatorSpec(n, PqParams(1.0 - 0.25 / n, 1.0 - 0.5 / n))
+        assert evaluate(spec, traced, 0.7) == evaluate(spec, f, 0.7)
+        assert len(seen) == 1 and kind in (type(seen[0]), type(seen[0]).__name__)
+        assert tuple(seen[0]) == nodes(spec).values
+
+    @pytest.mark.parametrize("n", [65, 150, 1024])
+    @pytest.mark.parametrize("text", ["log(t)", "sqrt(t)"])
+    def test_negative_stancu_node_is_refused_as_today(self, text, n):
+        spec = OperatorSpec(n, PqParams(1.0 - 0.25 / n, 1.0 - 0.5 / n), StancuShift(-0.5, 0.0))
+        got = self.same_as_plain(spec, as_function(parse_expression(text)))
+        node = stancu_nodes(spec).values[0]  # gamma / (q^0 [n+1]), below zero
+        name = text[:-3]
+        assert got == [(ExpressionDomainError,
+                        f"{name} of {node!r} is undefined in '{text}' at t={node!r}")] * 3
+
+
 class TestRepresentation:
     def test_hand_case(self):
         # L_1(t; 2) - f(2) = 2/3 - 2 = -4/3
