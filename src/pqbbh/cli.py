@@ -7,17 +7,15 @@ deterministic CSV or JSON (see README for the column schemas).  Exit codes:
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
-import json
 import math
 import os
 import sys
+from importlib import import_module
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .expressions import as_function, parse_expression
 from .functions import _pointwise, registry_function
 from .operators import OperatorSpec, StancuShift, _representation, evaluate
 from .pq_core import DomainError, PqParams
@@ -93,9 +91,9 @@ def _emit(args, header: list[str], rows: list[list], **overrides) -> str:
     """
     if args.format == "json":
         cells = [[_json_cell(c, name) for c, name in zip(row, header)] for row in rows]
-        return json.dumps({"meta": _meta(args, overrides), "rows": cells}) + "\n"
+        return _module("json").dumps({"meta": _meta(args, overrides), "rows": cells}) + "\n"
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = _module("csv").writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_fmt(c, name) for c, name in zip(row, header)] for row in rows)
     return buf.getvalue()
@@ -130,7 +128,7 @@ def _emit_columns(args, header: list[str], columns: list[Sequence], **overrides)
         return _emit(args, header, list(zip(*columns)), **overrides)
     if json_out:
         rows = "], [".join(map(", ".join, zip(*texts)))
-        return f'{{"meta": {json.dumps(_meta(args, overrides))}, "rows": [[{rows}]]}}\n'
+        return f'{{"meta": {_module("json").dumps(_meta(args, overrides))}, "rows": [[{rows}]]}}\n'
     return "\n".join([",".join(header), *map(",".join, zip(*texts)), ""])
 
 
@@ -275,17 +273,19 @@ def _parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
 
 
 @functools.cache
-def _analysis():
-    """pqbbh.analysis, imported by the first command that calls it, not at import.
+def _module(name: str):
+    """Module ``name`` (relative to pqbbh if it starts with "."), imported on its first call.
 
-    eval and represent never load it.  Its handlers read each function from
-    the module on every call, so a wrapper set on the module is what they call.
-    A function-level ``from .analysis import ...`` would do the same, but
-    costs about 1.7 µs a call against 0.05 µs here (Python 3.11, 2-vCPU host).
+    Every command loads cli, operators, pq_core, _record and functions;
+    ".analysis", ".expressions", "json" and "csv" come through here, so a
+    command loads only those it uses: eval and represent never load
+    analysis, and a bare --registry query none of the four.  Callers read
+    each function from the module on every call, so a wrapper set on the
+    module is what they call.  A function-level ``from .analysis import
+    ...`` would do the same, but costs about 1.7 µs a call against 0.05 µs
+    here (Python 3.11, 2-vCPU host).
     """
-    from . import analysis
-
-    return analysis
+    return import_module(name, __package__)
 
 
 def _build_spec(args) -> OperatorSpec:
@@ -301,8 +301,8 @@ def _build_spec(args) -> OperatorSpec:
 
 def _resolve_function(args):
     if args.fn is not None:
-        ast = parse_expression(args.fn)
-        return as_function(ast), args.fn
+        expressions = _module(".expressions")
+        return expressions.as_function(expressions.parse_expression(args.fn)), args.fn
     return registry_function(args.registry), f"registry:{args.registry}"
 
 
@@ -313,7 +313,7 @@ def _parse_schedule(text: str) -> HarmonicSchedule:
     parts = rest.split(",")
     if len(parts) != 2:
         raise ValueError(f"schedule {text!r} needs exactly two parameters, harmonic:A,B")
-    return _analysis().HarmonicSchedule(float(parts[0]), float(parts[1]))
+    return _module(".analysis").HarmonicSchedule(float(parts[0]), float(parts[1]))
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -365,7 +365,7 @@ def _metric_power(nu: int) -> Callable:
 def _cmd_moments(args) -> str:
     spec = _build_spec(args)
     nu = args.nu
-    closed = _analysis().moment_closed(spec, nu, args.x)
+    closed = _module(".analysis").moment_closed(spec, nu, args.x)
     brute = evaluate(spec, _metric_power(nu), args.x)
     header = ["n", "p", "q", "nu", "x", "closed", "brute_force", "abs_diff"]
     rows = [[args.n, args.p, args.q, nu, args.x, closed, brute, abs(closed - brute)]]
@@ -373,7 +373,7 @@ def _cmd_moments(args) -> str:
 
 
 def _cmd_converge(args) -> str:
-    analysis = _analysis()
+    analysis = _module(".analysis")
     schedule = _parse_schedule(args.schedule)
     n_list = _parse_int_list(args.n_list)
     grid = analysis.GridSpec.default(args.x_max, args.points)
@@ -385,7 +385,7 @@ def _cmd_converge(args) -> str:
 
 
 def _cmd_rate(args) -> str:
-    analysis = _analysis()
+    analysis = _module(".analysis")
     schedule = _parse_schedule(args.schedule)
     spec = OperatorSpec(args.n, schedule.params_for(args.n))
     f, fname = _resolve_function(args)
@@ -404,7 +404,7 @@ def _cmd_represent(args) -> str:
 
 def _cmd_stancu_bound(args) -> str:
     spec = _build_spec(args)
-    report = _analysis().stancu_bound_report(spec, args.m, args.alpha)
+    report = _module(".analysis").stancu_bound_report(spec, args.m, args.alpha)
     header = ["n", "p", "q", "gamma", "beta", "alpha", "m",
               "term1", "term2", "term3", "max_term", "bound", "degenerate"]
     t1, t2, t3 = report.terms

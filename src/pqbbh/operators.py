@@ -785,6 +785,10 @@ def _sample(
     at_points.  One more pass looks for a value that is not finite and
     names the first.  Where f raises, a value before that point that is not
     finite is refused instead, as a loop that stopped there would have done.
+    Otherwise an ArithmeticError or ValueError that f raises at one point,
+    such as math.exp's overflow, becomes an EvaluationError that names the
+    point.  A DomainError (an expression's refusal), any other exception,
+    and whatever an f's own at_points raises on the list pass unchanged.
 
     A float64 array gives an array.  An f with ``at_points`` (an
     expression, or a registry function, which is its own) runs it once on
@@ -808,12 +812,19 @@ def _sample(
             except Exception:  # noqa: BLE001 -- the list path raises the first refusal
                 pass
         return np.array(_sample(f, ts.tolist(), what))
+    pointwise = at_points is None or at_points is f  # a plain callable, or a registry function
     vals: list[float] = []
     try:
-        if at_points is not None and at_points is not f:
-            vals = at_points(ts)
-        else:  # a plain callable, or a registry function on a list
+        if pointwise:
             vals.extend(map(float, map(f, ts)))  # on a raise, vals keeps the values before it
+        else:
+            vals = at_points(ts)
+    except (ArithmeticError, ValueError) as exc:
+        if isinstance(exc, DomainError) or not pointwise:
+            raise
+        i = len(vals)  # f raised at the point after the last value kept
+        raise EvaluationError(f"function raised {type(exc).__name__} ({exc}) "
+                              f"at {what} {i} (t={ts[i]!r})") from exc
     finally:
         # finite only if every value is: a running sum that meets inf or nan
         # stays inf or nan (see expressions._compile); the sum is never used

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import pqbbh.cli
 from pqbbh.cli import build_parser, main
 from pqbbh.functions import registry_function
-from pqbbh.operators import OperatorSpec, _sample, evaluate
+from pqbbh.operators import EvaluationError, OperatorSpec, _sample, evaluate
 from pqbbh.pq_core import DomainError, PqParams
 
 GOLDEN_EVAL = "0.333333333333\n"
@@ -238,7 +239,8 @@ class TestSchemas:
         assert power.at_points is power
         with pytest.raises(FloatingPointError):
             power(ts)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(EvaluationError, match=r"^function raised ZeroDivisionError .* "
+                                                  r"at node 1 \(t=-1\.0\)$"):
             _sample(power, ts, "node")
         # at 9.707462555075702, glibc's pow(u, 2.0) is one ulp below u*u, which numpy's power gives
         ts = (0.0, 0.5, 3.0, 9.707462555075702, 1e300)
@@ -510,6 +512,17 @@ class TestExitCodes:
         # above operators._SCALAR_DEGREE the powers are arrays; the message reads them as floats
         assert run(argv, capsys) == (3, "", err)
 
+    @pytest.mark.parametrize("n, err", [
+        ("64", "node 3 (t=-1094.3874324480862)"),  # the scalar path
+        ("200", "node 0 (t=-314981899.9897447)"),  # the array's values are not kept: the list
+    ])
+    def test_overflowing_function_names_its_node(self, n, err, capsys):
+        # exited 3 with a bare "math range error" before
+        argv = ["eval", "--n", n, "--p", "0.9", "--q", "0.5", "--gamma", "-0.5", "--beta", "0",
+                "--registry", "exp_neg", "--x", "1"]
+        assert run(argv, capsys) == (
+            3, "", f"pqbbh: function raised OverflowError (math range error) at {err}\n")
+
     def test_normalizer_drift_names_the_subnormal_factor(self, capsys):
         code, out, err = run(
             ["eval", "--n", "1110", "--p", "0.518", "--q", "0.513", "--registry", "exp_neg",
@@ -666,6 +679,37 @@ class TestLazyImports:
                           "sys.exit(code or 'pqbbh.analysis' in sys.modules)", *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == want
 
+    # a child interpreter that runs main on argv and prints, on its last line of
+    # stdout, the modules that importing pqbbh.cli and the command added
+    ADDED = ("import sys; before = set(sys.modules); from pqbbh.cli import main; "
+             "code = main(); print(*sorted(set(sys.modules) - before)); sys.exit(code)")
+    WATCHED = {"pqbbh.expressions", "pqbbh.analysis", "json", "csv"}
+
+    def test_import_loads_only_what_every_command_runs(self):
+        proc = self.child("import sys; before = set(sys.modules); import pqbbh.cli; "
+                          "print(*sorted(set(sys.modules) - before))")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        added = set(proc.stdout.split())
+        assert {m for m in added if m.startswith("pqbbh")} == {
+            "pqbbh", "pqbbh.cli", "pqbbh.operators", "pqbbh.pq_core", "pqbbh._record",
+            "pqbbh.functions"}
+        assert not added & self.WATCHED
+
+    @pytest.mark.parametrize("argv, loads", [
+        (["eval", "--n", "8", "--p", "0.9", "--q", "0.5", "--registry", "bbh_metric",
+          "--x", "1.5"], set()),
+        (ONE_POINT["eval"], {"pqbbh.expressions"}),  # --fn, bare
+        (ONE_POINT["eval_stancu"], {"json"}),  # --registry, --format json
+        (ONE_POINT["moments"], {"csv", "pqbbh.analysis"}),  # --format csv by default
+        (ONE_POINT["eval"] + ["--format", "csv"], {"pqbbh.expressions", "csv"}),
+    ], ids=["registry_bare", "fn_bare", "registry_json", "moments_csv", "fn_csv"])
+    def test_a_command_loads_what_it_uses(self, argv, loads, capsys):
+        want = run(argv, capsys)
+        proc = self.child(self.ADDED, *argv)
+        out, _, last = proc.stdout[:-1].rpartition("\n")
+        assert (proc.returncode, out + "\n" if out else "", proc.stderr) == want
+        assert set(last.split()) & self.WATCHED == loads
+
     def test_every_public_name_resolves_and_is_listed(self):
         # a fresh interpreter, where no submodule is loaded yet
         proc = self.child(
@@ -680,23 +724,27 @@ class TestLazyImports:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
 
-    def test_a_wrapper_set_on_a_submodule_is_what_callers_get(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("module, name, argv", [
+        ("analysis", "moment_closed", ONE_POINT["moments"]),
+        ("expressions", "parse_expression", ONE_POINT["eval"]),
+    ], ids=["analysis", "expressions"])
+    def test_a_wrapper_set_on_a_submodule_is_what_callers_get(
+            self, module, name, argv, capsys, monkeypatch):
         # the span tracer in bench/spans.py swaps module attributes this way
-        import pqbbh.analysis
-
+        module = importlib.import_module(f"pqbbh.{module}")
         calls = []
-        original = pqbbh.analysis.moment_closed
+        original = getattr(module, name)
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(pqbbh.analysis, "moment_closed", counting)
-        assert pqbbh.moment_closed is counting
-        assert run(self.ONE_POINT["moments"], capsys)[0] == 0
+        monkeypatch.setattr(module, name, counting)
+        assert getattr(pqbbh, name) is counting
+        assert run(argv, capsys)[0] == 0
         assert len(calls) == 1
         monkeypatch.undo()
-        assert pqbbh.moment_closed is original
+        assert getattr(pqbbh, name) is original
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="module 'pqbbh' has no attribute 'nope'"):
@@ -1107,7 +1155,7 @@ class TestRateRefusal:
         ([("lhs", 5, math.nan), ("rhs", 5, math.inf)], "lhs = nan"),
     ])
     def test_poisoned_columns(self, fmt, cells, named, capsys, monkeypatch):
-        analysis = pqbbh.cli._analysis()
+        analysis = pqbbh.cli._module(".analysis")
         real = analysis._rate_columns
 
         def poisoned(*args):

@@ -396,11 +396,50 @@ class TestSample:
         with pytest.raises(EvaluationError, match=r"^function returned inf at node 3 \(t=3\.5\)$"):
             _sample(f, self.TS, "node")
 
-    def test_a_raise_passes_through(self):
+    def test_an_arithmetic_error_names_its_point(self):
         f, calls = self.recording(lambda i, t: 1.0 / (t - 2.5))
+        with pytest.raises(EvaluationError) as info:
+            _sample(f, self.TS, "node")
+        assert str(info.value) == (
+            "function raised ZeroDivisionError (float division by zero) at node 2 (t=2.5)")
+        assert type(info.value.__cause__) is ZeroDivisionError
+        assert calls == self.TS[:3]
+
+    def test_a_value_error_names_its_point(self):
+        with pytest.raises(EvaluationError, match=r"^function raised ValueError \(math domain "
+                                                  r"error\) at point 1 \(t=-1\.0\)$"):
+            _sample(math.sqrt, (4.0, -1.0, -2.0), "point")
+
+    @pytest.mark.parametrize("error", [
+        DomainError("refused"), ExpressionDomainError("refused"), MemoryError(), TypeError("no"),
+    ])
+    def test_other_exceptions_pass_unchanged(self, error):
+        def f(t):
+            if t == 2.5:
+                raise error
+            return t
+
+        with pytest.raises(type(error)) as info:
+            _sample(f, self.TS, "node")
+        assert info.value is error
+
+    def test_what_an_at_points_of_its_own_raises_passes_unchanged(self):
+        # the failing point is not known: only the list of values, or none, comes back
+        f = lambda t: t  # noqa: E731
+        f.at_points = lambda ts: 1.0 / 0.0
         with pytest.raises(ZeroDivisionError):
             _sample(f, self.TS, "node")
-        assert calls == self.TS[:3]
+
+    def test_overflowing_exp_at_a_stancu_node_names_it(self):
+        # a large negative Stancu node: math.exp overflows on the list path at n = 64,
+        # and at n = 200 once the array's values are not kept
+        for n, k in ((64, 3), (200, 0)):
+            spec = OperatorSpec(n, MIXED, StancuShift(-0.5, 0.0))
+            t = stancu_nodes(spec).values[k]
+            with pytest.raises(EvaluationError) as info:
+                evaluate(spec, REGISTRY["exp_neg"], 1.0)
+            assert str(info.value) == (
+                f"function raised OverflowError (math range error) at node {k} (t={t!r})")
 
     def test_values_whose_sum_overflows_are_kept(self):
         assert _sample(lambda t: 1e308, [1.0, 2.0], "node") == [1e308, 1e308]
@@ -456,13 +495,16 @@ class TestSampleArray:
     ])
     def test_registry_refusal_is_the_lists_first(self, name, ts, error):
         on_array, on_list = self.same_as_the_list(REGISTRY[name], ts)
-        assert on_array[0] is error
+        t = next(t for t in ts if t == -1.0 or t < -709)  # the first point where f raises
+        assert on_array[0] is EvaluationError
+        assert on_array[1].startswith(f"function raised {error.__name__} (")
+        assert on_array[1].endswith(f"at node {ts.index(t)} (t={t!r})")
         assert on_array[2][-len(on_list[2]):] == on_list[2]  # the list's calls, after the array's
 
     def test_callable_without_array_support_sees_each_float_once(self):
         f = lambda t: 1.0 / (t - 2.5)  # noqa: E731
         on_array, on_list = self.same_as_the_list(f, self.TS)
-        assert on_array[0] is ZeroDivisionError
+        assert on_array[0] is EvaluationError
         assert on_array[2] == on_list[2] == self.TS[:5]
         assert all(type(t) is float for t in on_array[2])
         (values, calls), _ = self.same_as_the_list(lambda t: t * t, self.TS[:4])
