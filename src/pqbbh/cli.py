@@ -16,7 +16,7 @@ from importlib import import_module
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .functions import _pointwise, registry_function
+from .functions import registry_function
 from .operators import OperatorSpec, StancuShift, _representation, evaluate
 from .pq_core import DomainError, PqParams
 
@@ -343,10 +343,10 @@ def _metric_power(nu: int) -> Callable:
     """t -> (t/(1+t))^nu, the moment's test function, and its own ``at_points``.
 
     It takes a float, or a float64 array for its value at every point with
-    the same bits, as the registry functions do: the C library's pow over
-    u at each point, as u ** nu takes it, since numpy's power (and u*u)
-    need not round as pow does.  A division by zero raises on an array,
-    where pow(-inf, 0) = 1.0 would hide it, so the list names it.
+    the same bits, as the registry functions do: the C library's pow at
+    each point, as u ** nu takes it, through np.float_power, since numpy's
+    power (and u*u) need not round as pow does.  A division by zero raises
+    on an array, where pow(-inf, 0) = 1.0 would hide it, so the list names it.
     """
 
     def metric_power(t):
@@ -355,8 +355,7 @@ def _metric_power(nu: int) -> Callable:
         import numpy as np
 
         with np.errstate(divide="raise"):
-            u = t / (1.0 + t)
-        return _pointwise(math.pow, u, nu)
+            return np.float_power(t / (1.0 + t), float(nu))
 
     metric_power.at_points = metric_power
     return metric_power

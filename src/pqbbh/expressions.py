@@ -361,8 +361,8 @@ def as_function(ast: ExprAst) -> Callable[[float], float]:
 def _on_array(body, ts):
     """body on the float64 array ts, as a new array; raises where a value is not finite.
 
-    A node of + - * / or sqrt meets inf or nan only where numpy raises one
-    of these flags, and a node that maps math raises itself.
+    A node of + - * /, sqrt or ^ meets inf or nan only where numpy raises
+    one of these flags, and a node that maps math raises itself.
     """
     import numpy as np
 
@@ -395,9 +395,13 @@ def _compile(node: ExprAst) -> Callable:
     finite terms that overflows sends the list back for nothing but time.
 
     On an array, numpy takes + - * /, negation, sqrt and abs, which it
-    rounds as Python floats do, and raises on a value that is not finite
-    under _on_array's np.errstate; exp, log, sin, cos and ^ map the math
-    function over the points (functions._pointwise), which raises itself.
+    rounds as Python floats do, and ^ through np.float_power, whose float64
+    loop calls the C library's pow as math.pow does (np.power need not).
+    Each raises on a value that is not finite under _on_array's
+    np.errstate: where math.pow raises ValueError, numpy raises under
+    invalid or divide, and where it raises OverflowError, under over.
+    exp, log, sin and cos map the math function over the points
+    (functions._pointwise), which raises itself.
     """
     if isinstance(node, Number):
         value = float(node.value)  # so that type() tells one point from a list or an array
@@ -456,7 +460,11 @@ def _compile(node: ExprAst) -> Callable:
         elif type(b) is list:
             values = list(map(combine, repeat(a), b))
         else:  # one is a float64 array
-            return _pointwise(combine, a, b) if combine is math.pow else combine(a, b)
+            if combine is not math.pow:
+                return combine(a, b)
+            import numpy as np
+
+            return np.float_power(a, b)
         if isfinite(sum(values)):
             return values
         raise ArithmeticError

@@ -4,29 +4,24 @@ Each takes a float, or a float64 array for its value at every point with
 the same bits.  The + - * / run as written on either, and numpy rounds them
 as Python floats do; exp and sin come from the C library through math, one
 point at a time (_pointwise), since numpy's own may differ in the last bit.
-So each function is its own ``at_points``, which operators._sample runs on
-a whole array; a caller that passes a list goes point by point.
+(A power on an array takes C's pow through np.float_power, which calls it
+at each element, and never np.power; see expressions._compile.)  So each
+function is its own ``at_points``, which operators._sample runs on a whole
+array; a caller that passes a list goes point by point.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 
-def _pointwise(fn, *args):
-    """fn(*args) for numbers, and fn at each point of the arrays among args, as an array.
-
-    The arrays share one shape, which the result takes; a number among
-    them stands at every point.
-    """
-    shaped = [a for a in args if getattr(a, "ndim", 0)]
-    if not shaped:
-        return fn(*args)
+def _pointwise(fn, a):
+    """fn(a) for a number, and fn at each point of the array a, as an array of its shape."""
+    if not getattr(a, "ndim", 0):
+        return fn(a)
     import numpy as np
 
-    columns = [a.ravel().tolist() if getattr(a, "ndim", 0) else repeat(a) for a in args]
-    return np.fromiter(map(fn, *columns), float, shaped[0].size).reshape(shaped[0].shape)
+    return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
 def one_(t: float) -> float:

@@ -52,9 +52,10 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # of two at which the scalar path was no slower in scripts/scalar_degree_sweep.py
 # on a 2-vCPU host: the scalar/array time of kernel, nodes, row and sum read
 # 0.88-0.95 at n = 64 and 1.16-1.21 at n = 128.  Since the array tables take
-# their powers without Python lists, it reads 1.01-1.08 at n = 64 and
-# 1.25-1.37 at n = 128; n = 64 stays on the scalar path, where a one-shot
-# query saves numpy's import for a few µs in process.
+# their powers from np.float_power, it reads 1.19-1.21 at n = 64 and
+# 1.67-1.70 at n = 128 (three runs), so the sweep picks 32; n = 64 stays on
+# the scalar path, where a one-shot query saves numpy's import (about 130 ms)
+# for about 7 µs in process.
 _SCALAR_DEGREE = 64
 
 
@@ -143,7 +144,9 @@ def _powers(base: float, exponents: Iterable[float]) -> Iterator[float]:
 
     math.pow and ``**`` give the same doubles (0 differences over 200,000
     random (p, j), j < 5000, subnormal and 0.0 results included); numpy's
-    power differs from them in the last bit on AVX-512.
+    power differs from them in the last bit on AVX-512.  It builds the
+    scalar path's tables, which must not import numpy; the array path takes
+    the same pow through np.float_power (_Kernel._build_arrays).
     """
     return map(math.pow, repeat(base), exponents)
 
@@ -152,16 +155,18 @@ class _Kernel:
     """x-free tables of one spec, built once and read by every node and weight row.
 
     ints is the spec's [0]..[n+1], shared with the closed forms; ppow, qpow
-    hold p^j, q^j for j = 0..n+1, all taken by _powers.  The weight ratio is
-    q^k [n-k] x / (p^(n-1-k) [k+1]), k = 0..n-1.
+    hold p^j, q^j for j = 0..n+1, each from the C library's pow.  The weight
+    ratio is q^k [n-k] x / (p^(n-1-k) [k+1]), k = 0..n-1.
 
-    Up to _SCALAR_DEGREE the tables are lists, and the nodes and rows are
-    loops over them.  Above it, _build_arrays takes the powers straight
-    into arrays, and builds num and den, the x-free halves of the ratio,
-    and the factors of the rising product.  There ppow and qpow are lists
-    made from the arrays on first use, by the refusals and the gaps of
-    the representation alone.  Both paths take each product, sum and
-    quotient element-wise in the same order, so they give the same doubles.
+    Up to _SCALAR_DEGREE the tables are lists from _powers, and the nodes
+    and rows are loops over them.  Above it, _build_arrays takes the
+    powers as arrays from np.float_power, whose float64 loop calls pow at
+    each element (np.power need not), and builds num and den, the x-free
+    halves of the ratio, and the factors of the rising product.  There ppow
+    and qpow are lists made from the arrays on first use, by the refusals
+    and the gaps of the representation alone.  Both paths take each power,
+    product, sum and quotient element-wise in the same order, so they give
+    the same doubles.
     """
 
     def __init__(self, spec: OperatorSpec) -> None:
@@ -182,15 +187,15 @@ class _Kernel:
     def _build_arrays(self) -> None:
         """The tables of the array path and of every grid, as numpy arrays.
 
-        The powers go straight into their arrays on either path: the scalar
-        path's lists hold the same doubles.
+        np.float_power takes each power from the C library's pow, so the
+        scalar path's lists (_powers) hold the same doubles.
         """
         import numpy as np
 
         n = self.spec.n
-        exponents = np.arange(n + 2.0).tolist()  # 0.0..n+1, shared by p and q
-        ppow, qpow = _powers(self.p, exponents), _powers(self.q, exponents)
-        ia, pa, qa = (np.fromiter(values, float, n + 2) for values in (self.ints, ppow, qpow))
+        exponents = np.arange(n + 2.0)  # 0.0..n+1, shared by p and q
+        ia = np.fromiter(self.ints, float, n + 2)
+        pa, qa = np.float_power(self.p, exponents), np.float_power(self.q, exponents)
         self._ints, self._ppow, self._qpow = ia, pa, qa
         self.num = qa[:n] * ia[n:0:-1]
         self.den = pa[n - 1::-1] * ia[1:n + 1]

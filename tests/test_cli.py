@@ -512,6 +512,20 @@ class TestExitCodes:
         # above operators._SCALAR_DEGREE the powers are arrays; the message reads them as floats
         assert run(argv, capsys) == (3, "", err)
 
+    @pytest.mark.parametrize("fn, err", [
+        (["--gamma", "-0.5", "--beta", "0", "--fn", "t^0.5"],
+         "-0.005177177792390644 ^ 0.5 is undefined in 't^0.5' at t=-0.005177177792390644"),
+        (["--fn", "(0*t)^-1"], "0.0 ^ -1.0 is undefined in '(0.0*t)^-1.0' at t=0.0"),
+        (["--fn", "(t*1e200)^2"], "7.727649989519025e+197 ^ 2.0 is undefined in "
+                                  "'(t*1e+200)^2.0' at t=0.007727649989519025"),
+    ], ids=["negative-node", "zero-to-negative", "overflow"])
+    def test_array_degree_power_refusal_is_the_lists(self, fn, err, capsys, monkeypatch):
+        # at n = 150 ^ runs on the node array, whose numpy flag hands the nodes to the list
+        argv = ["eval", "--n", "150", "--p", "0.998", "--q", "0.996", *fn, "--x", "1"]
+        assert run(argv, capsys) == (3, "", f"pqbbh: {err}\n")
+        monkeypatch.setattr(pqbbh.operators, "_SCALAR_DEGREE", 150)  # nodes as floats: the list
+        assert run(argv, capsys) == (3, "", f"pqbbh: {err}\n")
+
     @pytest.mark.parametrize("n, err", [
         ("64", "node 3 (t=-1094.3874324480862)"),  # the scalar path
         ("200", "node 0 (t=-314981899.9897447)"),  # the array's values are not kept: the list

@@ -363,6 +363,12 @@ finite_points = st.one_of(
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(ast=expression_trees(7), ts=st.lists(finite_points, min_size=1, max_size=6))
 @example(ast=Binary("^", Number(2.0), Number(3.0)), ts=[1.0, 2.0])
+@example(ast=Binary("^", Variable(), Number(0.5)), ts=[1.0, -0.5, 2.0])  # invalid
+@example(ast=Binary("^", Variable(), Number(-1.0)), ts=[1.0, 0.0, -0.0])  # divide
+@example(ast=Binary("^", Variable(), Number(2.0)), ts=[1.0, 1e200, 1e-200])  # over and under
+# (t/(1+t))^2 at 9.707462555075702: C's pow is one ulp below u*u, numpy's power gives u*u
+@example(ast=Binary("^", Binary("/", Variable(), Binary("+", Number(1.0), Variable())),
+                    Number(2.0)), ts=[9.707462555075702])
 @example(ast=Negate(Variable()), ts=[0.0, -0.0, 1.0])
 def test_array_form_matches_the_list(ast, ts):
     f = as_function(ast)
@@ -385,8 +391,11 @@ def test_array_form_matches_the_list(ast, ts):
     ("exp(1000*t)", [0.0, 0.5, 1.0]),
     ("(-2)^t", [1.0, 2.0, 0.5]),
     ("(t-3)^0.5", [4.0, 2.0]),
+    ("(0*t)^-1", [0.5, 1.0]),
+    ("(t*1e200)^2", [0.0, 1e-200, 1.0]),
 ], ids=["masked-overflow", "masked-division", "division-by-zero", "log-of-zero",
-        "sqrt-of-negative", "exp-overflow", "negative-base", "negative-base-node"])
+        "sqrt-of-negative", "exp-overflow", "negative-base", "negative-base-node",
+        "zero-to-negative-power", "power-overflow"])
 def test_array_refusal_is_the_lists(text, ts):
     f = as_function(parse_expression(text))
     want = sampled(f, ts)

@@ -1083,6 +1083,77 @@ def test_array_tables_match_python_powers(n, p, r):
     assert [v.hex() for v in kernel._ints.tolist()] == want
 
 
+# -- np.float_power is the C library's pow, as math.pow takes it --------------
+#
+# The array path takes every power through np.float_power: the tables p^j and
+# q^j, ^ on a node array and the moment power u^nu.  Its float64 loop calls
+# pow at each element, where np.power may take a SIMD loop of its own (5% of
+# table entries differ on AVX-512) and a fast square (u*u).  These pin the
+# float_power of the installed numpy to math.pow on each of those domains:
+# the bits of every value, and the flag by which _on_array's np.errstate
+# refuses where math.pow raises.
+
+POW_FLAGS = {ValueError: ("invalid", "divide"), OverflowError: ("over",)}
+
+
+def assert_float_power_is_math_pow(a, b):
+    xs, ys = (v.ravel().tolist() for v in np.broadcast_arrays(np.asarray(a, float), b))
+    with np.errstate(all="ignore"):
+        got = np.float_power(a, b).ravel().tolist()
+    kept = []
+    for x, y, g in zip(xs, ys, got):
+        try:
+            want = math.pow(x, y)
+        except (ValueError, OverflowError) as exc:
+            flags = dict.fromkeys(POW_FLAGS[type(exc)], "raise")
+            with np.errstate(all="ignore", **flags), pytest.raises(FloatingPointError):
+                np.float_power(np.array([x]), np.array([y]))
+            continue
+        assert g.hex() == want.hex(), (x, y)
+        kept.append((x, y))
+    # where math.pow gives a double, numpy raises none of _on_array's flags
+    with np.errstate(all="ignore", over="raise", divide="raise", invalid="raise"):
+        np.float_power(*np.array(kept).reshape(-1, 2).T)
+
+
+@property_settings(40)
+@given(base=unit)
+@example(base=1.0)
+@example(base=0.5)  # exact powers, subnormal from j = 1023 and 0.0 from j = 1075
+@example(base=1e-160)  # subnormal at j = 2 and 0.0 after it
+@example(base=0.01)
+@example(base=1.0 - 2.0 ** -53)
+def test_float_power_tables_are_math_pow(base):
+    assert_float_power_is_math_pow(base, np.arange(5001.0))  # as _Kernel._build_arrays
+
+
+@property_settings(150)
+@given(
+    us=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=16),
+    nu=st.sampled_from([0.0, 1.0, 2.0]),
+)
+# glibc's pow(u, 2.0) is one ulp below u*u at t = 9.707462555075702
+@example(us=[9.707462555075702 / (1.0 + 9.707462555075702)], nu=2.0)
+@example(us=[1e200, -1e200, 5e-324, -0.0], nu=2.0)  # overflow, and a square below the doubles
+def test_float_power_moment_powers_are_math_pow(us, nu):
+    assert_float_power_is_math_pow(np.array(us), nu)  # as cli._metric_power
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@property_settings(300)
+@given(pairs=st.lists(
+    st.tuples(finite | st.sampled_from([0.0, -0.0, -1.0, -2.0, 5e-324, 1e300]),
+              finite | st.integers(-4, 4).map(float) | st.sampled_from([0.5, -0.5, 1 / 3])),
+    min_size=1, max_size=16))
+@example(pairs=[(-8.0, 1 / 3), (0.0, -1.0), (-0.0, -3.0), (1e200, 2.0), (2.0, -1075.0)])
+def test_float_power_pairs_are_math_pow(pairs):
+    a, b = np.array(pairs).T
+    assert_float_power_is_math_pow(a, b)  # as ^ on a node array
+    assert_float_power_is_math_pow(a, b[0])  # an exponent without t
+
+
 def negative_zero(t):
     return -0.0
 
