@@ -11,9 +11,7 @@ captured) and by layer:
 
 - ``kernel``: ``_Kernel`` built and ``weighted_sums`` over the grid;
 - ``totals``: the kernel's first pass, ``_Kernel._step_totals`` (each
-  point's running total and its rescales), and the screen of row()'s drift
-  check, ``_Kernel._screen`` (log ell_n(x) from the grouped products, their
-  coefficients rebuilt, the margin E and the one test, chunk by chunk);
+  point's running total and its rescales);
 - ``sums``: the kernel's second pass, ``_Kernel._step_sums``, on the
   totals and rescales the first one left;
 - ``moduli_window``: the largest difference of those samples at each
@@ -86,10 +84,8 @@ def layers(n: int, fmt: str) -> dict:
         stepped = kernel._step_totals(x)  # the totals, the events and their pairs
 
     def totals() -> None:
-        kernel._groups.clear()  # coefficients are built once per kernel
         with np.errstate(all="ignore"):
-            running, _, pts, ts = kernel._step_totals(x)
-            assert kernel._screen(x, running, pts, ts).all()
+            kernel._step_totals(x)
 
     def second() -> None:
         with np.errstate(all="ignore"):

@@ -218,10 +218,11 @@ class ConvergenceReport(Record):
 class _ClosedForms:
     """x-free quantities of one spec's closed forms up to order nu (1 or 2).
 
-    ints is the spec's [0]..[n+1] and den is [n+1]^nu; DomainError once den
-    is subnormal, as [n+1] shrinks like p^n and quotients over it have lost
-    their digits.  delta_n is the sum of two nonnegative terms, exact by
-    [n+1] = p[n] + q^n and (p-q)[n-1] = p^(n-1) - q^(n-1):
+    ints is the spec's [0]..[n+1] and den is [n+1]^nu, which shrinks like
+    p^(n nu); where it is not normal the forms are taken at (1, q/p), the
+    same M1 and delta_n with den >= 1 (OperatorSpec._at_ratio).  delta_n
+    is the sum of two nonnegative terms, exact by [n+1] = p[n] + q^n and
+    (p-q)[n-1] = p^(n-1) - q^(n-1):
 
         (u q^n/[n+1])^2 + u p^2 [n] (p^n + q^n x) / ([n+1]^2 (p + qx)(1 + x))
     """
@@ -229,14 +230,12 @@ class _ClosedForms:
     def __init__(self, spec: OperatorSpec, nu: int = 2) -> None:
         n = spec.n
         self.nu = nu
-        self.p, self.q = p, q = spec.params.p, spec.params.q
         ints = spec._ints
+        if ints[n + 1] ** nu < sys.float_info.min:
+            spec = spec._at_ratio
+            ints = spec._ints
+        self.p, self.q = p, q = spec.params.p, spec.params.q
         self.den = den = ints[n + 1] ** nu
-        if den < sys.float_info.min:
-            raise DomainError(
-                f"[n+1]^{nu} = {den!r} underflows below the smallest normal double "
-                f"at n={n}, p={p}, q={q}"
-            )
         self.first = p * ints[n] / ints[n + 1]
         if nu == 2:
             self.second = p * p * q * q * ints[n] * ints[n - 1] / den
@@ -269,10 +268,8 @@ def moment_closed(spec: OperatorSpec, nu: int, x: float) -> float:
     """Closed form of the operator applied to (t/(1+t))^nu, nu in {0, 1, 2}.
 
     nu = 0 gives exactly 1 (partition of unity); nu = 1 gives
-    p[n]/[n+1] x/(1+x); nu = 2 adds the two-term second-moment form.
-
-    Raises:
-        DomainError: if [n+1]^nu underflows (small p, large n).
+    p[n]/[n+1] x/(1+x); nu = 2 adds the two-term second-moment form.  Where
+    [n+1]^nu is not a normal double, both are taken at (1, q/p).
     """
     _check_moment(spec, nu, "moment_closed")
     if not math.isfinite(x) or x < 0:
@@ -287,9 +284,7 @@ def delta_n(spec: OperatorSpec, x: float) -> float:
 
     Equals M2(x) - 2u M1(x) + u^2 with u = x/(1+x) and M_nu the closed
     moments; nonnegative: a sum of two nonnegative terms (see _ClosedForms).
-
-    Raises:
-        DomainError: if [n+1]^2 underflows (small p, large n).
+    Where [n+1]^2 is not a normal double, it is taken at (1, q/p).
     """
     _variant(spec, False, "delta_n")
     if not math.isfinite(x) or x < 0:
@@ -559,8 +554,11 @@ def stancu_bound_report(
     n = spec.n
     p, q = spec.params.p, spec.params.q
     gamma, beta = spec.stancu.gamma, spec.stancu.beta
-    forms = _ClosedForms(spec)
     ints = spec._ints
+    den2 = ints[n + 1] ** 2  # the paper's terms are (p,q) objects, not functions of q/p
+    if den2 < sys.float_info.min:
+        raise DomainError(f"[n+1]^2 = {den2!r} underflows below the smallest normal double "
+                          f"at n={n}, p={p}, q={q}")
     c_n = ints[n + 1] + beta
     den = c_n + gamma
     if den <= 0:
@@ -572,8 +570,8 @@ def stancu_bound_report(
         )
     # gamma + 0.0 reads gamma = -0.0 as 0.0, so either zero gives term1 = 0.0
     term1 = (ints[n] / den) ** alpha * ((gamma + 0.0) / ints[n]) ** alpha
-    term2 = abs(1.0 - ints[n + 1] / den) ** alpha * forms.first ** alpha
-    term3 = 1.0 - 2.0 * p * ints[n] / ints[n + 1] + q * ints[n] * ints[n - 1] / forms.den
+    term2 = abs(1.0 - ints[n + 1] / den) ** alpha * (p * ints[n] / ints[n + 1]) ** alpha
+    term3 = 1.0 - 2.0 * p * ints[n] / ints[n + 1] + q * ints[n] * ints[n - 1] / den2
     max_term = max(term1, term2, term3)
     return StancuBoundReport(
         terms=(term1, term2, term3),

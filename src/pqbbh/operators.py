@@ -14,7 +14,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from ._record import Record, _set
-from .pq_core import DomainError, PqParams, pq_integers
+from .pq_core import DomainError, PqParams, _power, _to_float, pq_integers
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,21 +30,9 @@ COLLISION_RTOL = 1e-9
 # push them over double overflow.
 _RESCALE_AT = 1e100
 
-# Bytes of the float64 buffer in which _Kernel.weighted_sums screens the drift
-# of a chunk of grid points: at most n logged groups a point (_log_ell), so a
-# chunk holds _SCREEN_BYTES / (8 n) points (256 at n = 1024), and at least 1.
-_SCREEN_BYTES = 1 << 21
-
 # A term is at most _RESCALE_AT and each rescale divides it by more, so a term
 # divided this many times is exactly 0.0 (1e100 -> 1 -> ... -> 1e-300 -> 0).
 _ZERO_AFTER = 5
-
-# Most factors p^s + q^s x of the rising product that the drift screen
-# multiplies out before it takes a log (_Kernel._log_ell).
-_GROUP = 16
-
-# The unit roundoff of a double, in the drift screen's error bound.
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 # Largest degree whose kernel takes the scalar path: Python floats for the
 # nodes and one weight row, so that a one-point query imports no numpy.
@@ -87,7 +75,7 @@ class OperatorSpec(Record):
     """Degree, parameter pair and variant; fully determines one operator."""
 
     _fields = ("n", "params", "stancu")
-    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached _ints
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached _ints and the gate's specs
     n: int
     params: PqParams
     stancu: StancuShift | None
@@ -103,6 +91,30 @@ class OperatorSpec(Record):
     def _ints(self) -> list[float]:
         """[0]..[n+1], built on first use and read by every later call on this spec."""
         return pq_integers(self.n + 1, self.params)
+
+    @functools.cached_property
+    def _kernel_spec(self) -> OperatorSpec:
+        """The spec every kernel of this one is built from, the one place r = q/p enters it.
+
+        self while q^n is a normal double: then every table entry a kernel
+        reads is, as [k] >= q^(k-1), p^j >= q^j, a node's denominator q^k
+        [n-k+1] is at least q^n, and the ratio's halves num_k = q^k [n-k]
+        and den_k = p^(n-1-k) [k+1] are at least q^(n-1); p^(n+1) only
+        multiplies [0] = 0.  Else _at_ratio.
+        """
+        if self.params.q ** self.n >= sys.float_info.min or self.params.p == 1.0:
+            return self  # at p = 1 the route is the spec itself
+        return self._at_ratio
+
+    @functools.cached_property
+    def _at_ratio(self) -> OperatorSpec:
+        """The same base operator at (1, r), r = q/p, with the shift carried over as it is.
+
+        With [k] = p^(k-1) [k]_r, the weights, M1, delta_n and the
+        representation's nodes and gaps are those at (1, r) in exact
+        arithmetic (_Kernel._shift divides a shift by p^n); r rounds once.
+        """
+        return OperatorSpec(self.n, PqParams(1.0, self.params.q / self.params.p), self.stancu)
 
 
 class NodeTable(Record):
@@ -154,27 +166,51 @@ def _powers(base: float, exponents: Iterable[float]) -> Iterator[float]:
 class _Kernel:
     """x-free tables of one spec, built once and read by every node and weight row.
 
-    ints is the spec's [0]..[n+1], shared with the closed forms; ppow, qpow
-    hold p^j, q^j for j = 0..n+1, each from the C library's pow.  The weight
-    ratio is q^k [n-k] x / (p^(n-1-k) [k+1]), k = 0..n-1.
+    The spec is the caller's _kernel_spec, (1, q/p) where q^n is not
+    normal, or ``at``, which the representation's own gate picks.  ints is
+    the spec's [0]..[n+1], shared with the closed forms; ppow, qpow hold
+    p^j, q^j for j = 0..n+1, each from the C library's pow.  The weight
+    ratio is q^k [n-k] x / (p^(n-1-k) [k+1]).
 
     Up to _SCALAR_DEGREE the tables are lists from _powers, and the nodes
     and rows are loops over them.  Above it, _build_arrays takes the
     powers as arrays from np.float_power, whose float64 loop calls pow at
     each element (np.power need not), and builds num and den, the x-free
-    halves of the ratio, and the factors of the rising product.  There ppow
-    and qpow are lists made from the arrays on first use, by the refusals
-    and the gaps of the representation alone.  Both paths take each power,
-    product, sum and quotient element-wise in the same order, so they give
-    the same doubles.
+    halves of the ratio.  There ppow and qpow are lists made from the
+    arrays on first use, by the refusals and the gaps of the representation
+    alone.  Both paths take each power, product, sum and quotient
+    element-wise in the same order, so they give the same doubles.
+
+    The weights' error, a priori.  With u = 2^-53: pow is within 1 ulp and
+    [i], a recurrence of positive terms, within 2i u, so each ratio is r_k
+    (1 + e_k) with |e_k| <= (2n + 10) u while num_k and num_k x are normal.
+    From j0, the first k where either is not, a ratio is off by up to A,
+    absolute, and below 1: A = 2^-53 while every num_k is normal, as at the
+    caller's (p,q), where den_k >= q^(n-1) >= 2^-1022; else (p = 1) num_k =
+    r^k [n-k] is off by at most (n+1) 2^-1074 and den_k >= 1, so A = 2^-52
+    for x up to 2^1022/(n+1).  r_{k+1} < r_k ([n-k] > p [n-k-1], [k+2] > q
+    [k+1]), so the terms rise and then fall, j0 is past the peak, and each
+    such ratio adds at most A times a term to each later one.  Term k takes
+    k ratios, k products and at most four rescales (a fifth leaves 0.0,
+    where its exact weight is below 1e-400), and the total adds the terms
+    in order.  So
+
+        |w_k - exact w_k| <= E_n w_k + 2 A n max_{j >= j0} w_j + 2^-1073,
+
+    E_n = (6n + 40) n u, and 2^-1073 for a weight that underflows.  E_n is
+    6.7e-10 at n = 1000, where the mpmath oracles measured 1.6e-12 at most,
+    and 6e-5 at n = 3e5 (tests/test_properties.py fuzzes it to there).  At
+    (1, q/p) the exact weights are those at (1, fl(q/p)), which move from
+    the caller's with r's rounding times up to k(k-1)/2.
     """
 
-    def __init__(self, spec: OperatorSpec) -> None:
-        self.spec = spec
+    def __init__(self, spec: OperatorSpec, at: OperatorSpec | None = None) -> None:
+        self.given = spec
+        self.spec = spec = at or spec._kernel_spec
+        self.q_name = "q" if spec is self.given else "r"  # the kernel's q, as a refusal names it
         n = spec.n
         self.p, self.q = p, q = spec.params.p, spec.params.q
         self.ints = spec._ints
-        self.log_c0 = 0.5 * n * (n - 1) * math.log(p)
         self.scalar = n <= _SCALAR_DEGREE
         if self.scalar:
             exponents = list(map(float, range(n + 2)))  # 0.0..n+1, shared by p and q
@@ -199,9 +235,6 @@ class _Kernel:
         self._ints, self._ppow, self._qpow = ia, pa, qa
         self.num = qa[:n] * ia[n:0:-1]
         self.den = pa[n - 1::-1] * ia[1:n + 1]
-        # p^s and q^s, s = 0..n-1: the factors p^s + q^s x of the rising product
-        self.ell_p, self.ell_q = pa[:n], qa[:n]
-        self._groups: dict[int, np.ndarray] = {}  # _group_coefficients by group size
 
     @functools.cached_property
     def ppow(self) -> list[float]:
@@ -231,35 +264,52 @@ class _Kernel:
         """The values of nodes() as a float64 array, above _SCALAR_DEGREE, with its refusals."""
         import numpy as np
 
-        (gamma, beta), n = self._shift(), self.spec.n
+        (gamma, beta, c), n = self._shift(), self.spec.n
         ia, pa, qa = self._ints, self._ppow, self._qpow
         with np.errstate(all="ignore"):  # a zero denominator makes a non-finite node
-            den = qa[:n + 1] * ia[n + 1:0:-1] + beta
-            vals = (pa[n + 1:0:-1] * ia[:n + 1] + gamma) / den
+            den = qa[:n + 1] * ia[n + 1:0:-1] * c + beta
+            vals = (pa[n + 1:0:-1] * ia[:n + 1] * c + gamma) / den
         shifted = self.spec.stancu is not None
         if not (np.isfinite(vals).all() and (shifted or (vals[:-1] < vals[1:]).all())):
             # the same nodes, so it raises the refusal
-            return np.array(self._scalar_nodes(gamma, beta).values)
+            return np.array(self._scalar_nodes(gamma, beta, c).values)
         return vals
 
-    def _shift(self) -> tuple[float, float]:
-        """(gamma, beta) of the spec's shift, (0.0, 0.0) for the base variant."""
-        shift = self.spec.stancu
-        return (shift.gamma, shift.beta) if shift is not None else (0.0, 0.0)
+    def _shift(self) -> tuple[float, float, float]:
+        """(gamma, beta, c) with node k = (c p^m [k] + gamma) / (c q^k [m] + beta).
 
-    def _scalar_nodes(self, gamma: float, beta: float) -> NodeTable:
+        c = 1.0 (x * 1.0 is exact) and the spec's shift, or (0.0, 0.0), at
+        the caller's (p,q).  At (1, q/p) node k is ([k]_r + gamma/p^n) / (r^k
+        [m]_r + beta/p^n), or, where a shift over p^n is beyond the doubles,
+        both halves over M = max(|gamma|, beta): c = p^n/M < 2^-1023.
+        """
+        shift = self.spec.stancu
+        if shift is None:
+            return 0.0, 0.0, 1.0
+        gamma, beta = shift.gamma, shift.beta
+        if self.spec is self.given:
+            return gamma, beta, 1.0
+        pm, pe = _power(self.given.params.p, self.spec.n)
+        scaled = [_to_float((m / pm, e - pe)) for m, e in map(math.frexp, (gamma, beta))]
+        if all(map(math.isfinite, scaled)):
+            return scaled[0], scaled[1], 1.0
+        big = max(abs(gamma), beta)
+        m, e = math.frexp(big)
+        return gamma / big, beta / big, _to_float((pm / m, pe - e))
+
+    def _scalar_nodes(self, gamma: float, beta: float, c: float) -> NodeTable:
         """nodes() on the lists, one node at a time, and every refusal of either path."""
         n, ints, ppow, qpow = self.spec.n, self.ints, self.ppow, self.qpow
         vals = []
         for k in range(n + 1):
             m = n - k + 1
-            den = qpow[k] * ints[m] + beta
+            den = qpow[k] * ints[m] * c + beta
             # a zero denominator gives a non-finite node, as in the array path
-            v = (ppow[m] * ints[k] + gamma) / den if den else math.inf
+            v = (ppow[m] * ints[k] * c + gamma) / den if den else math.inf
             if not math.isfinite(v):
                 raise DomainError(
-                    f"node {k} overflows: its denominator q^{k} [{m}] = "
-                    f"{qpow[k]!r} * {ints[m]!r} is {den!r} (p={self.p}, q={self.q})"
+                    f"node {k} overflows: its denominator {self.q_name}^{k} [{m}] = "
+                    f"{qpow[k]!r} * {ints[m]!r} is {den!r} {self._where()}"
                 )
             vals.append(v)
         if self.spec.stancu is not None:
@@ -295,7 +345,6 @@ class _Kernel:
         with np.errstate(all="ignore"):
             ratios = self.num * x / self.den
             total = 1.0
-            log_scale = 0.0  # log of everything divided out so far
             s = 0  # w[s] == 1.0 starts the current segment
             while s < n:
                 seg = ratios[s:].cumprod()
@@ -314,50 +363,30 @@ class _Kernel:
                 self._check_stop(k, t, x)
                 w[: k + 1] /= t
                 total /= t
-                log_scale += math.log(t)
                 w[k + 1] = 1.0
                 total += 1.0
                 s = k + 1
-            log_ell = float(np.log(self.ell_p + self.ell_q * x).sum())
             w /= total  # tiny weights underflow to subnormals or 0.0, as in float arithmetic
-        if self._drifted(total, log_scale, log_ell):
-            raise ArithmeticError(self._drift_message(x))
         return w
 
     def _scalar_row(self, x: float) -> list[float]:
-        """row(x) on the lists: the same ratios, terms, restarts and total, one k at a time.
-
-        Its drift reference is a left fold of math.log where the array path
-        takes numpy's log and pairwise sum.  The two differed by at most
-        6.5e-11 over 20,000 random specs (n <= 64, x up to e^709), so they
-        can decide the 1e-8 drift check differently only that close to its
-        threshold.
-        """
+        """row(x) on the lists: the same ratios, terms, restarts and total, one k at a time."""
         n, ints, ppow, qpow = self.spec.n, self.ints, self.ppow, self.qpow
         x = float(x)  # floats out for a numpy scalar x, as the array path's tolist() gives
         w = [1.0]
         if x == 0.0:
             return w + [0.0] * n
         total = 1.0
-        log_scale = 0.0  # log of everything divided out so far
         for k in range(n):
-            den = ppow[n - 1 - k] * ints[k + 1]
-            # a zero denominator gives a term that is not finite, as in the array path
-            t = w[k] * (qpow[k] * ints[n - k] * x / den if den else math.inf)
+            # den_k is normal, or at (1, q/p) at least 1 (see _Kernel)
+            t = w[k] * (qpow[k] * ints[n - k] * x / (ppow[n - 1 - k] * ints[k + 1]))
             if not t <= _RESCALE_AT:
                 self._check_stop(k, t, x)
                 w = [v / t for v in w]
                 total /= t
-                log_scale += math.log(t)
                 t = 1.0
             w.append(t)
             total += t
-        # every factor is at least p^s >= p^(n-1) = den_0, which is not 0 here
-        log_ell = 0.0
-        for s in range(n):
-            log_ell += math.log(ppow[s] + qpow[s] * x)
-        if self._drifted(total, log_scale, log_ell):
-            raise ArithmeticError(self._drift_message(x))
         return [v / total for v in w]
 
     def weighted_sums(self, xs: Sequence[float], fvals: np.ndarray) -> list[float]:
@@ -366,16 +395,11 @@ class _Kernel:
         A grid of two or more points steps all of them together, in two
         passes over the weight index k that hold one row of the grid's terms
         at a time.  _step_totals gives each point's running total and records
-        its rescales.  row()'s drift check is then screened for every point,
-        in chunks of _SCREEN_BYTES, with a margin E that bounds how far the
-        screen's drift can be from row()'s (_drift_screen): a point within
-        1e-8 - E passes in row() too.  _step_sums steps the rows again and
-        adds up each point's weighted terms.  Each point the screen cannot
-        pass is redone by row(), in grid order, so that the first refusal is
-        row()'s, and a term that is not finite sends the whole grid to row():
-        the output is row()'s either way.  A grid of one point takes row()
-        alone.  At any degree the passes run on the array tables, which a
-        scalar-path kernel builds here.
+        its rescales; _step_sums steps the rows again and adds up each
+        point's weighted terms.  A term that is not finite sends the whole
+        grid to row(), so that the first refusal is row()'s, and a grid of
+        one point takes row() alone.  At any degree the passes run on the
+        array tables, which a scalar-path kernel builds here.
 
         xs must be finite and >= 0, as a GridSpec's points are.
         """
@@ -387,16 +411,11 @@ class _Kernel:
         if self.scalar:
             self._build_arrays()
         x = np.array(xs, dtype=float)
-        with np.errstate(all="ignore"):  # a zero den_k or a failing term gives inf or nan
+        with np.errstate(all="ignore"):  # a failing term gives inf or nan
             stepped = self._step_totals(x)
             if stepped is None:
                 return [_weighted_sum(self.row(v), fvals) for v in xs]
-            total, events, pts, ts = stepped
-            passed = self._screen(x, total, pts, ts)
-            sums = self._step_sums(x, fvals, total, events, pts, ts)
-        for i in np.flatnonzero(~passed).tolist():
-            sums[i] = _weighted_sum(self.row(xs[i]), fvals)
-        return sums
+            return self._step_sums(x, fvals, *stepped)
 
     def _step_totals(self, x: np.ndarray) -> tuple[np.ndarray, list, np.ndarray, np.ndarray] | None:
         """Pass 1: each point's running total and its rescales, or None at a term not finite.
@@ -415,7 +434,10 @@ class _Kernel:
         import numpy as np
 
         n, b = self.spec.n, x.size
-        num, den, rmax = self.num.tolist(), self.den.tolist(), self._ratio_max(x).tolist()
+        num, den = self.num.tolist(), self.den.tolist()
+        # each row's largest ratio: den_k > 0 (see _Kernel), so the rounded
+        # ratio fl(fl(num_k x) / den_k) is monotone in x >= 0
+        rmax = (self.num * x.max() / self.den).tolist()
         total = np.ones(b)
         prev, col = np.ones(b), np.empty(b)
         events: list[tuple[int, np.ndarray, slice | np.ndarray, np.ndarray]] = []
@@ -426,8 +448,8 @@ class _Kernel:
             col /= den[k]
             col *= prev
             # Terms and ratios are >= 0 and rounding is monotone, so no term
-            # of this row exceeds the product; a nan or inf ratio makes it
-            # fail the test.  Only then does the row take a max().
+            # of this row exceeds the product; an inf ratio makes it fail
+            # the test.  Only then does the row take a max().
             bound *= rmax[k]
             if not bound <= _RESCALE_AT:
                 bound = float(row_max(col))
@@ -449,28 +471,6 @@ class _Kernel:
             return total, events, np.zeros(0, dtype=int), np.zeros(0)
         pts = np.concatenate([found for _, found, _, _ in events])
         return total, events, pts, np.concatenate([t for *_, t in events])
-
-    def _screen(
-        self, x: np.ndarray, total: np.ndarray, pts: np.ndarray, ts: np.ndarray
-    ) -> np.ndarray:
-        """Whether _drift_screen passes each point: |drift| <= 1e-8 - E.
-
-        log_scale is one bincount of the logs of the rescaled terms.  The
-        points go in chunks of _SCREEN_BYTES / (8 n), the most that _log_ell's
-        buffer holds at up to n groups a point.
-        """
-        import numpy as np
-
-        n, b = self.spec.n, x.size
-        log_scale = np.bincount(pts, np.log(ts), b)
-        width = max(1, _SCREEN_BYTES // (8 * n))
-        buf = np.empty(n * min(width, b))
-        passed = np.empty(b, dtype=bool)
-        for start in range(0, b, width):
-            at = slice(start, start + width)
-            drift, error = self._drift_screen(x[at], total[at], log_scale[at], buf)
-            passed[at] = np.abs(drift) <= 1e-8 - error
-        return passed
 
     def _step_sums(
         self, x: np.ndarray, fvals: np.ndarray, total: np.ndarray, events: list,
@@ -553,181 +553,17 @@ class _Kernel:
             cur, nxt = nxt, cur
         return acc.tolist()
 
-    def _ratio_max(self, x: np.ndarray) -> np.ndarray:
-        """Each row's largest ratio num_k x / den_k over the points x, nan if any is nan.
-
-        The rounded ratio fl(fl(num_k x) / den_k) is monotone in x >= 0, so
-        the largest is the one at max(x), and a row holds a nan exactly where
-        den_k is 0 and fl(num_k min(x)) is 0: two products of n, not n x B.
-        """
-        import numpy as np
-
-        return np.maximum(self.num * x.max() / self.den, self.num * x.min() / self.den)
-
-    def _drift_screen(
-        self, x: np.ndarray, total: np.ndarray, log_scale: np.ndarray, buf: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Each point's screened drift and E, a bound on its distance from the drift row() takes.
-
-        row() refuses a point whose |log(total) + log_scale + log c_0 - log
-        ell_n(x)| is over 1e-8.  The screen takes the same four terms for
-        every point at once: numpy's log of the points' totals, a bincount
-        of numpy's logs of the rescaled terms (log_scale), and _log_ell's
-        log ell_n(x).  weighted_sums keeps the sum of a point with |drift|
-        <= 1e-8 - E, which row() passes as well; any other point, and one
-        with a drift that is not finite, goes to row().  With u =
-        2^-53, A = log(total) >= 0, B = log_scale >= 0 and D = log ell_n(x),
-
-            E = E_ell + u (22 A + (22 + B / 115) B + 6 |log c_0| + 6 |D|),
-
-        where E_ell bounds the two log ell_n(x) apart (see _log_ell).  The
-        rest is first order in u, its constants rounded up.  Each log is
-        taken as within 4 ulp <= 8u|y| of its value y (numpy's and the C
-        library's differed by at most 1 ulp over 6 million draws), so:
-
-        - the two log(total) are at most 16 u A apart;
-        - the two log_scale add the same k terms log t > log _RESCALE_AT =
-          230.26, each pair 16 u log t apart, and each sum is within
-          (k - 1) u B of the exact one: at most (16 + 2 B / 230) u B apart;
-        - each side rounds three additions, each by at most u (A + B +
-          |log c_0| + |D|).
-        """
-        import numpy as np
-
-        log_ell, ell_error = self._log_ell(x, buf)
-        log_total = np.log(total)
-        drift = log_total + log_scale + self.log_c0 - log_ell
-        error = ell_error + _UNIT_ROUNDOFF * (
-            22.0 * log_total + (22.0 + log_scale / 115.0) * log_scale
-            + 6.0 * abs(self.log_c0) + 6.0 * np.abs(log_ell)
-        )
-        return drift, error
-
-    def _log_ell(self, x: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """log ell_n at each point of x, and E_ell, a bound on its distance from row()'s.
-
-        ell_n(x) is the product of the n factors p^s + q^s x.  Here they go
-        in G groups of m, the last padded with factors 1 + 0 x.  Each
-        group's product is a polynomial of degree m whose coefficients are
-        built once per m (_group_coefficients).  One matmul of the powers
-        x^0..x^m (a cumprod) with them gives every group's value at every
-        point, in a (B, G) view of buf, and log ell_n(x) is the row sum of
-        their logs: G = n/m logs a point instead of n.  _group_size picks
-        the largest m up to _GROUP at which every power, coefficient and
-        partial sum is a normal double.  At m = 1 the table is row()'s, and
-        so is log ell_n(x), bit for bit.
-
-        Let u = 2^-53, R the exact sum of the logs of the factors as row()
-        rounds them, and S = n log(1 + x) + sum_s |log p^s|, which is at
-        least sum_s |log factor_s| since each factor lies in [p^s, 1 + x].
-        Each log is within 8u|y| of its value y, as in _drift_screen.
-
-        - The array row() rounds each of its n logs at most 28 + log2 n times
-          in numpy's pairwise sum, and _scalar_row n - 1 times in its left
-          fold: row()'s log ell_n(x) is within (8 + P) u S of R, with P that
-          count.
-        - The screen's groups are products of exact factors.  row() rounds a
-          normal factor by at most 3u, 3nu in all.  A group's coefficients
-          take 2(m - 1) roundings, its powers m - 1 and the matmul's
-          products and sums of positive terms 2(m + 1), underflow included
-          since every group value is at least (q^(n-1))^m >= 2^-1022: at
-          most 5m u a group, 10 n u in all.  Its G logs and pairwise sum add
-          (36 + log2 n) u S.
-
-        So E_ell = (44 + log2 n + P) u S + 13 n u.
-        """
-        import numpy as np
-
-        n, b = self.spec.n, x.size
-        m = self._group_size(x)
-        if m == 1:
-            g = buf[: b * n].reshape(b, n)
-            np.multiply.outer(x, self.ell_q, out=g)
-            g += self.ell_p
-        else:
-            c = self._group_coefficients(m)  # row i: the coefficient of x^i of each group
-            powers = np.empty((b, m + 1))
-            powers[:, 0] = 1.0
-            np.cumprod(np.broadcast_to(x[:, None], (b, m)), axis=1, out=powers[:, 1:])
-            g = buf[: b * c.shape[1]].reshape(b, -1)
-            np.matmul(powers, c, out=g)
-        np.log(g, out=g)
-        rounds = n - 1.0 if self.scalar else 28.0 + math.log2(n)  # row()'s sum, as P above
-        with np.errstate(divide="ignore"):  # a p^s of 0.0 makes S and the bound inf
-            s = n * np.log1p(x) - np.log(self.ell_p).sum()
-        return g.sum(axis=1), _UNIT_ROUNDOFF * ((44.0 + math.log2(n) + rounds) * s + 13.0 * n)
-
-    def _group_size(self, x: np.ndarray) -> int:
-        """The factors a group of _log_ell multiplies at the points x: at most _GROUP.
-
-        The largest m with max(2, 1 + x)^m <= 2^1020 at every x, and with
-        m-th powers of q^(n-1) and of every positive x of at least 2^-1022.
-        Then the powers of x, the coefficients, the group values and the
-        matmul's partial sums are normal and finite: none exceeds its
-        group's value <= (1 + x)^m or the sum of its coefficients <= 2^m,
-        and each coefficient but the padded zeros is a sum of products of m
-        numbers p^s and q^s, none below q^(n-1).  1 where no m > 1 fits.
-        """
-        top = math.log2(max(2.0, 1.0 + float(x.max())))
-        positive = x[x > 0.0]
-        smallest = min(float(self.ell_q[-1]), float(positive.min()) if positive.size else 1.0)
-        low = -math.log2(smallest) if smallest >= sys.float_info.min else math.inf
-        m = min(_GROUP, self.spec.n)
-        while m > 1 and not (m * top <= 1020.0 and m * low <= 1022.0):
-            m -= 1
-        return m
-
-    def _group_coefficients(self, m: int) -> np.ndarray:
-        """(m + 1, G) array, row i the coefficients of x^i in each group's product of m factors."""
-        import numpy as np
-
-        c = self._groups.get(m)
-        if c is None:
-            n = self.spec.n
-            size = -(-n // m)
-            ps, qs = np.ones(size * m), np.zeros(size * m)  # padded with 1 + 0 x
-            ps[:n], qs[:n] = self.ell_p, self.ell_q
-            ps, qs = ps.reshape(size, m).T, qs.reshape(size, m).T  # row j: each group's factor j
-            c = np.zeros((m + 1, size))
-            c[0], c[1] = ps[0], qs[0]
-            for j in range(1, m):
-                # times p^s + q^s x: c_i p^s + c_(i-1) q^s, every group at once
-                c[1 : j + 2] = c[1 : j + 2] * ps[j] + c[: j + 1] * qs[j]
-                c[0] *= ps[j]
-            self._groups[m] = c
-        return c
-
     def _check_stop(self, k: int, t: float, x: float) -> None:
         """Raises row()'s refusal where term k+1 = t is past _RESCALE_AT and cannot be rescaled."""
-        if math.isfinite(t):  # rescaled: a zero den_k gives an inf or nan term, never a finite one
-            return
-        n = self.spec.n
-        if self.ppow[n - 1 - k] * self.ints[k + 1] == 0.0:  # den_k
-            raise DomainError(f"degree {n} too large for p={self.p}: term ratio overflows")
-        raise DomainError(f"weight term {k + 1} overflows for n={n}, x={x}")
+        if not math.isfinite(t):
+            raise DomainError(f"weight term {k + 1} overflows for n={self.spec.n}, x={x}")
 
-    def _drifted(self, total: float, log_scale: float, log_ell: float) -> bool:
-        """Whether log(total) + log_scale + log c_0 misses log ell_n(x) by more than 1e-8."""
-        return abs(math.log(total) + log_scale + self.log_c0 - log_ell) > 1e-8
-
-    def _drift_message(self, x: float) -> str:
-        """Names the first subnormal ratio denominator, else the first subnormal numerator."""
-        n, ints, ppow, qpow = self.spec.n, self.ints, self.ppow, self.qpow
-        msg = f"weight normalizer drifted from the rising product at n={n}, x={x}"
-        den = [ppow[n - 1 - k] * ints[k + 1] for k in range(n)]
-        num = [qpow[k] * ints[n - k] for k in range(n)]
-        tiny_den = [k for k in range(n) if den[k] < sys.float_info.min]
-        tiny_num = [k for k in range(n) if num[k] < sys.float_info.min]
-        if tiny_den:
-            k = tiny_den[0]
-            cause = f"denominator p^{n - 1 - k} [{k + 1}] = {den[k]!r}"
-        elif tiny_num:
-            k = tiny_num[0]
-            cause = f"numerator q^{k} [{n - k}] = {num[k]!r}"
-        else:
-            return msg
-        return f"{msg}: ratio {cause} is subnormal at k={k} (p={self.p}, q={self.q})"
-
+    def _where(self) -> str:
+        """The parameters a refusal names, with r = q/p where the spec was routed to (1, r)."""
+        p, q = self.given.params.p, self.given.params.q
+        if self.spec is self.given:
+            return f"(p={p}, q={q})"
+        return f"(at r = q/p = {self.q} for p={p}, q={q})"
 
 def _variant(spec: OperatorSpec, shifted: bool, what: str) -> None:
     """Refuses a spec of the other variant, naming the public function called."""
@@ -764,16 +600,11 @@ def weights(spec: OperatorSpec, x: float) -> WeightTable:
     taken in ascending k with every term divided out once one exceeds 1e100,
     and are normalized by their sequential sum; the result is the same
     double for double as that scalar loop.  At x = 0 all mass sits on k = 0.
-    For x > 0 the normalizer is cross-checked in log space against the
-    rising product ell_n(x) (the expansion identity behind the partition of
-    unity).
+    Where q^n is not a normal double, the loop runs at (1, q/p), the
+    same weights in exact arithmetic; _Kernel bounds the error.
 
     Raises:
-        DomainError: if x is negative or not finite, a ratio denominator is
-            zero, or a term overflows.
-        ArithmeticError: if the normalizer drifts from the rising product by
-            more than 1e-8 in log space; the message names the first
-            subnormal ratio denominator, the usual cause.
+        DomainError: if x is negative or not finite, or a term overflows.
     """
     row = _Kernel(spec).row(x)
     values = row if isinstance(row, list) else row.tolist()
@@ -926,11 +757,14 @@ def representation_rhs(spec: OperatorSpec, f: RealFunction, x: float) -> float:
     shrinking node gaps lose accuracy as n grows (validated to n = 8 in
     the test corpus).
 
+    Where a gap divisor [n-k][n-k+1] q^(k+1) is not a normal double and
+    p < 1, the whole representation is taken at (1, q/p) (_at_ratio).
+
     Raises:
         DomainError: if x <= 0, px/q collides with a node within the
-            relative tolerance 1e-9 (named in the message), or a gap divisor
-            [n-k][n-k+1] q^(k+1) is below the smallest normal double (k and
-            the factor named); all before f is called.
+            relative tolerance 1e-9 (named), a node overflows, or a gap
+            divisor is below the normal doubles at p = 1 or (1, q/p), which
+            puts node k+1 past 2^1022 (k and the factor named); before f is called.
     """
     return _representation(spec, f, x)[1]
 
@@ -944,11 +778,18 @@ def _representation(spec: OperatorSpec, f: RealFunction, x: float) -> tuple[floa
     _variant(spec, False, "representation_rhs")
     if not math.isfinite(x) or x <= 0:
         raise DomainError(f"requires x > 0, got {x!r}")
-    kernel = _Kernel(spec)
+    at = spec._kernel_spec
+    divisors = _gap_divisors(at)
+    if at is spec and spec.params.p != 1.0 and min(divisors) < sys.float_info.min:
+        # the representation's own gate: a gap divisor that is not normal
+        # sends the whole representation to (1, q/p)
+        at = spec._at_ratio
+        divisors = _gap_divisors(at)
+    kernel = _Kernel(spec, at)
     t = kernel.nodes().values
     pivot = _pivot(kernel, t, x)
     w = kernel.row(x)
-    gaps = _gaps(kernel)
+    gaps = _gaps(kernel, divisors)
     (fp,) = _sample(f, (pivot,), "pivot")
     ft = _sample(f, t, "node")
     return _weighted_sum(w, ft) - fp, _rhs(pivot, t, w, fp, ft, gaps)
@@ -963,24 +804,29 @@ def _pivot(kernel: _Kernel, t: Sequence[float], x: float) -> float:
     return pivot
 
 
-def _gaps(kernel: _Kernel) -> list[float]:
+def _gap_divisors(spec: OperatorSpec) -> list[float]:
+    """[n-k][n-k+1] q^(k+1), k = 0..n-1, the node gaps' divisors, with the spec's kernel's bits."""
+    n, ints = spec.n, spec._ints
+    qpow = _powers(spec.params.q, map(float, range(1, n + 1)))  # the kernel's pow
+    return [ints[n - k] * ints[n - k + 1] * qk for k, qk in enumerate(qpow)]
+
+
+def _gaps(kernel: _Kernel, divisors: list[float]) -> list[float]:
     """gap_k = p^(n-k) [n+1] / ([n-k][n-k+1] q^(k+1)), k = 0..n-1.
 
-    DomainError at the first k whose divisor is below the smallest normal
-    double (0 included), where the quotient has lost its digits.
+    DomainError at the first divisor below the normal doubles, which only
+    a kernel with p = 1 reaches, at (1, q/p) or at a caller's p = 1: the
+    divisor is [k+1] [n-k+1] / t_(k+1) there.
     """
-    n, p, q = kernel.spec.n, kernel.p, kernel.q
-    ints, ppow, qpow = kernel.ints, kernel.ppow, kernel.qpow
-    gaps = []
-    for k in range(n):
-        divisor = ints[n - k] * ints[n - k + 1] * qpow[k + 1]
+    n, ints, ppow = kernel.spec.n, kernel.ints, kernel.ppow
+    for k, divisor in enumerate(divisors):
         if divisor < sys.float_info.min:
             raise DomainError(
-                f"gap divisor [{n - k}][{n - k + 1}] q^{k + 1} = {divisor!r} underflows "
-                f"below the smallest normal double at k={k} (p={p}, q={q})"
+                f"gap divisor [{n - k}][{n - k + 1}] {kernel.q_name}^{k + 1} = {divisor!r} "
+                f"underflows below the smallest normal double at k={k}, as node {k + 1} "
+                f"lies past 2^1022 {kernel._where()}"
             )
-        gaps.append(ppow[n - k] * ints[n + 1] / divisor)
-    return gaps
+    return [ppow[n - k] * ints[n + 1] / divisor for k, divisor in enumerate(divisors)]
 
 
 def _rhs(

@@ -230,14 +230,19 @@ def log_pochhammer_ell(n: int, x: float, params: PqParams) -> float:
 
 
 def _power(base: float, a: int) -> tuple[float, int]:
-    """base^a as a pair, 0 < base <= 1; from a log2(base) where ** is not a normal double."""
+    """base^a as a pair, 0 < base <= 1, off by about a |log2 base| u / 250 past pow's ulp.
+
+    Below the normal doubles it is (base^(a/K))^K, K the power of two putting
+    a |log2 base| / K in (500, 1000]: a/K is exact, base^(a/K) = m 2^e is
+    normal, and m^K (m >= 1/2) is taken the same way; a level adds < 2K u.
+    """
     v = base**a
     if v >= sys.float_info.min:
         return math.frexp(v)
-    t = a * math.log2(base)
-    e = math.floor(t)
-    m, me = math.frexp(2.0 ** (t - e))
-    return m, me + e
+    k = 1 << math.ceil(math.log2(-a * math.log2(base) / 1000.0))
+    m, e = math.frexp(base ** (a / k))
+    mk, ek = _power(m, k)
+    return mk, ek + e * k
 
 
 def euler_coefficients(n: int, params: PqParams) -> list[float]:

@@ -39,6 +39,7 @@ from pqbbh import (
     sup_delta,
 )
 from pqbbh.functions import REGISTRY, bbh_metric, bbh_metric_sq
+from oracles import mp_closed_moment, mp_delta, mp_rate_lhs
 
 CLASSICAL = PqParams(1.0, 1.0)
 
@@ -567,43 +568,47 @@ class TestStancuBound:
 
 
 class TestUnderflowingDivisor:
-    """[n+1] shrinks like p^n; once [n+1]^2 leaves the normal doubles the
-    second-order closed forms have no correct digits left and must raise."""
+    """[n+1] shrinks like p^n; once [n+1]^nu leaves the normal doubles the
+    closed forms over it have no correct digits left at (p,q), and are
+    taken at (1, q/p), where M1 and delta_n are the same and [n+1]_r >= 1.
+    Each case here raised DomainError before, naming [n+1]^nu."""
 
     SPEC = OperatorSpec(610, PqParams(0.541, 0.499))
 
-    def test_second_moment_raises(self):
-        with pytest.raises(DomainError, match=r"\[n\+1\]\^2 = .* underflows"):
-            moment_closed(self.SPEC, 2, 1.0)
+    def test_second_moment_is_taken_at_the_ratio(self):
+        got = moment_closed(self.SPEC, 2, 1.0)
+        assert got == moment_closed(OperatorSpec(610, PqParams(1.0, 0.499 / 0.541)), 2, 1.0)
+        assert got == pytest.approx(mp_closed_moment(2, 610, 0.541, 0.499, 1.0), rel=1e-13)
 
-    def test_delta_raises(self):
-        # returned -0.25 before the check
-        with pytest.raises(DomainError, match="underflows"):
-            delta_n(self.SPEC, 1.0)
+    def test_delta_is_taken_at_the_ratio(self):
+        # returned -0.25 before the check that this replaces
+        assert delta_n(self.SPEC, 1.0) == pytest.approx(mp_delta(610, 0.541, 0.499, 1.0),
+                                                         rel=1e-12)
 
     def test_first_moment_still_served(self):
         got = moment_closed(self.SPEC, 1, 1.0)
         assert got == pytest.approx(evaluate(self.SPEC, bbh_metric, 1.0), abs=1e-12)
 
-    def test_first_moment_raises_once_its_divisor_underflows(self):
-        with pytest.raises(DomainError, match=r"\[n\+1\]\^1 = .* underflows"):
-            moment_closed(OperatorSpec(1250, PqParams(0.541, 0.499)), 1, 1.0)
+    def test_first_moment_once_its_divisor_underflows(self):
+        got = moment_closed(OperatorSpec(1250, PqParams(0.541, 0.499)), 1, 1.0)
+        assert got == pytest.approx(mp_closed_moment(1, 1250, 0.541, 0.499, 1.0), rel=1e-13)
 
     @pytest.mark.parametrize("n", [600, 604, 608])
     def test_second_moment_no_longer_drifts(self, n):
         # read 0.33278 at n = 600 and 0.4043 at n = 604; ZeroDivisionError from 608
-        with pytest.raises(DomainError, match="underflows"):
-            moment_closed(OperatorSpec(n, PqParams(0.54, 0.27)), 2, 1.0)
+        got = moment_closed(OperatorSpec(n, PqParams(0.54, 0.27)), 2, 1.0)
+        assert got == pytest.approx(mp_closed_moment(2, n, 0.54, 0.27, 1.0), rel=1e-13)
 
     def test_second_moment_exact_while_divisor_is_normal(self):
         spec = OperatorSpec(575, PqParams(0.54, 0.27))
         assert moment_closed(spec, 2, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
-    def test_rate_raises_before_sampling_f(self):
-        calls = []
-        with pytest.raises(DomainError, match=r"\[n\+1\]\^2 = .* underflows"):
-            rate_bound_check(self.SPEC, lambda t: calls.append(t) or 0.0, GridSpec((1.0,)))
-        assert calls == []
+    def test_rate_takes_delta_at_the_ratio(self):
+        # the kernel stays at (p,q), where q^611 is normal; delta_n goes to (1, q/p)
+        (point,) = rate_bound_check(self.SPEC, REGISTRY["sin_damped"], GridSpec((1.0,)))
+        assert point.lhs == pytest.approx(mp_rate_lhs(610, 0.541, 0.499, "sin_damped", 1.0),
+                                          rel=1e-9)
+        assert point.passed
 
     def test_stancu_bound_raises(self):
         spec = OperatorSpec(610, PqParams(0.541, 0.499), StancuShift(0.5, 0.5))

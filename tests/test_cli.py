@@ -20,6 +20,7 @@ from pqbbh.cli import build_parser, main
 from pqbbh.functions import registry_function
 from pqbbh.operators import EvaluationError, OperatorSpec, _sample, evaluate
 from pqbbh.pq_core import DomainError, PqParams
+from oracles import mp_closed_moment, mp_rate_lhs
 
 GOLDEN_EVAL = "0.333333333333\n"
 
@@ -202,23 +203,28 @@ class TestSchemas:
         assert len(rows) == 2
         assert float(rows[1][7]) < 1e-12
 
-    @pytest.mark.parametrize(
-        "nu,x,message",
-        [
-            ("1", "-21.9", "x must be finite and >= 0, got -21.9"),
-            ("1", "21.9", "[n+1]^1 = 8.3441864e-316 underflows"),
-            ("0", "21.9", "weight normalizer drifted from the rising product at n=1110, x=21.9"),
-        ],
-        ids=["x_first", "underflow_before_drift", "drift"],
-    )
-    def test_moments_refuses_in_order(self, nu, x, message, capsys):
-        # n = 1110, p = 0.518, q = 0.513 fails all three checks
+    def test_moments_refuses_x_first(self, capsys):
         code, out, err = run(
-            ["moments", "--n", "1110", "--p", "0.518", "--q", "0.513", "--nu", nu, "--x", x],
+            ["moments", "--n", "1110", "--p", "0.518", "--q", "0.513", "--nu", "1", "--x",
+             "-21.9"],
             capsys,
         )
         assert (code, out) == (3, "")
-        assert message in err
+        assert "x must be finite and >= 0, got -21.9" in err
+
+    @pytest.mark.parametrize("nu", ["0", "1"], ids=["drift", "underflow_before_drift"])
+    def test_moments_at_the_ratio(self, nu, capsys):
+        # exited 3 before: [n+1]^1 = 8.3e-316 underflowed, and the brute-force
+        # sum's normalizer drifted; both sides are now taken at (1, q/p)
+        code, out, err = run(
+            ["moments", "--n", "1110", "--p", "0.518", "--q", "0.513", "--nu", nu, "--x", "21.9"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        row = list(csv.reader(io.StringIO(out)))[1]
+        want = 1.0 if nu == "0" else mp_closed_moment(1, 1110, 0.518, 0.513, 21.9)
+        assert float(row[5]) == pytest.approx(want, rel=1e-11)
+        assert float(row[6]) == pytest.approx(want, rel=1e-11)
 
     @pytest.mark.parametrize("n", [8, 64, 65, 150, 1024])
     @pytest.mark.parametrize("nu", [0, 1, 2])
@@ -472,21 +478,28 @@ class TestExitCodes:
         assert "nested too deeply" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["moments", "--nu", "2", "--x", "1"],
-            ["stancu-bound", "--gamma", "0.5", "--beta", "0.5", "--alpha", "0.5", "--m", "1"],
-        ],
-    )
-    def test_underflowing_closed_form_is_three(self, argv, capsys):
-        # printed closed 0 and bound 6 (true: 0.26 and 6.45) before the check
+    def test_underflowing_shifted_bound_is_three(self, capsys):
+        # printed bound 6 (true: 6.45) before the check; the paper's terms
+        # are (p,q) objects, so this one is not taken at (1, q/p)
         code, out, err = run(
-            argv[:1] + ["--n", "610", "--p", "0.541", "--q", "0.499"] + argv[1:], capsys
+            ["stancu-bound", "--n", "610", "--p", "0.541", "--q", "0.499", "--gamma", "0.5",
+             "--beta", "0.5", "--alpha", "0.5", "--m", "1"], capsys
         )
         assert code == 3
         assert out == ""
         assert "[n+1]^2 = 5e-324 underflows" in err
+
+    def test_underflowing_closed_form_is_taken_at_the_ratio(self, capsys):
+        # printed closed 0 (true: 0.26) before, then exited 3 naming [n+1]^2 = 5e-324
+        code, out, err = run(
+            ["moments", "--n", "610", "--p", "0.541", "--q", "0.499", "--nu", "2", "--x", "1"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        row = list(csv.reader(io.StringIO(out)))[1]
+        want = mp_closed_moment(2, 610, 0.541, 0.499, 1.0)
+        assert float(row[5]) == pytest.approx(want, rel=1e-11)
+        assert float(row[6]) == pytest.approx(want, rel=1e-11)
 
     def test_overflowing_node_is_three(self, capsys):
         # the last node 1/q is beyond the doubles
@@ -501,15 +514,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, err", [
         (["eval", "--n", "200", "--p", "0.5", "--q", "0.01", "--registry", "one_", "--x", "1"],
-         "pqbbh: node 156 overflows: its denominator q^156 [45] = "
-         "1e-312 * 5.800348863347755e-14 is 0.0 (p=0.5, q=0.01)\n"),
+         "pqbbh: node 182 overflows: its denominator r^182 [19] = "
+         "6.12998216346357e-310 * 1.020408163265306 is 6.25508384026894e-310 "
+         "(at r = q/p = 0.02 for p=0.5, q=0.01)\n"),
         (["represent", "--n", "200", "--p", "0.9", "--q", "0.01", "--registry", "one_",
           "--x", "1"],
-         "pqbbh: node 158 overflows: its denominator q^158 [43] = "
-         "1e-316 * 0.012107037825062733 is 1.210703e-318 (p=0.9, q=0.01)\n"),
+         "pqbbh: node 158 overflows: its denominator r^158 [43] = "
+         "1.69700651093677e-309 * 1.0112359550561798 is 1.716073999823704e-309 "
+         "(at r = q/p = 0.011111111111111112 for p=0.9, q=0.01)\n"),
     ], ids=["eval", "represent"])
     def test_array_degree_node_refusal_shows_plain_floats(self, argv, err, capsys):
-        # above operators._SCALAR_DEGREE the powers are arrays; the message reads them as floats
+        # above operators._SCALAR_DEGREE the powers are arrays; the message reads them as floats.
+        # q^201 is 0.0 in both, so the nodes are taken at (1, q/p); the refused
+        # node is the first whose true value lies beyond the doubles
         assert run(argv, capsys) == (3, "", err)
 
     @pytest.mark.parametrize("fn, err", [
@@ -537,29 +554,39 @@ class TestExitCodes:
         assert run(argv, capsys) == (
             3, "", f"pqbbh: function raised OverflowError (math range error) at {err}\n")
 
-    def test_normalizer_drift_names_the_subnormal_factor(self, capsys):
+    @pytest.mark.parametrize("name", ["exp_neg", "sin_damped"])
+    def test_subnormal_ratio_denominator_is_taken_at_the_ratio(self, name, capsys):
+        # exited 3 before: the normalizer drifted, as p^1109 [1] is subnormal
         code, out, err = run(
-            ["eval", "--n", "1110", "--p", "0.518", "--q", "0.513", "--registry", "exp_neg",
+            ["eval", "--n", "1110", "--p", "0.518", "--q", "0.513", "--registry", name,
              "--x", "21.9"],
             capsys,
         )
-        assert code == 3
-        assert out == ""
-        assert "ratio denominator p^1109 [1] = " in err
-        assert "is subnormal at k=0 (p=0.518, q=0.513)" in err
+        assert (code, err) == (0, "")
+        f = registry_function(name)
+        at_ratio = evaluate(OperatorSpec(1110, PqParams(1.0, 0.513 / 0.518)), f, 21.9)
+        assert out == f"{at_ratio:.12g}\n"
+        # q_bbh_evaluate's x^k overflows here, so the 60-digit |L f - f(x)| checks it
+        want = mp_rate_lhs(1110, 0.518, 0.513, name, 21.9)
+        assert abs(float(out) - f(21.9)) == pytest.approx(want, rel=1e-9)
 
-    def test_underflowing_gap_divisor_is_three(self, capsys):
-        # exited 3 with a bare "float division by zero" before the check
-        code, out, err = run(
-            ["represent", "--n", "3", "--p", "1.0422776544377814e-100",
-             "--q", "1.0422776544377814e-100", "--registry", "exp_neg",
-             "--x", "1293.2239477425098"],
-            capsys,
-        )
-        assert code == 3
-        assert out == ""
-        assert "gap divisor [3][4] q^1 = 0.0 underflows" in err
-        assert "at k=0" in err
+    @pytest.mark.parametrize("n, p, want", [
+        # exited 3 with "gap divisor [3][4] q^1 = 0.0 underflows", and with a
+        # bare "float division by zero" before that check
+        ("3", "1.0422776544377814e-100", "0.050524458446"),
+        # exited 3 with "gap divisor [200][201] q^1 = 0.0 underflows", though
+        # q^201 = 1e-201 is normal: the representation's own gate
+        ("200", "0.1", "0.00250333318419"),
+    ])
+    def test_underflowing_gap_divisor_is_taken_at_the_ratio(self, n, p, want, capsys):
+        x = "1293.2239477425098" if n == "3" else "0.7"
+        argv = ["represent", "--n", n, "--p", p, "--q", p, "--registry", "exp_neg", "--x", x]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        _, row = csv.reader(io.StringIO(out))
+        assert row[5:7] == [want, want]  # lhs and rhs
+        code, out, err = run(argv[:4] + ["1", "--q", "1"] + argv[7:], capsys)
+        assert list(csv.reader(io.StringIO(out)))[1][5:] == row[5:]  # as at p = q = 1
 
     @pytest.mark.parametrize("x", ["0", "-1"])
     def test_represent_needs_positive_x_before_calling_f(self, x, capsys, monkeypatch):

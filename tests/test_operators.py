@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -21,7 +22,14 @@ from pqbbh import (
 from pqbbh.expressions import ExpressionDomainError, as_function, parse_expression
 from pqbbh.functions import REGISTRY
 from pqbbh.operators import _sample
-from oracles import brute_operator, classical_bbh_evaluate, q_bbh_evaluate
+from oracles import (
+    brute_operator,
+    classical_bbh_evaluate,
+    mp_nodes,
+    mp_representation,
+    mp_weights,
+    q_bbh_evaluate,
+)
 
 CLASSICAL = PqParams(1.0, 1.0)
 MIXED = PqParams(0.9, 0.5)
@@ -83,15 +91,41 @@ class TestNodes:
         with pytest.raises(ValueError):
             nodes(OperatorSpec(2, MIXED, StancuShift(1.0)))
 
-    def test_overflow_names_the_underflowed_factor(self):
-        # q^1 is fine; [1300] sits at the smallest subnormal
-        with pytest.raises(DomainError, match=r"q\^1 \[1300\] = 0\.499 \* 5e-324 is 0\.0"):
-            nodes(OperatorSpec(1300, PqParams(0.541, 0.499)))
+    def test_a_spec_whose_q_power_is_not_normal_takes_its_nodes_at_the_ratio(self):
+        # refused before, with [1300] at the smallest subnormal: q^1301 is 0.0,
+        # so the nodes are those of (1, q/p), where t_1300 is about 1.7e46
+        spec = OperatorSpec(1300, PqParams(0.541, 0.499))
+        got = nodes(spec).values
+        assert got == nodes(OperatorSpec(1300, PqParams(1.0, 0.499 / 0.541))).values
+        for g, w in zip(got, mp_nodes(1300, 0.541, 0.499)):
+            assert abs(g - w) <= 1e-12 * w
 
     def test_infinite_node_rejected(self):
         with pytest.raises(DomainError, match="node 1 overflows"):
             nodes(OperatorSpec(1, PqParams(1.0, 5e-324)))
 
+    def test_a_node_beyond_the_doubles_at_the_ratio_is_named(self):
+        # q^201 is 0.0, and at r = q/p = 0.02 node 182 = [182]_r / (r^182 [19]_r)
+        # is about 1.7e309
+        with pytest.raises(DomainError, match=r"node 182 overflows: its denominator r\^182 "
+                           r"\[19\] = .* \(at r = q/p = 0\.02 for p=0\.5, q=0\.01\)"):
+            nodes(OperatorSpec(200, PqParams(0.5, 0.01)))
+        assert mp_nodes(200, 0.5, 0.01)[182] == math.inf
+
+    @pytest.mark.parametrize("shift", [(1.0, 0.5), (0.0, 0.5), (1.0, 0.0), (-1e-9, 1e-300)])
+    def test_a_shift_beyond_the_doubles_at_the_ratio_keeps_its_nodes(self, shift):
+        # q^1001 is 0.0, so the nodes are taken at (1, q/p), where the shift
+        # would be divided by p^1000 = 1e-1000; both halves of each node are
+        # divided by the larger part of the shift instead
+        spec = OperatorSpec(1000, PqParams(0.1, 0.05), StancuShift(*shift))
+        want = mp_nodes(1000, 0.1, 0.05, shift)
+        if shift[1] == 0.0:  # then node k is about gamma 2^k 1e-999: beyond the doubles
+            with pytest.raises(DomainError, match="node 0 overflows"):
+                stancu_nodes(spec)
+            assert want[0] == math.inf
+            return
+        for g, w in zip(stancu_nodes(spec).values, want):
+            assert abs(g - w) <= 1e-14 * abs(w)
 
 class TestStancuNodes:
     def test_zero_shift_collapses_to_base(self):
@@ -176,34 +210,43 @@ class TestWeights:
             got = weights(spec, x).weights
         assert list(map(float.hex, got)) == list(map(float.hex, want))
 
-    def test_zero_ratio_denominator_raises(self):
-        # p^999 underflows to 0
-        with pytest.raises(DomainError, match="degree 1000 too large for p=0.3"):
-            weights(OperatorSpec(1000, PqParams(0.3, 0.2)), 1.0)
+    def test_zero_ratio_denominator_is_taken_at_the_ratio(self):
+        # refused before, as p^999 underflows to 0; q^1001 is 0.0, so the
+        # weights are those of (1, q/p), where every ratio denominator is >= 1
+        got = weights(OperatorSpec(1000, PqParams(0.3, 0.2)), 1.0).weights
+        assert got == weights(OperatorSpec(1000, PqParams(1.0, 0.2 / 0.3)), 1.0).weights
+        tol = 5e-12 + 7e-17 * 1000**2  # the routed bound of tests/test_properties.py
+        for g, w in zip(got, mp_weights(1000, 0.3, 0.2, 1.0)):
+            if w >= 1e-300:
+                assert abs(g - w) <= tol * w
 
     def test_term_overflow_raises(self):
         with pytest.raises(DomainError, match="weight term 1 overflows for n=2"):
             weights(OperatorSpec(2, MIXED), 1.7e308)
 
-    def test_drift_names_the_subnormal_denominator(self):
-        # p^1109 [1] = 0.518^1109 is already subnormal at k = 0
-        with pytest.raises(
-            ArithmeticError,
-            match=r"drifted from the rising product at n=1110, x=21\.9: ratio denominator "
-            r"p\^1109 \[1\] = .+ is subnormal at k=0 \(p=0\.518, q=0\.513\)",
-        ):
-            weights(OperatorSpec(1110, PqParams(0.518, 0.513)), 21.9)
+    @pytest.mark.parametrize("n, p, q, x", [
+        (1110, 0.518, 0.513, 21.9),  # p^1109 [1] is subnormal
+        (1298, 0.5912, 0.1823, 1.99e26),  # q^24 [1274] is the first subnormal q^k [n-k]
+    ])
+    def test_subnormal_ratio_halves_are_taken_at_the_ratio(self, n, p, q, x):
+        # both raised the normalizer's drift ArithmeticError before; q^n is
+        # not normal, so the weights are those of (1, q/p)
+        got = weights(OperatorSpec(n, PqParams(p, q)), x).weights
+        assert got == weights(OperatorSpec(n, PqParams(1.0, q / p)), x).weights
+        tol = 5e-12 + 7e-17 * n * n  # the routed bound of tests/test_properties.py
+        for g, w in zip(got, mp_weights(n, p, q, x)):
+            if w >= 1e-300:
+                assert abs(g - w) <= tol * w
 
-    def test_drift_names_the_subnormal_numerator(self):
-        # every p^(n-1-k) [k+1] is normal; q^24 [1274] is the first subnormal q^k [n-k]
-        # (q^23 [1275] = 2.2e-308 is still normal)
-        with pytest.raises(
-            ArithmeticError,
-            match=r"drifted from the rising product at n=1298, x=1\.99e\+26: ratio numerator "
-            r"q\^24 \[1274\] = 6\.869432807773663e-309 is subnormal at k=24 "
-            r"\(p=0\.5912, q=0\.1823\)",
-        ):
-            weights(OperatorSpec(1298, PqParams(0.5912, 0.1823)), 1.99e26)
+    def test_a_row_whose_drift_check_refused_it_answers(self):
+        # every table entry is normal, yet the log-space drift check refused
+        # this row (and the one at x = 30): its rounding of log c_0 = -1.0e8
+        # was one ulp, 1.5e-8
+        spec = OperatorSpec(300_000, PqParams(0.9976926736789953, 0.9976926736789953))
+        assert 0.9976926736789953 ** 300_001 >= sys.float_info.min
+        got = weights(spec, 0.01).weights
+        want = weights(OperatorSpec(300_000, PqParams(1.0, 1.0)), 0.01).weights
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13 * max(want)
 
 
 class TestEvaluate:
@@ -638,13 +681,23 @@ class TestRepresentation:
         representation_rhs(spec, f, 1.7)
         assert calls == [MIXED.p * 1.7 / MIXED.q, *nodes(spec).values]
 
-    def test_underflowing_gap_divisor_raises_before_calling_f(self):
-        # [3][4] q underflows to 0: ZeroDivisionError after sampling f before the check
-        calls = []
-        spec = OperatorSpec(3, PqParams(1.0422776544377814e-100, 1.0422776544377814e-100))
-        with pytest.raises(DomainError, match=r"gap divisor \[3\]\[4\] q\^1 = 0\.0 .* k=0"):
-            representation_rhs(spec, lambda t: calls.append(t) or 0.0, 1293.2239477425098)
-        assert calls == []
+    def test_underflowing_gap_divisor_is_taken_at_the_ratio(self):
+        # [3][4] q is 0.0: refused before, and ZeroDivisionError before that;
+        # q^4 is 0.0 too, so the representation is the classical one at (1, 1)
+        p = 1.0422776544377814e-100
+        x = 1293.2239477425098
+        f = REGISTRY["exp_neg"]
+        got = representation_rhs(OperatorSpec(3, PqParams(p, p)), f, x)
+        assert got == representation_rhs(OperatorSpec(3, CLASSICAL), f, x)
+        assert got == pytest.approx(mp_representation(3, p, p, "exp_neg", x), rel=1e-13)
+
+    def test_a_gap_divisor_that_is_not_normal_routes_the_representation(self):
+        # q^201 = 1e-201 is normal, but [200][201] q is 0.0, so the
+        # representation's own gate takes it at (1, q/p) = (1, 1)
+        f = REGISTRY["exp_neg"]
+        got = representation_rhs(OperatorSpec(200, PqParams(0.1, 0.1)), f, 0.7)
+        assert got == representation_rhs(OperatorSpec(200, CLASSICAL), f, 0.7)
+        assert got == pytest.approx(mp_representation(200, 1.0, 1.0, "exp_neg", 0.7), rel=1e-10)
 
     def test_non_finite_at_pivot_is_named(self):
         pivot = MIXED.p * 1.7 / MIXED.q
