@@ -3,7 +3,9 @@
 The calls have the shape of the benchmark's ``point_queries`` calls: evals
 of one kernel row at n = 8, 150 and 1024, with the bare value, CSV and JSON
 output, here with fixed parameters, the pool's longest expression and, at
-n = 1024, also the registry's ``sin_damped`` on the Stancu variant; and
+n = 1024, also the registry's ``sin_damped`` on the Stancu variant; an eval
+at n = 64, ``operators._SCALAR_DEGREE``, where sampling f at the node tuple
+point by point costs most; and
 ``moments --nu 2`` at n = 1024, whose six calls per pass are about a fifth
 of a pass.  Each call is timed whole (``cli.main``, stdout captured) and by
 layer:
@@ -46,6 +48,8 @@ EXPRESSION = "cos(t)*exp(-t/4)+log(1+t)/(2+t)^2"
 CALLS = {
     "n=8 fn": ["eval", "--n", "8", "--p", "0.9", "--q", "0.5", "--fn", EXPRESSION,
                "--x", "1.5"],
+    "n=64 fn": ["eval", "--n", "64", "--p", "0.99", "--q", "0.95", "--fn", EXPRESSION,
+                "--x", "0.7"],
     "n=150 fn csv": ["eval", "--n", "150", "--p", "0.998", "--q", "0.996", "--fn", EXPRESSION,
                      "--x", "2.5", "--format", "csv"],
     "n=1024 fn json": ["eval", "--n", "1024", "--p", "0.9997", "--q", "0.9995",

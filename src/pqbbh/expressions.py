@@ -24,7 +24,6 @@ import math
 import operator
 import re
 from math import isfinite
-from itertools import repeat
 from typing import Callable, Union
 
 from ._record import Record, _set
@@ -321,14 +320,12 @@ def as_function(ast: ExprAst) -> Callable[[float], float]:
     passed it; the arithmetic runs on float(t).
 
     Its attribute ``at_points(ts)`` gives f at every point with the same
-    bits, running the same compiled tree once over all of them (see
-    _compile).  On a sequence of numbers, which it reads more than once,
-    it gives a list; where that meets an exception or a value that is not
-    finite, it goes back to f one point at a time, which raises the first
-    refusal in point order.  On a float64 array it gives a new array of
-    its shape, and where any point's value at any node is not finite it
-    raises instead, with no message to show: the list of the array's
-    points names the refusal (see operators._sample).
+    bits.  On a float64 array it runs the compiled tree once over all of
+    them (see _compile) and gives a new array of its shape; where any
+    point's value at any node is not finite it raises instead, with no
+    message to show: the list of the array's points names the refusal (see
+    operators._sample).  On a list or tuple it gives [f(t) for t in ts],
+    which raises the first refusal in point order.
     """
     body = _compile(ast)
 
@@ -346,13 +343,7 @@ def as_function(ast: ExprAst) -> Callable[[float], float]:
     def at_points(ts):
         if hasattr(ts, "ndim"):
             return _on_array(body, ts)
-        try:
-            if not all(map(isfinite, ts)):
-                raise ArithmeticError
-            values = body(list(map(float, ts)))
-        except Exception:  # noqa: BLE001 -- f owns every refusal, with its message
-            return list(map(f, ts))
-        return values if type(values) is list else [values] * len(ts)
+        return list(map(f, ts))
 
     f.at_points = at_points
     return f
@@ -382,17 +373,11 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
 
 
 def _compile(node: ExprAst) -> Callable:
-    """One function per node, of a float t, a list of floats or a float64 array: children first.
+    """One function per node, of a float t or a float64 array: children first.
 
-    Each element gets the tree walk's operations, left child before right.
-    A subtree without t gives one float, which a binary node broadcasts
-    with repeat(), so constants build no lists.  On one float, a call or
-    binary node checks its result and raises _Refusal with its reason.  On
-    a list, it raises ArithmeticError, which sends the list back to the
-    points, where the sum of its result is not finite.  A sum of floats is
-    finite only if every term is: once the running sum meets inf or nan it
-    stays there, with or without Python 3.12's compensation.  A sum of
-    finite terms that overflows sends the list back for nothing but time.
+    Each point gets the tree walk's operations, left child before right.  A
+    subtree without t gives one float.  On one float, a call or binary node
+    checks its result and raises _Refusal with its reason.
 
     On an array, numpy takes + - * /, negation, sqrt and abs, which it
     rounds as Python floats do, and ^ through np.float_power, whose float64
@@ -404,18 +389,13 @@ def _compile(node: ExprAst) -> Callable:
     (functions._pointwise), which raises itself.
     """
     if isinstance(node, Number):
-        value = float(node.value)  # so that type() tells one point from a list or an array
+        value = float(node.value)  # so that type() tells one point from an array
         return lambda ts: value
     if isinstance(node, Variable):
         return lambda ts: ts
     if isinstance(node, Negate):
         operand = _compile(node.operand)
-
-        def negate(ts):
-            v = operand(ts)
-            return list(map(operator.neg, v)) if type(v) is list else -v
-
-        return negate
+        return lambda ts: -operand(ts)
     if isinstance(node, Call):
         arg_of, func, name = _compile(node.arg), FUNCTIONS[node.func], node.func
 
@@ -429,11 +409,6 @@ def _compile(node: ExprAst) -> Callable:
                 if isfinite(value):
                     return value
                 raise _Refusal(node, "non-finite result")
-            if type(arg) is list:
-                values = list(map(func, arg))
-                if isfinite(sum(values)):
-                    return values
-                raise ArithmeticError
             if name == "sqrt":  # a float64 array from here on
                 import numpy as np
 
@@ -455,18 +430,10 @@ def _compile(node: ExprAst) -> Callable:
             if isfinite(value):
                 return value
             raise _Refusal(node, "non-finite result")
-        if type(a) is list:
-            values = list(map(combine, a, b if type(b) is list else repeat(b)))
-        elif type(b) is list:
-            values = list(map(combine, repeat(a), b))
-        else:  # one is a float64 array
-            if combine is not math.pow:
-                return combine(a, b)
-            import numpy as np
+        if combine is not math.pow:  # one is a float64 array
+            return combine(a, b)
+        import numpy as np
 
-            return np.float_power(a, b)
-        if isfinite(sum(values)):
-            return values
-        raise ArithmeticError
+        return np.float_power(a, b)
 
     return binary

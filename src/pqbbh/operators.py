@@ -31,7 +31,9 @@ COLLISION_RTOL = 1e-9
 _RESCALE_AT = 1e100
 
 # A term is at most _RESCALE_AT and each rescale divides it by more, so a term
-# divided this many times is exactly 0.0 (1e100 -> 1 -> ... -> 1e-300 -> 0).
+# divided this many times is exactly 0.0 (1e100 -> 1 -> ... -> 1e-300 -> 0):
+# row() divides only the last this many segments, and _step_sums divides a
+# point with this many rescales still to come by inf alone.
 _ZERO_AFTER = 5
 
 # Largest degree whose kernel takes the scalar path: Python floats for the
@@ -323,12 +325,17 @@ class _Kernel:
         """Weights w_0..w_n at x, bit for bit those of the sequential ratio recurrence.
 
         A list on the scalar path, an array above _SCALAR_DEGREE.  On the
-        array path term_{k+1} = term_k r_k with r_k = num_k x / den_k, as one
-        cumprod per segment: a segment starts at a term equal to 1.0 and ends
-        at the first term above _RESCALE_AT (all earlier terms are divided by
-        it and the next segment starts) or not finite (an error).  The
+        array path term_{k+1} = term_k r_k with r_k = num_k x / den_k, as
+        cumprods: a segment starts at a term equal to 1.0 and ends at the
+        first term above _RESCALE_AT (earlier terms are divided by it and the
+        next segment starts) or not finite (an error).  The first segment's
+        products run over the whole row; each later one's over a window of
+        twice the last segment, or the rest of the row where that is short.
+        Where a window ends inside its segment, the next window, twice as
+        long, continues from its last term.  A rescale divides only the last
+        _ZERO_AFTER segments, since the earlier ones are exactly 0.0.  The
         running total is a cumsum seeded with the total so far, so every
-        product and sum is taken in the loop's order.
+        product and sum is taken in the loop's order, and the row is O(n).
         """
         if not math.isfinite(x) or x < 0:
             raise DomainError(f"evaluation point must be finite and >= 0, got {x!r}")
@@ -345,9 +352,12 @@ class _Kernel:
         with np.errstate(all="ignore"):
             ratios = self.num * x / self.den
             total = 1.0
-            s = 0  # w[s] == 1.0 starts the current segment
+            starts = [0] * _ZERO_AFTER  # the segments' first indices, padded in front with 0
+            s, size = 0, n  # the next window is ratios[s:s + size]
             while s < n:
-                seg = ratios[s:].cumprod()
+                end = min(s + size, n)
+                ratios[s] *= w[s]  # 1.0 at a segment's start, else the term it continues
+                seg = ratios[s:end].cumprod()
                 stops = ~(seg <= _RESCALE_AT)
                 stop = int(stops.argmax())
                 if not stops[stop]:
@@ -357,14 +367,17 @@ class _Kernel:
                     seg[0] += total
                     total = float(seg[:stop].cumsum()[-1])
                 if stop == seg.size:
-                    break
+                    s, size = end, 2 * size
+                    continue
                 k = s + stop
                 t = float(seg[stop])
                 self._check_stop(k, t, x)
-                w[: k + 1] /= t
+                w[starts[-_ZERO_AFTER] : k + 1] /= t
                 total /= t
                 w[k + 1] = 1.0
                 total += 1.0
+                size = 2 * (k + 1 - starts[-1])
+                starts.append(k + 1)
                 s = k + 1
             w /= total  # tiny weights underflow to subnormals or 0.0, as in float arithmetic
         return w
@@ -616,15 +629,14 @@ def _sample(
 ) -> list[float] | np.ndarray:
     """f(t) as a float for each t in order: the one place a user function is called.
 
-    On a list or tuple, one pass calls f once per point, in order; an
-    expression from as_function takes the whole list through its
-    at_points.  One more pass looks for a value that is not finite and
-    names the first.  Where f raises, a value before that point that is not
-    finite is refused instead, as a loop that stopped there would have done.
-    Otherwise an ArithmeticError or ValueError that f raises at one point,
-    such as math.exp's overflow, becomes an EvaluationError that names the
-    point.  A DomainError (an expression's refusal), any other exception,
-    and whatever an f's own at_points raises on the list pass unchanged.
+    On a list or tuple, one pass calls f once per point, in order, and one
+    more looks for a value that is not finite and names the first.  Where
+    f raises, a value before that point that is not finite is refused
+    instead, as a loop that stopped there would have done.  Otherwise an
+    ArithmeticError or ValueError that f raises at one point, such as
+    math.exp's overflow, becomes an EvaluationError that names the point.
+    A DomainError (an expression's refusal) and any other exception pass
+    unchanged.
 
     A float64 array gives an array.  An f with ``at_points`` (an
     expression, or a registry function, which is its own) runs it once on
@@ -634,10 +646,10 @@ def _sample(
     and for any other f, the list of the array's points takes the path
     above, so every refusal is the list's.
     """
-    at_points = getattr(f, "at_points", None)
     if not isinstance(ts, (list, tuple)):
         import numpy as np
 
+        at_points = getattr(f, "at_points", None)
         if at_points is not None:
             try:
                 with np.errstate(all="ignore"):  # inf and nan arise silently, then go to the list
@@ -648,22 +660,19 @@ def _sample(
             except Exception:  # noqa: BLE001 -- the list path raises the first refusal
                 pass
         return np.array(_sample(f, ts.tolist(), what))
-    pointwise = at_points is None or at_points is f  # a plain callable, or a registry function
     vals: list[float] = []
     try:
-        if pointwise:
-            vals.extend(map(float, map(f, ts)))  # on a raise, vals keeps the values before it
-        else:
-            vals = at_points(ts)
+        vals.extend(map(float, map(f, ts)))  # on a raise, vals keeps the values before it
     except (ArithmeticError, ValueError) as exc:
-        if isinstance(exc, DomainError) or not pointwise:
+        if isinstance(exc, DomainError):
             raise
         i = len(vals)  # f raised at the point after the last value kept
         raise EvaluationError(f"function raised {type(exc).__name__} ({exc}) "
                               f"at {what} {i} (t={ts[i]!r})") from exc
     finally:
         # finite only if every value is: a running sum that meets inf or nan
-        # stays inf or nan (see expressions._compile); the sum is never used
+        # stays inf or nan, with or without Python 3.12's compensation; the
+        # sum is never used
         if not math.isfinite(sum(vals)):
             for i, (v, t) in enumerate(zip(vals, ts)):
                 if not math.isfinite(v):

@@ -141,19 +141,17 @@ def pq_factorial(n: int, params: PqParams) -> float:
 
 
 def pq_log_factorial(n: int, params: PqParams) -> float:
-    """log of pq_factorial, usable far beyond double overflow.
+    """log of pq_factorial, usable far beyond double overflow and underflow.
 
-    Raises:
-        DomainError: if some [i], i <= n, underflows to 0.0, which has no log.
+    Where some [i], i <= n, underflows to 0.0, it is n(n-1)/2 log p plus
+    the sum of log [i]_r, r = q/p, since [i] = p^(i-1) [i]_r and [i]_r >= 1.
     """
     _check_index(n)
     ints = pq_integers(n, params)[1:]
-    if 0.0 in ints:
-        raise DomainError(
-            f"deformed integer [{ints.index(0.0) + 1}] underflows to 0.0, which has no log "
-            f"(p={params.p}, q={params.q})"
-        )
-    return math.fsum(math.log(v) for v in ints)
+    if 0.0 not in ints:
+        return math.fsum(math.log(v) for v in ints)
+    ratio_ints = pq_integers(n, PqParams(1.0, params.q / params.p))[1:]
+    return math.fsum([n * (n - 1) // 2 * math.log(params.p), *map(math.log, ratio_ints)])
 
 
 def pq_binomial(n: int, k: int, params: PqParams) -> float:
@@ -162,23 +160,21 @@ def pq_binomial(n: int, k: int, params: PqParams) -> float:
     Positive, but not necessarily >= 1 away from the classical case.  It is
     [n][n-1]...[n-kk+1] over [1][2]...[kk], kk = min(k, n-k), each product
     scaled by exact powers of two as in pq_factorial, so it is 0.0 or inf
-    only where the true value lies beyond the doubles.
+    only where the true value lies beyond the doubles.  Where one of those
+    2 kk deformed integers underflows to 0.0, and with it [n], it is
+    p^(k(n-k)) times the same quotient of the [i]_r, r = q/p, as a pair.
 
     Raises:
-        DomainError: if k is outside 0..n, or one of those 2 kk deformed
-            integers underflows to 0.0, which leaves the quotient undetermined.
+        DomainError: if k is outside 0..n.
     """
     _check_index(n)
     if not isinstance(k, int) or k < 0 or k > n:
         raise DomainError(f"binomial index k={k!r} outside 0..{n}")
     kk = min(k, n - k)
     ints = pq_integers(n, params)
-    for i in (*range(1, kk + 1), *range(n - kk + 1, n + 1)):
-        if ints[i] == 0.0:
-            raise DomainError(
-                f"deformed integer [{i}] underflows to 0.0, which leaves [{n} over {k}] "
-                f"undetermined (p={params.p}, q={params.q})"
-            )
+    if kk and ints[n] == 0.0:  # once an entry rounds to 0.0 every later one does
+        ratio_ints = pq_integers(n, PqParams(1.0, params.q / params.p))
+        return _to_float(_mul(_power(params.p, k * (n - k)), _binomials(ratio_ints, kk)[kk]))
     return _to_float(_binomials(ints, kk)[kk])
 
 

@@ -173,6 +173,13 @@ def mp_factorial(n: int, p: float, q: float) -> float:
         return float(mp.fprod(mp_integers(n, p, q)[1:]))
 
 
+def mp_log_factorial(n: int, p: float, q: float) -> float:
+    """log [1][2]...[n] at MP_DIGITS digits, rounded once to a double, at any scale."""
+    mp = _mp()
+    with mp.workdps(MP_DIGITS):
+        return float(mp.log(mp.fprod(mp_integers(n, p, q)[1:])))
+
+
 def mp_binomial(n: int, k: int, p: float, q: float) -> float:
     """[n]! / ([k]! [n-k]!) at MP_DIGITS digits, rounded once to a double."""
     mp = _mp()

@@ -659,6 +659,11 @@ class TestWithoutNumpy:
                       "--registry", "sin_damped", "--x", "0.7"],
         "stancu_bound": ["stancu-bound", "--n", "1024", "--p", "0.9998", "--q", "0.9995",
                          "--gamma", "0.5", "--beta", "1", "--alpha", "0.5", "--m", "2"],
+        # the scalar degree: an expression sampled point by point stays off numpy
+        "eval_fn_scalar_degree": ["eval", "--n", "64", "--p", "0.99", "--q", "0.95",
+                                  "--fn", "cos(t)*exp(-t/4)+log(1+t)/(2+t)^2", "--x", "0.7"],
+        "represent_fn_scalar_degree": ["represent", "--n", "64", "--p", "0.99", "--q", "0.95",
+                                       "--fn", "cos(t)*exp(-t/4)+log(1+t)/(2+t)^2", "--x", "0.7"],
     }
 
     def child(self, code, *args):

@@ -326,9 +326,9 @@ points = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -8.0, 1000.0]), st.flo
          others=[1.0, 3.0])
 @example(ast=Binary("+", Number(1.0), Call("exp", Variable())), t=710.0, others=[1.0, 2.0])
 @example(ast=Binary("*", Number(2.0), Variable()), t=math.nan, others=[1.0, math.inf])
-# finite values whose sum overflows: the list goes back to the points and passes
+# finite values whose sum overflows, which the list keeps
 @example(ast=Binary("*", Variable(), Number(1e308)), t=1.5, others=[1.0, 1.0])
-# constants only, broadcast over the list, and a constant that fails
+# constants only, and a constant that fails at every point
 @example(ast=Binary("*", Number(2.0), Number(3.0)), t=1.0, others=[2.0])
 @example(ast=Call("exp", Number(1000.0)), t=1.0, others=[2.0])
 def test_compiled_expressions_match_the_tree_walk(ast, t, others):
@@ -336,7 +336,8 @@ def test_compiled_expressions_match_the_tree_walk(ast, t, others):
     f = as_function(ast)
     assert outcome(f, t) == want
     assert outcome(lambda t: eval_expression(ast, t), t) == want
-    # over a list with t in the middle: the values, or the walk's first refusal in order
+    # at_points over a list with t in the middle: the values, or the walk's first
+    # refusal in point order
     ts = others[: len(others) // 2] + [t] + others[len(others) // 2:]
     assert outcomes(f.at_points, ts) == outcomes(
         lambda ts: [walk_expression(ast, t) for t in ts], ts)

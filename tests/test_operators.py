@@ -466,12 +466,12 @@ class TestSample:
             _sample(f, self.TS, "node")
         assert info.value is error
 
-    def test_what_an_at_points_of_its_own_raises_passes_unchanged(self):
-        # the failing point is not known: only the list of values, or none, comes back
-        f = lambda t: t  # noqa: E731
-        f.at_points = lambda ts: 1.0 / 0.0
-        with pytest.raises(ZeroDivisionError):
-            _sample(f, self.TS, "node")
+    @pytest.mark.parametrize("ts", [TS, tuple(TS)], ids=["list", "tuple"])
+    def test_a_list_calls_f_at_each_point_and_never_at_points(self, ts):
+        f, calls = self.recording(lambda i, t: t * t)
+        f.at_points = lambda ts: pytest.fail("at_points called on a list")
+        assert _sample(f, ts, "node") == [t * t for t in self.TS]
+        assert calls == self.TS
 
     def test_overflowing_exp_at_a_stancu_node_names_it(self):
         # a large negative Stancu node: math.exp overflows on the list path at n = 64,
@@ -598,12 +598,16 @@ class TestArrayDegreeEvaluate:
 
     @pytest.mark.parametrize("n, kind", [(64, tuple), (65, "ndarray"), (1024, "ndarray")])
     def test_at_points_sees_the_nodes_once(self, n, kind):
-        f, seen = as_function(parse_expression("t/(1+t)")), []
-        traced = lambda t: f(t)  # noqa: E731
+        # at n <= 64 the nodes are a tuple: f at each node, and at_points never
+        f, seen, calls = as_function(parse_expression("t/(1+t)")), [], []
+        traced = lambda t: calls.append(t) or f(t)  # noqa: E731
         traced.at_points = lambda ts: seen.append(ts) or f.at_points(ts)
         spec = OperatorSpec(n, PqParams(1.0 - 0.25 / n, 1.0 - 0.5 / n))
         assert evaluate(spec, traced, 0.7) == evaluate(spec, f, 0.7)
-        assert len(seen) == 1 and kind in (type(seen[0]), type(seen[0]).__name__)
+        if kind is tuple:
+            assert seen == [] and tuple(calls) == nodes(spec).values
+            return
+        assert len(seen) == 1 and type(seen[0]).__name__ == kind and calls == []
         assert tuple(seen[0]) == nodes(spec).values
 
     @pytest.mark.parametrize("n", [65, 150, 1024])

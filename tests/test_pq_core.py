@@ -18,6 +18,8 @@ from pqbbh import (
 from oracles import (
     convolved_coefficients,
     geometric_integer,
+    mp_binomial,
+    mp_log_factorial,
     pascal_binomial,
     product_factorial,
 )
@@ -141,17 +143,18 @@ class TestPqFactorial:
     def test_classical_overflow_is_inf(self):
         assert pq_factorial(200, CLASSICAL) == math.inf
 
-    @pytest.mark.parametrize(
-        "call, i",
-        [
-            (lambda: pq_log_factorial(65, PqParams(5e-324, 5e-324)), 3),  # [3] = 3 p^2
-            (lambda: pq_binomial(200, 100, PqParams(1e-3, 1e-4)), 109),
-        ],
-        ids=["log_factorial", "binomial"],
-    )
-    def test_refuses_an_integer_that_underflows(self, call, i):
-        with pytest.raises(DomainError, match=rf"\[{i}\] underflows to 0\.0"):
-            call()
+    # [3] = 3 p^2 and [109] underflow to 0.0; [i] = p^(i-1) [i]_r, r = q/p, answers
+    @pytest.mark.parametrize("n, p, q", [(65, 5e-324, 5e-324), (150, 1e-3, 1e-4),
+                                         (200, 1e-3, 1e-4)])
+    def test_log_factorial_answers_where_an_integer_underflows(self, n, p, q):
+        want = mp_log_factorial(n, p, q)
+        assert abs(pq_log_factorial(n, PqParams(p, q)) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("k", [1, 2, 100, 199])
+    def test_binomial_answers_where_an_integer_underflows(self, k):
+        # p^(k(n-k)) [200 over k]_r lies below the subnormals, so the answer is 0.0
+        got = pq_binomial(200, k, PqParams(1e-3, 1e-4))
+        assert got == mp_binomial(200, k, 1e-3, 1e-4) == 0.0
 
     @pytest.mark.parametrize("n", [150, 151, 200])
     def test_an_integer_that_underflows_gives_zero(self, n):

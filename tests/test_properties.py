@@ -642,14 +642,11 @@ needs_longdouble = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
 @example(n=300_000, depth=0.0, u=0.0, x=1.0)  # p = q = 1
 @example(n=300_000, depth=0.9789, u=0.0, x=1.0)  # p = q = 0.99769, as the drift check refused
 @example(n=9798, depth=0.95, u=0.3, x=1e-3)  # num_k x below 2^-1022 from some k on
+@example(n=300_000, depth=0.0, u=0.0, x=30.0)  # 4,432 rescales
 def test_weights_are_within_the_a_priori_bound(n, depth, u, x):
-    # q^(n+1) = NORMAL_MIN^depth is normal and p = q^u, so the kernel is at (p,q).
-    # x is at most 2000/n, so that a row rescales a few times: row() runs one
-    # cumprod over the rest of the row at each rescale, and x = 30 takes 3.6 s
-    # at n = 3e5
+    # q^(n+1) = NORMAL_MIN^depth is normal and p = q^u, so the kernel is at (p,q)
     q = NORMAL_MIN ** (depth / (n + 1))
     p = q**u
-    x = min(x, 2000.0 / n)
     spec = OperatorSpec(n, PqParams(p, q))
     got = np.array(weights(spec, x).weights)
     want = longdouble_weights(n, p, q, x)
@@ -845,6 +842,9 @@ def old_evaluate(spec, f, x):
 
 KERNEL_EXAMPLES = (
     (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024, 50.0),  # rescales in every segment
+    (4096, 1.0, 1.0, 1e4),  # 160 rescales
+    # the segment after the first rescale outruns row()'s window, and a rescale follows
+    (1500, 1.0, 1.0, 0.5),
     (2, 0.9, 0.5, 1.7e308),  # term overflow
     (3, 0.9, 0.5, -1.0),  # invalid point
     (5, 0.7, 0.7, 3.0),  # diagonal q = p
@@ -857,8 +857,12 @@ def with_kernel_examples(test):
     return test
 
 
+# up to 1e4, where a row at n in the thousands rescales tens to hundreds of times
+row_points = st.one_of(kernel_points, st.floats(0.0, math.log(1e4)).map(math.exp))
+
+
 @property_settings(120)
-@given(n=st.integers(1, 1500), p=box_p, r=box_r, x=kernel_points)
+@given(n=st.integers(1, 4096), p=box_p, r=box_r, x=row_points)
 @with_kernel_examples
 def test_weights_match_the_sequential_loop(n, p, r, x):
     q = p * r
