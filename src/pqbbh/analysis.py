@@ -164,6 +164,8 @@ class LipschitzClass(Record):
         _set(self, "E", E)
         if not M > 0:
             raise ValueError(f"M must be positive, got {M!r}")
+        if not math.isfinite(M):
+            raise ValueError(f"M must be finite, got {M!r}")
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
 
@@ -549,6 +551,8 @@ def stancu_bound_report(
     _variant(spec, True, "stancu_bound_report")
     if not m_const > 0:
         raise ValueError(f"M must be positive, got {m_const!r}")
+    if not math.isfinite(m_const):
+        raise ValueError(f"M must be finite, got {m_const!r}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     n = spec.n

@@ -731,12 +731,15 @@ def divided_difference(points: Sequence[float], f: RealFunction) -> float:
     """Newton divided difference of f over 2 or 3 pairwise distinct points.
 
     Raises:
-        DomainError: if two abscissae coincide within the collision
-            tolerance (relative 1e-9).
+        DomainError: if an abscissa is not finite, or two coincide within
+            the collision tolerance (relative 1e-9); f is not called then.
     """
     pts = [float(a) for a in points]
     if len(pts) not in (2, 3):
         raise ValueError("orders 1 and 2 only: pass 2 or 3 points")
+    for a in pts:
+        if not math.isfinite(a):
+            raise DomainError(f"abscissa {a!r} is not finite")
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if abs(pts[i] - pts[j]) < COLLISION_RTOL * (1.0 + abs(pts[j])):

@@ -543,6 +543,18 @@ class TestStancuBound:
             assert rep.bound == 0.0
             assert rep.degenerate
 
+    @pytest.mark.parametrize("m_const, message", [
+        (math.inf, "M must be finite, got inf"),  # the bound was nan at n = 2, p = q = 1
+        (0.0, "M must be positive, got 0.0"),
+        (math.nan, "M must be positive, got nan"),
+    ])
+    def test_refuses_m_not_positive_and_finite(self, m_const, message):
+        spec = OperatorSpec(2, CLASSICAL, StancuShift(0.0, 0.0))
+        for fn in (stancu_bound_report, stancu_bound):
+            with pytest.raises(ValueError) as info:
+                fn(spec, m_const, 0.5)
+            assert str(info.value) == message
+
     def test_linear_in_m(self):
         spec = OperatorSpec(3, PqParams(0.9, 0.8), StancuShift(1.5, 0.5))
         one = stancu_bound(spec, 1.0, 0.75)

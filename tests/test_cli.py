@@ -647,6 +647,10 @@ class TestWithoutNumpy:
     ONE_POINT = {
         "eval": ["eval", "--n", "8", "--p", "0.9", "--q", "0.5", "--fn", "t/(1+t)",
                  "--x", "1.5"],
+        "eval_registry": ["eval", "--n", "8", "--p", "0.9", "--q", "0.5",
+                          "--registry", "bbh_metric", "--x", "1.5"],
+        "eval_registry_scalar_degree": ["eval", "--n", "64", "--p", "0.99", "--q", "0.95",
+                                        "--registry", "bbh_metric", "--x", "1.5"],
         "eval_stancu": ["eval", "--n", "8", "--p", "0.9", "--q", "0.5", "--gamma", "0.5",
                         "--beta", "0.25", "--registry", "exp_neg", "--x", "2",
                         "--format", "json"],
@@ -657,6 +661,8 @@ class TestWithoutNumpy:
                                   "--nu", "2", "--x", "3"],
         "represent": ["represent", "--n", "8", "--p", "0.9", "--q", "0.6",
                       "--registry", "sin_damped", "--x", "0.7"],
+        "represent_scalar_degree": ["represent", "--n", "64", "--p", "0.99", "--q", "0.95",
+                                    "--registry", "sin_damped", "--x", "0.7"],
         "stancu_bound": ["stancu-bound", "--n", "1024", "--p", "0.9998", "--q", "0.9995",
                          "--gamma", "0.5", "--beta", "1", "--alpha", "0.5", "--m", "2"],
         # the scalar degree: an expression sampled point by point stays off numpy
@@ -664,6 +670,15 @@ class TestWithoutNumpy:
                                   "--fn", "cos(t)*exp(-t/4)+log(1+t)/(2+t)^2", "--x", "0.7"],
         "represent_fn_scalar_degree": ["represent", "--n", "64", "--p", "0.99", "--q", "0.95",
                                        "--fn", "cos(t)*exp(-t/4)+log(1+t)/(2+t)^2", "--x", "0.7"],
+    }
+
+    # forms the flag table hands to argparse: help, --flag=value, an abbreviation
+    ARGPARSE = {
+        "help": ["eval", "--help"],
+        "equals": ["eval", "--n", "8", "--p", "0.9", "--q", "0.5", "--registry", "bbh_metric",
+                   "--x=1.5"],
+        "abbreviation": ["eval", "--n", "8", "--p", "0.9", "--q", "0.5",
+                         "--registry", "bbh_metric", "--x", "1.5", "--form", "json"],
     }
 
     def child(self, code, *args):
@@ -679,6 +694,16 @@ class TestWithoutNumpy:
         want = run(argv, capsys)
         assert want[0] == 0
         proc = self.child(self.BLOCKED + "from pqbbh.cli import main; sys.exit(main())", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+    @pytest.mark.parametrize("argv", ARGPARSE.values(), ids=ARGPARSE.keys())
+    def test_argparse_form_runs_with_numpy_blocked_and_loads_no_analysis(
+            self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the child
+        want = run(argv, capsys)
+        assert want[0] == 0
+        proc = self.child(self.BLOCKED + "from pqbbh.cli import main; code = main(); "
+                          "sys.exit(code or 'pqbbh.analysis' in sys.modules)", *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == want
 
     @pytest.mark.parametrize("argv", ONE_POINT.values(), ids=ONE_POINT.keys())
@@ -717,7 +742,8 @@ class TestLazyImports:
                           "if m.startswith('pqbbh')))")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['pqbbh']\n", "")
 
-    @pytest.mark.parametrize("name", ["eval", "eval_stancu", "represent"])
+    @pytest.mark.parametrize("name", [name for name, argv in ONE_POINT.items()
+                                      if argv[0] in ("eval", "represent")])
     def test_eval_and_represent_load_no_analysis(self, name, capsys):
         argv = self.ONE_POINT[name]
         want = run(argv, capsys)
@@ -742,13 +768,14 @@ class TestLazyImports:
         assert not added & self.WATCHED
 
     @pytest.mark.parametrize("argv, loads", [
-        (["eval", "--n", "8", "--p", "0.9", "--q", "0.5", "--registry", "bbh_metric",
-          "--x", "1.5"], set()),
+        (ONE_POINT["eval_registry"], set()),
+        (ONE_POINT["eval_registry_scalar_degree"], set()),
         (ONE_POINT["eval"], {"pqbbh.expressions"}),  # --fn, bare
         (ONE_POINT["eval_stancu"], {"json"}),  # --registry, --format json
         (ONE_POINT["moments"], {"csv", "pqbbh.analysis"}),  # --format csv by default
         (ONE_POINT["eval"] + ["--format", "csv"], {"pqbbh.expressions", "csv"}),
-    ], ids=["registry_bare", "fn_bare", "registry_json", "moments_csv", "fn_csv"])
+    ], ids=["registry_bare", "registry_bare_scalar_degree", "fn_bare", "registry_json",
+            "moments_csv", "fn_csv"])
     def test_a_command_loads_what_it_uses(self, argv, loads, capsys):
         want = run(argv, capsys)
         proc = self.child(self.ADDED, *argv)

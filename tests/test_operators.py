@@ -384,6 +384,17 @@ class TestDividedDifference:
         with pytest.raises(DomainError):
             divided_difference([1.0, 1.0 + 1e-12], lambda t: t)
 
+    @pytest.mark.parametrize("points, name", [
+        ([math.inf, math.inf], "inf"),
+        ([1.0, math.nan], "nan"),
+        ([0.0, 1.0, -math.inf], "-inf"),
+    ])
+    def test_rejects_a_non_finite_abscissa_before_calling_f(self, points, name):
+        calls = []
+        with pytest.raises(DomainError, match=rf"^abscissa {name} is not finite$"):
+            divided_difference(points, calls.append)
+        assert calls == []
+
     def test_samples_each_point_once(self):
         calls = []
 

@@ -178,6 +178,8 @@ REFUSALS = [
     (lambda: PointSet(((math.nan, 1.0),)), "interval endpoints must not be NaN"),
     (lambda: PointSet(((2.0, 1.0),)), "bad interval [2.0, 1.0]"),
     (lambda: LipschitzClass(0, 0.5, E), "M must be positive, got 0"),
+    # lipschitz_bound at x = 0 was nan with this class
+    (lambda: LipschitzClass(math.inf, 0.5, E), "M must be finite, got inf"),
     (lambda: LipschitzClass(1.0, 1.5, E), "alpha must lie in (0, 1], got 1.5"),
 ]
 
