@@ -12,8 +12,9 @@ as a ``_cmd_*`` handler or f itself, is its caller's time.
 
 The calls have the benchmark's shapes: one-point evals at n = 8, 64, 150
 and 1024, ``moments --nu 2`` at n = 1024, ``rate`` with ``sin_damped`` at
-n = 256 (CSV and JSON), 1024 and 2048, and ``rate --n 256`` with each other
-registry function, where ``operators._sample``'s cost per function shows.
+n = 256 (CSV and JSON), 1024 and 2048, ``rate --n 256`` with each other
+registry function, where ``operators._sample``'s cost per function shows,
+and ``rate --n 1024`` with the monotone ``exp_neg``.
 Rounds run until the time budget is spent, each but the first in a seeded
 random order, and run each call in each form for TURN_S, at least once.
 Each figure is the best seen, in µs.  Prints one JSON object.
@@ -68,6 +69,8 @@ CALLS = {
                             "--format", "json"],
     **{f"rate n={n} {fmt}": RATE + [str(n), "--registry", "sin_damped", "--format", fmt]
        for n, fmt in ((256, "csv"), (256, "json"), (1024, "json"), (2048, "json"))},
+    # a monotone f at a degree where pass 2 leaves points out
+    "rate n=1024 exp_neg json": RATE + ["1024", "--registry", "exp_neg", "--format", "json"],
     **{f"rate n=256 {name}": RATE + ["256", "--registry", name]
        for name in REGISTRY if name != "sin_damped"},
 }

@@ -343,7 +343,7 @@ _MODULUS_POINTS = 8001
 def _moduli(
     f: RealFunction, deltas: Sequence[float] | np.ndarray, u_max: float,
     points: int = _MODULUS_POINTS,
-) -> list[float]:
+) -> np.ndarray:
     """Grid omega(f, delta) for each delta, from one sample of f and one table.
 
     f is sampled along t = u/(1-u) at ``points`` uniform u in [0, u_max], h
@@ -363,10 +363,9 @@ def _moduli(
     # int(min(delta / h + 1e-12, points - 1)) for each delta, in one pass:
     # the quotients are >= 0, where astype truncates as int() does
     with np.errstate(over="ignore"):  # a quotient beyond the doubles is inf, as in float arithmetic
-        widths = np.minimum(np.asarray(deltas) / h + 1e-12, points - 1).astype(int).tolist()
-    w_top = max(widths)
-    ranges = _window_ranges(_modulus_samples(f, u_max, points), w_top)
-    return [ranges[w] for w in widths]
+        widths = np.minimum(np.asarray(deltas) / h + 1e-12, points - 1).astype(int)
+    ranges = _window_ranges(_modulus_samples(f, u_max, points), int(widths.max()))
+    return np.asarray(ranges)[widths]
 
 
 def _modulus_samples(f: RealFunction, u_max: float, points: int) -> np.ndarray:
@@ -384,6 +383,8 @@ def _window_ranges(g: np.ndarray, w_top: int) -> list[float]:
     read as max(d) and -min(d) of d = g[w:] - g[:-w].  Rounding is monotone
     and fl(-x) = -fl(x), so this is the rounded largest exact difference,
     as a running max minus a running min gives it, inf on overflow included.
+    Where g is nondecreasing every d rounds to >= 0, so -min(d) <= 0 <= top
+    and only max(d) is read; where g is nonincreasing, only -min(d).
     """
     import numpy as np
 
@@ -391,10 +392,16 @@ def _window_ranges(g: np.ndarray, w_top: int) -> list[float]:
     diff = np.empty(points)
     ranges = [0.0] * (w_top + 1)
     top = 0.0
+    up, down = bool((g[1:] >= g[:-1]).all()), bool((g[1:] <= g[:-1]).all())
     with np.errstate(over="ignore"):  # a range beyond the doubles is inf
         for w in range(1, w_top + 1):
             d = np.subtract(g[w:], g[:-w], out=diff[: points - w])
-            top = max(top, float(d.max()), -float(d.min()))
+            if up:
+                top = max(top, float(d.max()))
+            elif down:
+                top = max(top, -float(d.min()))
+            else:
+                top = max(top, float(d.max()), -float(d.min()))
             ranges[w] = top
     return ranges
 
@@ -415,7 +422,7 @@ def modulus_estimate(
         raise ValueError(f"delta must be positive, got {delta!r}")
     if points < 2:
         raise ValueError(f"need at least 2 modulus points, got {points!r}")
-    return _moduli(f, [delta], grid.u_max, points)[0]
+    return float(_moduli(f, [delta], grid.u_max, points)[0])
 
 
 def rate_bound_check(
@@ -452,7 +459,7 @@ def _rate_columns(
     approx = kernel.weighted_sums(grid.xs, fvals)
     with np.errstate(all="ignore"):  # a difference beyond the doubles is inf, as in float arithmetic
         lhs = np.abs(np.array(approx) - fxs)
-        rhs = 2.0 * np.array(omegas)
+        rhs = 2.0 * omegas
         passed = lhs <= rhs + slack
     return list(grid.xs), lhs.tolist(), rhs.tolist(), passed.tolist()
 

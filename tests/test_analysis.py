@@ -328,6 +328,17 @@ class TestWindowRanges:
     def test_constant_arrays(self, value):
         self.check([value] * 9, 8)
 
+    @pytest.mark.parametrize("g", [
+        [-3.0, -3.0, -1.5, 0.0, 0.0, 0.0, 2.25, 2.25, 7.0, 1e10],  # nondecreasing, plateaus
+        [5e300, 1e300, 2.0, 0.5, 0.5, -1.0, -1e300],  # nonincreasing
+        [-1.7e308, -1e308, 0.0, 1e308, 1.7e308],  # rising, differences overflow to inf
+        [0.0, -0.0, 0.0],  # both nondecreasing and nonincreasing by comparison
+        [0.0, 1.0, 9.0, 0.5, 1.0],  # one step back, the widest difference at w = 1
+    ])
+    def test_monotone_and_nearly_monotone_arrays(self, g):
+        # the sign rule reads one side of a monotone g's differences
+        self.check(g, len(g) - 1)
+
     @pytest.mark.parametrize("g", [[1.0, 2.5], [2.5, 1.0], [-1e-320, 1e-320], [0.0, -0.0]])
     def test_two_points(self, g):
         self.check(g, 1)

@@ -1074,14 +1074,25 @@ def test_grid_sums_match_the_per_row_path(n, p, r, xs, seed):
         assert (type(error), str(error)) == (type(want_error), str(want_error))
 
 
-def test_grid_sums_see_the_rows_that_rescales_made_tiny():
-    # Node values 1 / w_k(40), at most 1e300, weigh the rows near x = 40
-    # alike, so weights many rescales down move the sums as much as the
-    # largest: replaying a point's rescales out of order changes their bits.
+@pytest.mark.parametrize("x0, xs, sign", [
     # The 40.0 point rescales 15 times.
+    (40.0, tuple(40.0 * (1.0 + 1e-4 * i) for i in range(-20, 21)), 1.0),
+    # x = 2.4 rescales five times, the last at k = 645, so its total ends
+    # near 8e3 and the rows with four rescales to come hold weights up to
+    # 5e-307, which reach the sums: _step_sums leaves out only the points
+    # with five or more rescales to come
+    (2.4, tuple(2.4 * (1.0 + 1e-4 * i) for i in range(-20, 21)), 1.0),
+    # unsorted: 40.0 has five or more rescales to come up to row 517, with
+    # live points on both sides; every node value is negative
+    (2.4, (2.4, 40.0, 1.0, 40.0, 2.4024, 0.0, 40.0, 2.39), -1.0),
+])
+def test_grid_sums_see_the_rows_that_rescales_made_tiny(x0, xs, sign):
+    # Node values 1 / w_k(x0), at most 1e300, weigh the rows near x0 alike,
+    # so weights many rescales down move the sums as much as the largest:
+    # replaying a point's rescales out of order changes their bits.
     kernel = _Kernel(OperatorSpec(1024, PqParams(1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024)))
-    fvals = np.array([1e300 if v < 1e-300 else 1.0 / v for v in kernel.row(40.0).tolist()])
-    xs = tuple(40.0 * (1.0 + 1e-4 * i) for i in range(-20, 21))
+    row = kernel.row(x0).tolist()
+    fvals = sign * np.array([1e300 if v < 1e-300 else 1.0 / v for v in row])
     want = [_weighted_sum(kernel.row(x), fvals).hex() for x in xs]
     assert [v.hex() for v in kernel.weighted_sums(xs, fvals)] == want
 
