@@ -17,7 +17,9 @@ registry function, where ``operators._sample``'s cost per function shows,
 and ``rate --n 1024`` with the monotone ``exp_neg``.
 Rounds run until the time budget is spent, each but the first in a seeded
 random order, and run each call in each form for TURN_S, at least once.
-Each figure is the best seen, in µs.  Prints one JSON object.
+Each figure is the best seen, in µs.  For each ``rate`` call it also
+gives the rescale events and (event, point) pairs of its grid, read from
+one untimed ``_Kernel._step_totals``.  Prints one JSON object.
 
     PYTHONPATH=src python3 scripts/layers.py [--seconds 20]
 """
@@ -37,7 +39,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from spans import FIELDS, Tracer  # noqa: E402
 
-from pqbbh import cli  # noqa: E402
+from pqbbh import cli, operators  # noqa: E402
 from pqbbh.functions import REGISTRY  # noqa: E402
 
 LAYERS = (
@@ -119,10 +121,31 @@ def layer_times(tracer: Tracer) -> dict[str, int]:
     return out
 
 
+def rescales(argv: list[str]) -> dict[str, int]:
+    """The rescale events and (event, point) pairs of one untimed run of a rate call's pass 1."""
+    seen = {}
+    step_totals = operators._Kernel._step_totals
+
+    def record(kernel: operators._Kernel, x):
+        stepped = step_totals(kernel, x)
+        if stepped is not None:
+            seen.update(events=len(stepped[1]), pairs=int(stepped[2].size))
+        return stepped
+
+    operators._Kernel._step_totals = record
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+    finally:
+        operators._Kernel._step_totals = step_totals
+    return seen
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seconds", type=float, default=20.0, help="time budget")
     budget = parser.parse_args().seconds
+    counts = {call: rescales(argv) for call, argv in CALLS.items() if argv[0] == "rate"}
     tracer = Tracer()
     patches = wrappers(tracer)
     best: dict[str, dict[str, int]] = {call: {} for call in CALLS}
@@ -145,7 +168,7 @@ def main() -> None:
     order = ("total", "traced", *LAYERS)
     print(json.dumps({"seconds": budget, "rounds": rounds, "best_us": {
         call: {layer: round(seen[layer] / 1e3, 1) for layer in order if layer in seen}
-        for call, seen in best.items()}}, indent=1))
+        for call, seen in best.items()}, "rescales": counts}, indent=1))
 
 
 if __name__ == "__main__":

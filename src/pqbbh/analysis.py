@@ -384,15 +384,18 @@ def _window_ranges(g: np.ndarray, w_top: int) -> list[float]:
     and fl(-x) = -fl(x), so this is the rounded largest exact difference,
     as a running max minus a running min gives it, inf on overflow included.
     Where g is nondecreasing every d rounds to >= 0, so -min(d) <= 0 <= top
-    and only max(d) is read; where g is nonincreasing, only -min(d).
+    and only max(d) is read; where g is nonincreasing, only -min(d).  Where
+    it is both, every d is +-0.0 and top stays 0.0, so no width is swept.
     """
     import numpy as np
 
+    ranges = [0.0] * (w_top + 1)
+    up, down = bool((g[1:] >= g[:-1]).all()), bool((g[1:] <= g[:-1]).all())
+    if up and down:
+        return ranges
     points = len(g)
     diff = np.empty(points)
-    ranges = [0.0] * (w_top + 1)
     top = 0.0
-    up, down = bool((g[1:] >= g[:-1]).all()), bool((g[1:] <= g[:-1]).all())
     with np.errstate(over="ignore"):  # a range beyond the doubles is inf
         for w in range(1, w_top + 1):
             d = np.subtract(g[w:], g[:-w], out=diff[: points - w])

@@ -32,8 +32,9 @@ _RESCALE_AT = 1e100
 
 # A term is at most _RESCALE_AT and each rescale divides it by more, so a term
 # divided this many times is exactly 0.0 (1e100 -> 1 -> ... -> 1e-300 -> 0):
-# row() divides only the last this many segments, and _step_sums divides a
-# point with this many rescales still to come by inf alone.
+# row() divides only the last this many segments, and _step_sums holds only
+# a point's last this many less one rescale terms, dividing by inf first
+# where this many or more are still to come.
 _ZERO_AFTER = 5
 
 # Largest degree whose kernel takes the scalar path: Python floats for the
@@ -434,56 +435,42 @@ class _Kernel:
         """Pass 1: each point's running total and its rescales, or None at a term not finite.
 
         Row k+1 of the terms is the ratio row fl(fl(num_k x) / den_k) times
-        row k, as in row(), and only the last row is kept.  A row that the
-        product of its ratios' maxima cannot prove below _RESCALE_AT takes
-        one max(), which finds the points whose term passed it; those alone
-        get row()'s rescale of the total, and their term restarts at 1.0.
-        The totals add the terms in row()'s order.  Each event is (k, the
-        points as an index array, the same points as a slice where they sit
-        side by side, as on a sorted grid, or as that array, and their
-        terms t).  Returns the totals, the events, and the point and term of
-        every (event, point) pair, in event order.
+        row k, as in row(), and only the last row is kept.  One compare a
+        row finds the points whose term passed _RESCALE_AT; those alone get
+        row()'s rescale of the total, and their term restarts at 1.0.  The
+        totals add the terms in row()'s order.  A term that is not finite
+        shows once the rows are done: an inf passes _RESCALE_AT and is
+        rescaled like any other, so it is one of the terms t, and a nan
+        passes nothing, so it reaches its total.  Each event is (k, its
+        points as an index array, their terms t).  Returns the totals, the
+        events, and the point and term of every (event, point) pair, in
+        event order.
         """
         import numpy as np
 
         n, b = self.spec.n, x.size
         num, den = self.num.tolist(), self.den.tolist()
-        # each row's largest ratio: den_k > 0 (see _Kernel), so the rounded
-        # ratio fl(fl(num_k x) / den_k) is monotone in x >= 0
-        rmax = (self.num * x.max() / self.den).tolist()
         total = np.ones(b)
         prev, col = np.ones(b), np.empty(b)
-        events: list[tuple[int, np.ndarray, slice | np.ndarray, np.ndarray]] = []
-        row_max = np.maximum.reduce
-        bound = 1.0  # no term of the row before exceeds it
+        over = np.empty(b, dtype=bool)
+        events: list[tuple[int, np.ndarray, np.ndarray]] = []
         for k in range(n):
             np.multiply(x, num[k], out=col)
             col /= den[k]
             col *= prev
-            # Terms and ratios are >= 0 and rounding is monotone, so no term
-            # of this row exceeds the product; an inf ratio makes it fail
-            # the test.  Only then does the row take a max().
-            bound *= rmax[k]
-            if not bound <= _RESCALE_AT:
-                bound = float(row_max(col))
-            if not bound <= _RESCALE_AT:
-                # bound is the row's max here, nan or inf if any term is
-                if not bound < math.inf:
-                    return None
-                found = (col > _RESCALE_AT).nonzero()[0]
-                first, last = int(found[0]), int(found[-1])
-                at = slice(first, last + 1) if last - first + 1 == found.size else found
-                t = col[at].copy()
-                events.append((k, found, at, t))
-                total[at] /= t  # then + 1.0 from the restarted term, as in row()
-                col[at] = 1.0
-                bound = _RESCALE_AT
+            found = np.greater(col, _RESCALE_AT, out=over).nonzero()[0]
+            if found.size:
+                t = col[found]
+                events.append((k, found, t))
+                total[found] /= t  # then + 1.0 from the restarted term, as in row()
+                col[found] = 1.0
             total += col
             prev, col = col, prev
-        if not events:
-            return total, events, np.zeros(0, dtype=int), np.zeros(0)
-        pts = np.concatenate([found for _, found, _, _ in events])
-        return total, events, pts, np.concatenate([t for *_, t in events])
+        pts = np.concatenate([np.zeros(0, dtype=int), *(found for _, found, _ in events)])
+        ts = np.concatenate([np.zeros(0), *(t for *_, t in events)])
+        if not (np.isfinite(total).all() and np.isfinite(ts).all()):
+            return None
+        return total, events, pts, ts
 
     def _step_sums(
         self, x: np.ndarray, fvals: np.ndarray, total: np.ndarray, events: list,
@@ -493,26 +480,32 @@ class _Kernel:
 
         Row j of a point is divided by the terms t of its rescales at k >= j,
         in event order, then by its total, and multiplied by f_j, as row()
-        and _weighted_sum do.  The divisions come from pending, a table of
-        _ZERO_AFTER - 1 ranks: a point with fewer rescales to come has them
-        there in order, 1.0 in the ranks left over (x / 1.0 is exact).  A
-        point with _ZERO_AFTER or more has inf in rank 0 and 1.0 in the
-        others: five divisions leave its row at exactly 0.0, and so does one
-        by inf, without the five divisions' subnormal quotients (on a 2-vCPU
-        host a division of 2001 subnormals took 27 µs against 2 µs, and this
-        pass at n = 1024 on the rate grid 27 ms with five ranks, 18 ms with
-        inf).  A point's column is replaced once the rows pass one of its
-        events.  The sums add the rows in order from 0.0, so each ends as
-        0.0 + cumsum's last value.
+        and _weighted_sum do.  The divisions come from a table of
+        _ZERO_AFTER - 1 rows counted back from each point's last rescale:
+        row s holds its (s+1)-th last term, or 1.0 where it has none (x /
+        1.0 is exact), and the rows divide from the top one down, which is
+        event order.  Where _ZERO_AFTER or more rescales are still to come,
+        the top row holds inf: five divisions leave the point's row at
+        exactly 0.0, and so does one by inf, without the five divisions'
+        subnormal quotients (on a 2-vCPU host a division of 2001 subnormals
+        took 27 µs against 2 µs, and this pass at n = 1024 on the rate grid
+        27 ms with five divisions, 18 ms with inf).  Counted from the last,
+        a point's terms keep their rows as the rows pass its events, so an
+        event makes all its updates with one scatter into the flat table:
+        a pair with r < _ZERO_AFTER - 1 rescales after it writes 1.0 into
+        row r, one with _ZERO_AFTER - 1 writes its point's fourth-last term
+        over the inf, and the rest write into a spare slot.  The sums add
+        the rows in order from 0.0, so each ends as 0.0 + cumsum's last
+        value.
 
-        Each row skips what it knows: rank r is divided only from the first
-        point with more than r rescales to come (the rest hold 1.0 there),
+        Each row skips what it knows: row s is divided only from the first
+        point with more than s rescales to come (the rest hold 1.0 there),
         and the division by the total, the product by f_j and the sum stop
         after the last point with fewer than _ZERO_AFTER.  A point left out
         would add +0.0 or -0.0, which leaves a sum that starts at +0.0 as it
-        is; a point before that one with _ZERO_AFTER or more keeps rank 0's
-        inf.  The ratio rows stay whole, since a point's terms count again
-        once it is fewer than _ZERO_AFTER rescales from the end.
+        is; a point before that one with _ZERO_AFTER or more meets the inf.
+        The ratio rows stay whole, since a point's terms count again once it
+        is fewer than _ZERO_AFTER rescales from the end.
         """
         import numpy as np
 
@@ -520,41 +513,41 @@ class _Kernel:
         num, den, f = self.num.tolist(), self.den.tolist(), fvals.tolist()
         ranks = _ZERO_AFTER - 1
         # by_point: the pairs' terms sorted by point, each point's in event
-        # order, its pairs from index first on, count of them; after: how
-        # many rescales each pair's point has after it
+        # order, its pairs up to index end - 1; after: how many rescales each
+        # pair's point has after it
         count = np.bincount(pts, minlength=b)
         # the points in the narrowest int type: numpy sorts 8- and 16-bit keys by radix
         order = np.argsort(pts.astype(np.min_scalar_type(b)), kind="stable")
         by_point = ts[order]
-        first = np.cumsum(count) - count
+        end = np.cumsum(count)
         place = np.empty_like(pts)  # each pair's index in by_point
         place[order] = np.arange(pts.size)
-        after = first[pts] + count[pts] - 1 - place
-
-        def columns(start: np.ndarray, left: np.ndarray) -> np.ndarray:
-            """pending's columns for points with left rescales to come, from by_point[start]."""
-            c = np.ones((ranks, start.size))
-            for r in range(ranks):
-                has = (r < left) & (left < _ZERO_AFTER)
-                c[r, has] = by_point[start[has] + r]
-            c[0, left >= _ZERO_AFTER] = math.inf
-            return c
-
-        pending = columns(first, count)
-        shifted = columns(place + 1, after)  # a pair's point's column once the rows pass it
+        after = end[pts] - 1 - place
+        divisors = np.ones(ranks * b + 1)  # the table, row by row, then the spare slot
+        table = divisors[:-1].reshape(ranks, b)
+        for s in range(ranks):
+            has = count > s
+            table[s, has] = by_point[end[has] - 1 - s]
+        table[-1, count >= _ZERO_AFTER] = math.inf
+        near = after < _ZERO_AFTER
+        # each pair's slot in divisors and the value its event writes there
+        slots = np.where(near, np.minimum(after, ranks - 1) * b + pts, ranks * b)
+        values = np.ones(pts.size)
+        refill = after == ranks
+        values[refill] = by_point[place[refill] + 1]
         ks = np.repeat([e[0] for e in events], [e[1].size for e in events]).astype(int)
         # last[r, i]: the last row at which point i has more than r rescales
         # to come, or -1; hi[j]: one past the last point with fewer than
-        # _ZERO_AFTER at row j; los[j][r]: the first point with more than r
+        # _ZERO_AFTER at row j; los[j][s]: the first point with more than s,
+        # from the top row down
         last = np.full((_ZERO_AFTER, b), -1)
-        near = after < _ZERO_AFTER
         last[after[near], pts[near]] = ks[near]
         rows = np.arange(n + 1)
         free = np.minimum.accumulate(last[ranks, ::-1] + 1)[::-1]
         hi = np.searchsorted(free, rows, "right").tolist()
         reach = np.maximum.accumulate(last[:ranks], axis=1)
-        los = np.array([np.searchsorted(m, rows) for m in reach]).T.tolist()
-        by_rank = list(pending)  # views of its rows, which the events update in place
+        los = np.array([np.searchsorted(m, rows) for m in reach[::-1]]).T.tolist()
+        top_down = list(table[::-1])  # views of its rows, which the events update in place
         marks = iter(events)
         mark = next(marks, None)
         start = 0  # mark's first pair
@@ -566,10 +559,9 @@ class _Kernel:
                 nxt /= den[j]
                 nxt *= cur
             h = hi[j]
-            for row, lo in zip(by_rank, los[j]):
-                if lo >= h:
-                    break
-                cur[lo:h] /= row[lo:h]
+            for row, lo in zip(top_down, los[j]):
+                if lo < h:
+                    cur[lo:h] /= row[lo:h]
             if h == b:
                 cur /= total
                 cur *= f[j]
@@ -580,10 +572,11 @@ class _Kernel:
                 live *= f[j]
                 acc[:h] += live
             if mark is not None and mark[0] == j:
-                _, found, at, _ = mark
-                nxt[at] = 1.0
-                pending[:, at] = shifted[:, start:start + found.size]
-                start += found.size
+                found = mark[1]
+                nxt[found] = 1.0
+                stop = start + found.size
+                divisors[slots[start:stop]] = values[start:stop]
+                start = stop
                 mark = next(marks, None)
             cur, nxt = nxt, cur
         return acc.tolist()

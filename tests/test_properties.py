@@ -1015,10 +1015,9 @@ BLOCK_EXAMPLES = (
     (2100, 0.999, 0.998, tuple(0.5 * i for i in range(124 + 8))),
     # the per-row path is the scalar one here; the terms rescale at 1e12 and 1e30
     (16, 0.7, 0.3, (0.0, 5e-324, 0.5, 21.9, 1e12, 1e30)),
-    # unsorted: the three 40.0 points pass _RESCALE_AT at one k, not side by
-    # side; a proven-quiet stretch ends just before
+    # unsorted: the three 40.0 points pass _RESCALE_AT at one k, not side by side
     (300, 0.99, 0.98, (40.0, 1.0, 40.0, 2.0, 40.0)),
-    # the bound is exact for equal points: the stretch ends one row before the event
+    # equal points pass _RESCALE_AT at the same rows
     (300, 0.99, 0.98, (40.0, 40.0)),
     # at (p,q) den_0 = p^619 [1] would be 0.0; at (1, q/p) num_0 x is 0.0 at 5e-324
     (620, 0.3, 0.25, (5e-324, 0.5, 5e-324)),
@@ -1040,6 +1039,13 @@ BLOCK_EXAMPLES = (
     # the larger points rescale 11 to 67 times, so their pending rescales
     # move up through the table's ranks many times over
     (4096, 1.0 - 0.25 / 4096, 1.0 - 0.5 / 4096, tuple(np.geomspace(0.01, 50.0, 12).tolist())),
+    # exactly 4, 5 and 6 rescales: the divisor table's top row starts with
+    # the fourth-last term, or with inf that an event overwrites with it
+    (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024, (2.0, 2.8, 3.8)),
+    (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024, (3.8, 2.0, 2.8)),
+    # the overflowing point sits between points that rescale: its inf term
+    # is rescaled like any other, and the grid still gets row()'s refusal
+    (1024, 1.0 - 0.25 / 1024, 1.0 - 0.5 / 1024, (2.0, 40.0, 1.7e308, 3.8, 40.0)),
 )
 
 
@@ -1085,6 +1091,9 @@ def test_grid_sums_match_the_per_row_path(n, p, r, xs, seed):
     # unsorted: 40.0 has five or more rescales to come up to row 517, with
     # live points on both sides; every node value is negative
     (2.4, (2.4, 40.0, 1.0, 40.0, 2.4024, 0.0, 40.0, 2.39), -1.0),
+    # unsorted: 3.8, 2.0 and 2.8 rescale exactly 6, 4 and 5 times, so the
+    # divisor table's top row holds inf, a fourth-last term and its refill
+    (2.8, (3.8, 2.0, 2.8, 2.8003), 1.0),
 ])
 def test_grid_sums_see_the_rows_that_rescales_made_tiny(x0, xs, sign):
     # Node values 1 / w_k(x0), at most 1e300, weigh the rows near x0 alike,
@@ -1123,8 +1132,8 @@ def rescale_rows(n, p, q, x):
 @example(n=40, p=0.9, r=0.5 / 0.9, x=1e40)  # the scalar path, 12 rescales
 def test_rows_at_or_below_the_fifth_last_rescale_are_zero(n, p, r, x):
     # Each term is at most 1e100 and each rescale divides it by more, so five
-    # divisions leave 0.0: _step_sums keeps at most four pending rescales a
-    # point and divides a row with five or more still to come by inf alone.
+    # divisions leave 0.0: _step_sums keeps each point's last four rescale
+    # terms and divides a row with five or more still to come by inf first.
     q = p * r
     if q == 0.0 or not unrouted(OperatorSpec(n, PqParams(p, q))):
         return  # rescale_rows runs at (p,q)
@@ -1144,19 +1153,15 @@ def array_kernel(n, p, q):
     return kernel
 
 
-def test_ratio_maxima_match_the_full_table():
-    # max over a row of fl(fl(num_k x) / den_k): bit for bit, inf for inf
-    seen = set()
-    for n, p, q, xs in BLOCK_EXAMPLES:
-        kernel = array_kernel(n, p, q)
-        x = np.array(xs)
-        with np.errstate(all="ignore"):
-            want = (np.multiply.outer(kernel.num, x) / kernel.den[:, None]).max(axis=1)
-            got = kernel.num * x.max() / kernel.den  # as _step_totals takes it
-        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
-        seen.update(v.hex() for v in got.tolist() if not math.isfinite(v))
-    # the term-overflow example reaches inf; no kernel has a zero den_k, so none is nan
-    assert seen == {"inf"}
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_a_term_not_finite_stops_pass_1(bad):
+    # an inf term is rescaled like any other, so only its t shows it, and a
+    # nan one passes no compare, so only its total does
+    kernel = array_kernel(300, 0.99, 0.98)
+    kernel.num = kernel.num.copy()
+    kernel.num[150] = bad
+    with np.errstate(all="ignore"):
+        assert kernel._step_totals(np.array((1.0, 40.0))) is None
 
 
 def test_an_overflowing_term_sends_the_grid_to_row(monkeypatch):
